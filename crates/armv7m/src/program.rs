@@ -165,7 +165,7 @@ impl Program {
     /// program has been decoded, `None` if the cache is still empty.
     /// Campaign statistics aggregate this over a matrix's artifacts.
     #[must_use]
-    pub fn decode_stats(&self) -> Option<(u64, u64)> {
+    pub fn decode_cost(&self) -> Option<(u64, u64)> {
         self.decoded
             .get()
             .map(|d| (d.len() as u64, d.decode_micros()))

@@ -627,11 +627,11 @@ mod tests {
         });
         p.push(Instr::Bx { rm: Reg::Lr });
         let program = p.assemble().expect("assembles");
-        assert!(program.decode_stats().is_none(), "nothing decoded yet");
+        assert!(program.decode_cost().is_none(), "nothing decoded yet");
         let decoded = program.decoded();
         assert_eq!(decoded.len(), program.len(), "exactly one uop per instr");
         assert!(std::ptr::eq(decoded, program.decoded()), "decoded once");
-        let (uops, _micros) = program.decode_stats().expect("stats after decode");
+        let (uops, _micros) = program.decode_cost().expect("cost after decode");
         assert_eq!(uops, program.len() as u64);
     }
 

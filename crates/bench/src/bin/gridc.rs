@@ -13,16 +13,19 @@
 //! $ gridc --addr 127.0.0.1:7399 --clients 4          # byte-identity under concurrency
 //! $ gridc --addr 127.0.0.1:7399 --bench              # cold/warm/concurrent timings
 //! $ gridc --addr 127.0.0.1:7399 --stats              # human-readable table
-//! $ gridc --addr 127.0.0.1:7399 --stats --json       # raw snapshot JSON
+//! $ gridc --addr 127.0.0.1:7399 --stats --json       # every series, one JSON object
 //! $ gridc --addr 127.0.0.1:7399 --metrics            # Prometheus-style exposition
 //! $ gridc --addr 127.0.0.1:7399 --shutdown
 //! ```
 
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::process::exit;
 use std::time::{Duration, Instant};
 
-use secbranch_gridd::{protocol::StatsSnapshot, DoneFrame, GridClient, GridRequest};
+use secbranch::campaign::json_string;
+use secbranch::obs::HistogramSnapshot;
+use secbranch_gridd::{DoneFrame, GridClient, GridRequest};
 
 fn usage(message: &str) -> ! {
     eprintln!("{message}");
@@ -51,10 +54,10 @@ fn usage(message: &str) -> ! {
     );
     eprintln!(
         "  --stats: print a human-readable summary of the daemon's statistics \
-         (with --json: the raw snapshot JSON)"
+         (with --json: every series as one flat JSON object)"
     );
     eprintln!("  --metrics: print the daemon's metrics registry (Prometheus text format)");
-    eprintln!("  --shutdown: shut the daemon down; print its final snapshot JSON");
+    eprintln!("  --shutdown: shut the daemon down; print its final statistics JSON");
     exit(2);
 }
 
@@ -264,13 +267,12 @@ fn main() {
         } else {
             client.stats().unwrap_or_else(|e| fail("stats", &e))
         };
-        // `--json` (and `--shutdown`, whose snapshot CI parses) stays the
-        // raw snapshot serialisation, byte for byte; the table is a
-        // human-only rendering of the same numbers.
+        // `--json` (and `--shutdown`, whose output CI parses) prints the
+        // series map as is; the table is a human-only rendering of it.
         if options.stats && !options.json {
-            print!("{}", render_stats_table(&snapshot));
+            print!("{}", render_stats_table(&snapshot.series));
         } else {
-            println!("{}", snapshot.to_json());
+            println!("{}", series_json(&snapshot.series));
         }
         return;
     }
@@ -312,72 +314,60 @@ fn rate(part: u64, whole: u64) -> String {
     }
 }
 
-/// `--stats` without `--json`: the snapshot as a table a human can read at
-/// a glance — serving and pool state, cache hit rates, and compute-time
-/// percentiles over the daemon's recent-cell window.
-fn render_stats_table(s: &StatsSnapshot) -> String {
+/// The series map as one flat JSON object, keys in series order.
+fn series_json(series: &BTreeMap<String, u64>) -> String {
+    let fields: Vec<String> = series
+        .iter()
+        .map(|(key, value)| format!("{}:{value}", json_string(key)))
+        .collect();
+    format!("{{{}}}", fields.join(","))
+}
+
+/// `--stats` without `--json`: the series as a table a human can read at a
+/// glance — cache hit rates and per-model compute-time percentiles first,
+/// then every unlabelled series by name. The percentiles come from the
+/// daemon's histograms, so each is the upper bound of the bucket it falls
+/// in.
+fn render_stats_table(series: &BTreeMap<String, u64>) -> String {
+    const HISTOGRAM: &str = "secbranch_cell_compute_micros";
+    let get = |name: &str| series.get(name).copied().unwrap_or(0);
+    let cells = get("secbranch_gridd_cells_requested_total");
+    let cells_reused =
+        get("secbranch_gridd_warm_cells_total") + get("secbranch_gridd_coalesced_cells_total");
+    let traces_found =
+        get("secbranch_trace_store_hits_total") + get("secbranch_trace_store_disk_hits_total");
+    let traces = traces_found + get("secbranch_trace_store_misses_total");
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "grid daemon statistics (protocol v{})",
-        s.protocol_version
+        "grid daemon statistics (protocol v{})\n  \
+         cell hit rate   {:>7}   ({cells_reused} of {cells} cells served without simulation)\n  \
+         trace hit rate  {:>7}   ({traces_found} of {traces} reference traces reused)\n  \
+         compute time per model, p50 / p95 / p99 as histogram bucket bounds:",
+        get("secbranch_gridd_protocol_version"),
+        rate(cells_reused, cells),
+        rate(traces_found, traces),
     );
-    let _ = writeln!(
-        out,
-        "  requests         {:>10}   ({} refused/failed, {} version rejects)",
-        s.requests, s.request_errors, s.version_rejects,
-    );
-    let _ = writeln!(
-        out,
-        "  cells            {:>10}   ({} warm, {} computed, {} coalesced)",
-        s.cells_requested, s.warm_cells, s.computed_cells, s.coalesced_cells,
-    );
-    let _ = writeln!(
-        out,
-        "  pool             {:>10}   workers, {}/{} queued, {} in flight",
-        s.workers, s.queue_depth, s.queue_capacity, s.in_flight,
-    );
-    let _ = writeln!(
-        out,
-        "  pool jobs        {:>10}   submitted ({} completed, {} errored, {} expired)",
-        s.pool_submitted, s.pool_completed, s.pool_errored, s.pool_expired,
-    );
-    let _ = writeln!(
-        out,
-        "  cell hit rate    {:>10}   ({} of {} cells served without simulation)",
-        rate(s.warm_cells + s.coalesced_cells, s.cells_requested),
-        s.warm_cells + s.coalesced_cells,
-        s.cells_requested,
-    );
-    let trace_total = s.trace_hits + s.trace_disk_hits + s.trace_misses;
-    let _ = writeln!(
-        out,
-        "  trace hit rate   {:>10}   ({} memory + {} disk hits, {} recorded)",
-        rate(s.trace_hits + s.trace_disk_hits, trace_total),
-        s.trace_hits,
-        s.trace_disk_hits,
-        s.trace_misses,
-    );
-    let _ = writeln!(
-        out,
-        "  executor         {:>10}   snapshot restores, {} suffix steps saved, \
-         {} programs decoded ({} µs)",
-        s.snapshot_restores, s.suffix_steps_saved, s.decoded_programs, s.decode_micros,
-    );
-    let mut recent = s.recent_cell_micros.clone();
-    recent.sort_unstable();
-    let _ = writeln!(
-        out,
-        "  compute time     {:>10}   µs total; recent cells p50 {} / p95 {} / p99 {} µs \
-         (window of {})",
-        s.pool_compute_micros,
-        secbranch::obs::percentile(&recent, 0.50),
-        secbranch::obs::percentile(&recent, 0.95),
-        secbranch::obs::percentile(&recent, 0.99),
-        recent.len(),
-    );
-    if let Some(store) = &s.store {
-        let _ = writeln!(out, "  store            {}", store.to_json());
+    for key in series.keys() {
+        let Some(labels) = key
+            .strip_prefix(HISTOGRAM)
+            .and_then(|rest| rest.strip_prefix("_count{"))
+            .and_then(|rest| rest.strip_suffix('}'))
+        else {
+            continue;
+        };
+        if let Some(h) = HistogramSnapshot::from_series(series, HISTOGRAM, labels) {
+            let (p50, p95, p99) = (h.quantile(0.50), h.quantile(0.95), h.quantile(0.99));
+            let _ = writeln!(
+                out,
+                "    {labels:<26} {:>6} cells   <= {p50} / {p95} / {p99} µs",
+                h.count
+            );
+        }
+    }
+    for (key, value) in series.iter().filter(|(key, _)| !key.contains('{')) {
+        let name = key.strip_prefix("secbranch_").unwrap_or(key);
+        let _ = writeln!(out, "  {name:<44} {value:>12}");
     }
     out
 }
@@ -430,6 +420,6 @@ fn run_benchmark(options: &Options) {
         warm.computed_cells == 0 && warm.recordings == 0,
         clients,
         concurrent_wall,
-        stats.to_json(),
+        series_json(&stats.series),
     );
 }

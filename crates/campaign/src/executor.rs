@@ -1219,7 +1219,13 @@ impl MatrixExecutor {
         } else {
             thread::scope(|scope| {
                 for _ in 0..workers {
-                    scope.spawn(worker);
+                    // A scope can return before a worker's thread-local
+                    // destructors run, so the span buffer is flushed here
+                    // rather than left to thread exit.
+                    scope.spawn(move || {
+                        worker();
+                        secbranch_obs::flush_thread();
+                    });
                 }
             });
         }

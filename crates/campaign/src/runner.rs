@@ -300,7 +300,16 @@ impl CampaignRunner {
         thread::scope(|scope| {
             let handles: Vec<_> = points
                 .chunks(chunk_size)
-                .map(|chunk| scope.spawn(move || run_chunk(chunk)))
+                .map(|chunk| {
+                    scope.spawn(move || {
+                        let outcomes = run_chunk(chunk);
+                        // Flush before returning, like the executor's
+                        // scoped workers, rather than depend on when the
+                        // thread-exit flush runs.
+                        secbranch_obs::flush_thread();
+                        outcomes
+                    })
+                })
                 .collect();
             let mut outcomes = Vec::with_capacity(points.len());
             for handle in handles {

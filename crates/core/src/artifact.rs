@@ -149,13 +149,6 @@ impl Artifact {
         &self.compiled
     }
 
-    /// Consumes the artifact and hands out the compiled module by move
-    /// (used by the legacy `build` wrapper, which only wants the module).
-    #[must_use]
-    pub fn into_compiled(self) -> CompiledModule {
-        self.compiled
-    }
-
     /// Total code size in bytes.
     #[must_use]
     pub fn code_size_bytes(&self) -> u32 {

@@ -31,9 +31,6 @@
 //!   per-cell timings plus trace-cache counters reported in
 //!   [`MatrixStats`].
 //!
-//! The historical free functions [`build`] and [`measure`] remain as thin
-//! wrappers over [`Pipeline`] for existing call sites.
-//!
 //! The individual building blocks are re-exported under their own names
 //! ([`ancode`], [`ir`], [`passes`], [`cfi`], [`armv7m`], [`codegen`],
 //! [`fault`], [`programs`], [`store`], [`obs`]).
@@ -98,7 +95,6 @@ pub use security::{MatrixStats, SecurityCell, SecurityReport};
 pub use session::{Session, Workload};
 
 use secbranch_armv7m::ExecResult;
-use secbranch_codegen::CompiledModule;
 
 /// The protection configurations the evaluation compares (Table III).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -320,46 +316,6 @@ pub const DEFAULT_MEMORY_SIZE: u32 = 1 << 20;
 /// Default dynamic instruction budget of [`SimConfig`].
 pub const DEFAULT_MAX_STEPS: u64 = 500_000_000;
 
-/// Applies the middle-end passes of the given variant to a copy of `module`
-/// and compiles it.
-///
-/// **Deprecated shape**: this is a thin wrapper over
-/// `Pipeline::for_variant(variant).build(module)` kept for existing call
-/// sites; it discards the artifact metadata. Prefer [`Pipeline::build`] and
-/// work with the returned [`Artifact`].
-///
-/// # Errors
-///
-/// Returns [`BuildError`] if a pass or the back end fails.
-pub fn build(
-    module: &ir::Module,
-    variant: ProtectionVariant,
-) -> Result<CompiledModule, BuildError> {
-    Ok(Pipeline::for_variant(variant)
-        .build(module)?
-        .into_compiled())
-}
-
-/// Builds the variant, runs `entry(args)` on the simulator and reports the
-/// measurement.
-///
-/// **Deprecated shape**: this recompiles the module on every call. It is a
-/// thin wrapper over `Pipeline::for_variant(variant).measure(...)` kept for
-/// existing call sites; prefer building an [`Artifact`] once (or using a
-/// [`Session`], which caches builds) when measuring more than once.
-///
-/// # Errors
-///
-/// Returns [`BuildError`] if building or executing the workload fails.
-pub fn measure(
-    module: &ir::Module,
-    variant: ProtectionVariant,
-    entry: &str,
-    args: &[u32],
-) -> Result<Measurement, BuildError> {
-    Pipeline::for_variant(variant).measure(module, entry, args)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -442,8 +398,15 @@ mod tests {
             ProtectionVariant::Duplication(6),
             ProtectionVariant::AnCode,
         ] {
-            let equal = measure(&module, variant, "integer_compare", &[500, 500]).expect("runs");
-            let unequal = measure(&module, variant, "integer_compare", &[500, 501]).expect("runs");
+            let artifact = Pipeline::for_variant(variant)
+                .build(&module)
+                .expect("builds");
+            let equal = artifact
+                .measure("integer_compare", &[500, 500])
+                .expect("runs");
+            let unequal = artifact
+                .measure("integer_compare", &[500, 501])
+                .expect("runs");
             assert_eq!(equal.result.return_value, 1, "{variant:?}");
             assert_eq!(unequal.result.return_value, 0, "{variant:?}");
             if variant != ProtectionVariant::Unprotected {
@@ -455,17 +418,14 @@ mod tests {
     #[test]
     fn protection_adds_measurable_overhead_over_the_cfi_baseline() {
         let module = memcmp_module(16);
-        let baseline =
-            measure(&module, ProtectionVariant::CfiOnly, "memcmp_bench", &[]).expect("runs");
-        let duplication = measure(
-            &module,
-            ProtectionVariant::Duplication(6),
-            "memcmp_bench",
-            &[],
-        )
-        .expect("runs");
-        let prototype =
-            measure(&module, ProtectionVariant::AnCode, "memcmp_bench", &[]).expect("runs");
+        let measure = |variant| {
+            Pipeline::for_variant(variant)
+                .measure(&module, "memcmp_bench", &[])
+                .expect("runs")
+        };
+        let baseline = measure(ProtectionVariant::CfiOnly);
+        let duplication = measure(ProtectionVariant::Duplication(6));
+        let prototype = measure(ProtectionVariant::AnCode);
         assert_eq!(baseline.result.return_value, 1);
         assert_eq!(duplication.result.return_value, 1);
         assert_eq!(prototype.result.return_value, 1);
@@ -477,7 +437,9 @@ mod tests {
     #[test]
     fn password_check_example_from_the_crate_docs_works() {
         let module = secbranch_programs::password_check_module(8);
-        let m = measure(&module, ProtectionVariant::AnCode, "password_check", &[]).expect("runs");
+        let m = Pipeline::for_variant(ProtectionVariant::AnCode)
+            .measure(&module, "password_check", &[])
+            .expect("runs");
         assert_eq!(m.result.return_value, GRANT);
         assert!(m.result.cfi_clean());
     }
@@ -500,7 +462,7 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_for_variant_matches_the_free_functions() {
+    fn pipeline_measure_matches_a_build_then_artifact_measure() {
         let module = integer_compare_module();
         for variant in [
             ProtectionVariant::Unprotected,
@@ -508,12 +470,14 @@ mod tests {
             ProtectionVariant::Duplication(6),
             ProtectionVariant::AnCode,
         ] {
-            let legacy = measure(&module, variant, "integer_compare", &[3, 9]).expect("runs");
+            let one_shot = Pipeline::for_variant(variant)
+                .measure(&module, "integer_compare", &[3, 9])
+                .expect("runs");
             let artifact = Pipeline::for_variant(variant)
                 .build(&module)
                 .expect("builds");
             let modern = artifact.measure("integer_compare", &[3, 9]).expect("runs");
-            assert_eq!(legacy, modern, "{variant:?}");
+            assert_eq!(one_shot, modern, "{variant:?}");
         }
     }
 

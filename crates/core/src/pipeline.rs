@@ -1,6 +1,5 @@
 //! The [`Pipeline`] builder: every knob of the build pipeline made
-//! first-class, replacing the hard-coded configuration of the historical
-//! `build`/`measure` free functions.
+//! first-class.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -361,8 +360,7 @@ impl Pipeline {
     }
 
     /// Convenience: build the module and measure one execution of
-    /// `entry(args)` — the build-per-call shape of the historical `measure`
-    /// free function. Prefer [`Pipeline::build`] plus [`Artifact::measure`]
+    /// `entry(args)`. Prefer [`Pipeline::build`] plus [`Artifact::measure`]
     /// when running more than one execution.
     ///
     /// # Errors

@@ -431,7 +431,7 @@ impl Session {
             if !decoded_seen.insert(Arc::as_ptr(program)) {
                 continue;
             }
-            if let Some((uops, micros)) = program.decode_stats() {
+            if let Some((uops, micros)) = program.decode_cost() {
                 stats.decoded_programs += 1;
                 stats.decoded_uops += uops;
                 stats.decode_micros += micros;
@@ -500,7 +500,7 @@ impl Session {
                 }
                 let program = &artifact.compiled().program;
                 if decoded_seen.insert(Arc::as_ptr(program)) {
-                    if let Some((uops, micros)) = program.decode_stats() {
+                    if let Some((uops, micros)) = program.decode_cost() {
                         stats.decoded_programs += 1;
                         stats.decoded_uops += uops;
                         stats.decode_micros += micros;

@@ -10,11 +10,12 @@
 use std::io;
 use std::time::Duration;
 
+use secbranch::obs::parse_prometheus;
+
 use crate::protocol::{
-    decode_cell, decode_done, decode_reject, decode_stats, encode_grid_request, read_frame,
-    write_frame, CellFrame, DoneFrame, GridRequest, StatsSnapshot, WireError, REQ_GRID,
-    REQ_METRICS, REQ_SHUTDOWN, REQ_STATS, RESP_CELL, RESP_DONE, RESP_ERROR, RESP_METRICS,
-    RESP_REJECT, RESP_STATS,
+    decode_cell, decode_done, decode_reject, encode_grid_request, read_frame, write_frame,
+    CellFrame, DoneFrame, GridRequest, StatsSnapshot, WireError, REQ_GRID, REQ_SHUTDOWN, REQ_STATS,
+    RESP_CELL, RESP_DONE, RESP_ERROR, RESP_REJECT, RESP_STATS,
 };
 use crate::transport::{self, Stream};
 
@@ -153,51 +154,52 @@ impl GridClient {
         }
     }
 
-    /// Fetches the daemon's statistics snapshot.
+    /// Fetches the daemon's statistics as a typed view (which also keeps
+    /// the full series map).
     ///
     /// # Errors
     ///
-    /// Transport/protocol failures, or a daemon-side error frame.
+    /// Transport/protocol failures (including statistics that lack a
+    /// series the view needs), or a daemon-side error frame.
     pub fn stats(&mut self) -> Result<StatsSnapshot, ClientError> {
-        self.round_trip(REQ_STATS)
+        view(&self.exposition(REQ_STATS)?)
     }
 
-    /// Asks the daemon to shut down; the final statistics snapshot is the
+    /// Asks the daemon to shut down; its final statistics are the
     /// acknowledgement.
     ///
     /// # Errors
     ///
-    /// Transport/protocol failures, or a daemon-side error frame.
+    /// As for [`GridClient::stats`].
     pub fn shutdown(&mut self) -> Result<StatsSnapshot, ClientError> {
-        self.round_trip(REQ_SHUTDOWN)
+        view(&self.exposition(REQ_SHUTDOWN)?)
     }
 
-    /// Fetches the daemon's metrics registry as a Prometheus-style text
-    /// exposition (v3 only; an older daemon answers with a rejection).
+    /// Fetches the daemon's statistics as the Prometheus text exposition
+    /// of its metrics registry, verbatim.
     ///
     /// # Errors
     ///
-    /// Transport/protocol failures, [`ClientError::Rejected`] against a
-    /// pre-v3 daemon, or a daemon-side error frame.
+    /// Transport/protocol failures, or a daemon-side error frame.
     pub fn metrics(&mut self) -> Result<String, ClientError> {
-        write_frame(&mut self.stream, REQ_METRICS, b"")?;
-        let frame = read_frame(&mut self.stream)?;
-        match frame.kind {
-            RESP_METRICS => String::from_utf8(frame.payload)
-                .map_err(|_| ClientError::Protocol("bad metrics frame".to_string())),
-            kind => Err(unexpected(kind, &frame.payload)),
-        }
+        self.exposition(REQ_STATS)
     }
 
-    fn round_trip(&mut self, kind: u8) -> Result<StatsSnapshot, ClientError> {
+    fn exposition(&mut self, kind: u8) -> Result<String, ClientError> {
         write_frame(&mut self.stream, kind, b"")?;
         let frame = read_frame(&mut self.stream)?;
         match frame.kind {
-            RESP_STATS => decode_stats(&frame.payload, frame.version)
-                .map_err(|_| ClientError::Protocol("bad stats frame".to_string())),
+            RESP_STATS => String::from_utf8(frame.payload)
+                .map_err(|_| ClientError::Protocol("statistics are not UTF-8".to_string())),
             kind => Err(unexpected(kind, &frame.payload)),
         }
     }
+}
+
+/// Parses an exposition into the typed statistics view.
+fn view(exposition: &str) -> Result<StatsSnapshot, ClientError> {
+    let series = parse_prometheus(exposition).map_err(ClientError::Protocol)?;
+    StatsSnapshot::from_series(series).map_err(ClientError::Protocol)
 }
 
 /// Classifies an out-of-place response frame: server errors and version

@@ -31,7 +31,7 @@
 //! content-addressed, a client retrying after any of these is idempotent —
 //! whatever was computed before the failure is served warm on the retry.
 
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -48,16 +48,11 @@ use secbranch::{MatrixStats, Pipeline, SecurityCell, SecurityReport, Session, Wo
 
 use crate::catalog;
 use crate::protocol::{
-    decode_grid_request, encode_cell, encode_done, encode_reject, encode_stats, read_frame,
-    write_frame, write_frame_versioned, CellFrame, DoneFrame, GridRequest, RejectFrame, Served,
-    StatsSnapshot, WireError, PROTOCOL_VERSION, REQ_GRID, REQ_METRICS, REQ_SHUTDOWN, REQ_STATS,
-    RESP_CELL, RESP_DONE, RESP_ERROR, RESP_METRICS, RESP_REJECT, RESP_STATS,
+    decode_grid_request, encode_cell, encode_done, encode_reject, read_frame, write_frame,
+    CellFrame, DoneFrame, GridRequest, RejectFrame, Served, WireError, PROTOCOL_VERSION, REQ_GRID,
+    REQ_SHUTDOWN, REQ_STATS, RESP_CELL, RESP_DONE, RESP_ERROR, RESP_REJECT, RESP_STATS,
 };
 use crate::transport::{self, Listener, Stream};
-
-/// How many per-cell compute times the daemon retains for the `STATS`
-/// surface.
-const RECENT_CELLS: usize = 64;
 
 /// Daemon tuning knobs; [`DaemonConfig::default`] is sized for tests and
 /// single-host service.
@@ -124,7 +119,6 @@ struct Shared {
     /// Single-flight registry: cell identity → subscribers of the one
     /// in-flight computation.
     inflight: Mutex<HashMap<CellKey, Vec<Waiter>>>,
-    recent: Mutex<VecDeque<u64>>,
     shutdown: AtomicBool,
     addr: String,
     requests: AtomicU64,
@@ -144,7 +138,7 @@ struct Shared {
     /// artifact never double-count the one decode it paid.
     decode_seen: Mutex<HashSet<usize>>,
     /// Per-fault-model latency histograms of computed cells, for the
-    /// `METRICS` exposition. Derived observability data only.
+    /// `STATS` exposition. Derived observability data only.
     model_micros: Mutex<BTreeMap<String, Arc<Histogram>>>,
 }
 
@@ -198,7 +192,6 @@ impl GridDaemon {
                 session: Mutex::new(Session::new()),
                 grid,
                 inflight: Mutex::new(HashMap::new()),
-                recent: Mutex::new(VecDeque::new()),
                 shutdown: AtomicBool::new(false),
                 addr,
                 requests: AtomicU64::new(0),
@@ -251,51 +244,16 @@ impl GridDaemon {
 }
 
 /// One connection: a loop of request frames until the peer disconnects,
-/// breaks framing, or speaks the wrong protocol version. Every reply is
-/// framed (and, for stats, encoded) at the peer's version, so a
-/// [`MIN_PROTOCOL_VERSION`](crate::protocol::MIN_PROTOCOL_VERSION) client
-/// keeps working against a newer daemon.
+/// breaks framing, or speaks the wrong protocol version.
 fn handle_connection(shared: &Arc<Shared>, mut stream: Stream) {
     loop {
         match read_frame(&mut stream) {
             Ok(frame) => {
-                let version = frame.version;
                 let served = match frame.kind {
-                    REQ_GRID => handle_grid(shared, &mut stream, version, &frame.payload),
-                    REQ_STATS => write_frame_versioned(
-                        &mut stream,
-                        version,
-                        RESP_STATS,
-                        &encode_stats(&snapshot(shared), version),
-                    ),
-                    REQ_METRICS if version >= 3 => write_frame_versioned(
-                        &mut stream,
-                        version,
-                        RESP_METRICS,
-                        render_metrics(shared).as_bytes(),
-                    ),
-                    REQ_METRICS => {
-                        // The frame kind arrived in v3: a v2 peer asking
-                        // for it gets a machine-readable rejection of the
-                        // *frame* — the connection stays usable.
-                        shared.version_rejects.fetch_add(1, Ordering::Relaxed);
-                        write_frame_versioned(
-                            &mut stream,
-                            version,
-                            RESP_REJECT,
-                            &encode_reject(RejectFrame {
-                                found: version,
-                                expected: PROTOCOL_VERSION,
-                            }),
-                        )
-                    }
+                    REQ_GRID => handle_grid(shared, &mut stream, &frame.payload),
+                    REQ_STATS => write_frame(&mut stream, RESP_STATS, &exposition(shared)),
                     REQ_SHUTDOWN => {
-                        let _ = write_frame_versioned(
-                            &mut stream,
-                            version,
-                            RESP_STATS,
-                            &encode_stats(&snapshot(shared), version),
-                        );
+                        let _ = write_frame(&mut stream, RESP_STATS, &exposition(shared));
                         shared.shutdown.store(true, Ordering::SeqCst);
                         // The accept loop is blocked in accept(); a
                         // throwaway connection wakes it to observe the flag.
@@ -304,7 +262,7 @@ fn handle_connection(shared: &Arc<Shared>, mut stream: Stream) {
                     }
                     kind => {
                         let message = format!("unsupported request kind {kind}");
-                        write_frame_versioned(&mut stream, version, RESP_ERROR, message.as_bytes())
+                        write_frame(&mut stream, RESP_ERROR, message.as_bytes())
                     }
                 };
                 if served.is_err() {
@@ -441,21 +399,16 @@ fn plan_request(shared: &Shared, request: &GridRequest) -> Result<Plan, String> 
 /// `Ok` means the connection is still usable — request-level failures
 /// answer with an error frame and return `Ok`. `Err` is a transport
 /// failure.
-fn handle_grid(
-    shared: &Arc<Shared>,
-    stream: &mut Stream,
-    version: u32,
-    payload: &[u8],
-) -> io::Result<()> {
+fn handle_grid(shared: &Arc<Shared>, stream: &mut Stream, payload: &[u8]) -> io::Result<()> {
     let _span = secbranch::obs::span("request");
     let started = Instant::now();
     let request = match decode_grid_request(payload) {
         Ok(request) => request,
-        Err(_) => return refuse(shared, stream, version, "malformed grid request payload"),
+        Err(_) => return refuse(shared, stream, "malformed grid request payload"),
     };
     let plan = match plan_request(shared, &request) {
         Ok(plan) => plan,
-        Err(message) => return refuse(shared, stream, version, &message),
+        Err(message) => return refuse(shared, stream, &message),
     };
     shared.requests.fetch_add(1, Ordering::Relaxed);
 
@@ -511,9 +464,8 @@ fn handle_grid(
                     drop(inflight);
                     roles.push(Served::StoreWarm);
                     shared.warm_cells.fetch_add(1, Ordering::Relaxed);
-                    write_frame_versioned(
+                    write_frame(
                         stream,
-                        version,
                         RESP_CELL,
                         &encode_cell(&CellFrame {
                             cell_index: index,
@@ -636,9 +588,8 @@ fn handle_grid(
                     }
                 }
                 let (workload, pipeline, model) = cell_labels(&plan, index);
-                write_frame_versioned(
+                write_frame(
                     stream,
-                    version,
                     RESP_CELL,
                     &encode_cell(&CellFrame {
                         cell_index: index,
@@ -660,7 +611,7 @@ fn handle_grid(
     }
     drop(stream_span);
     if let Some(message) = failure {
-        return refuse(shared, stream, version, &message);
+        return refuse(shared, stream, &message);
     }
 
     // Decode-cost accounting, exactly like a local matrix run: each
@@ -677,7 +628,7 @@ fn handle_grid(
             }
             // A program served entirely warm has not decoded yet; leave it
             // unmarked so the request that eventually decodes it counts it.
-            if let Some((_, micros)) = program.decode_stats() {
+            if let Some((_, micros)) = program.decode_cost() {
                 seen.insert(identity);
                 shared.decoded_programs.fetch_add(1, Ordering::Relaxed);
                 shared.decode_micros.fetch_add(micros, Ordering::Relaxed);
@@ -730,9 +681,8 @@ fn handle_grid(
             ..MatrixStats::default()
         },
     };
-    write_frame_versioned(
+    write_frame(
         stream,
-        version,
         RESP_DONE,
         &encode_done(&DoneFrame {
             report_json: report.to_json(),
@@ -769,9 +719,9 @@ fn deadline_message(request: &GridRequest) -> String {
 }
 
 /// Answers a request-level failure and keeps the connection.
-fn refuse(shared: &Shared, stream: &mut Stream, version: u32, message: &str) -> io::Result<()> {
+fn refuse(shared: &Shared, stream: &mut Stream, message: &str) -> io::Result<()> {
     shared.request_errors.fetch_add(1, Ordering::Relaxed);
-    write_frame_versioned(stream, version, RESP_ERROR, message.as_bytes())
+    write_frame(stream, RESP_ERROR, message.as_bytes())
 }
 
 /// Pool-callback side of single-flight: take the subscriber list (making
@@ -835,12 +785,6 @@ fn complete_cell(
                     cell.snapshot_restores,
                 );
             }
-            let mut recent = shared.recent.lock().expect("recent poisoned");
-            if recent.len() == RECENT_CELLS {
-                recent.pop_front();
-            }
-            recent.push_back(cell.compute_micros);
-            drop(recent);
             Ok(Delivered {
                 report: cell.report,
                 compute_micros: cell.compute_micros,
@@ -859,103 +803,36 @@ fn complete_cell(
     }
 }
 
-/// The `STATS` surface: daemon counters ∪ pool counters ∪ trace-store
-/// counters ∪ persistent-store counters.
-fn snapshot(shared: &Shared) -> StatsSnapshot {
-    let pool = shared.pool.stats();
-    let traces = shared.pool.store();
-    StatsSnapshot {
-        protocol_version: PROTOCOL_VERSION,
-        requests: shared.requests.load(Ordering::Relaxed),
-        cells_requested: shared.cells_requested.load(Ordering::Relaxed),
-        warm_cells: shared.warm_cells.load(Ordering::Relaxed),
-        computed_cells: shared.computed_cells.load(Ordering::Relaxed),
-        coalesced_cells: shared.coalesced_cells.load(Ordering::Relaxed),
-        recordings: shared.recordings.load(Ordering::Relaxed),
-        request_errors: shared.request_errors.load(Ordering::Relaxed),
-        version_rejects: shared.version_rejects.load(Ordering::Relaxed),
-        queue_depth: pool.queued as u64,
-        in_flight: pool.in_flight,
-        workers: pool.workers as u64,
-        queue_capacity: pool.capacity as u64,
-        pool_submitted: pool.submitted,
-        pool_completed: pool.completed,
-        pool_errored: pool.errored,
-        pool_expired: pool.expired,
-        pool_compute_micros: pool.compute_micros,
-        trace_hits: traces.hits(),
-        trace_disk_hits: traces.disk_hits(),
-        trace_misses: traces.misses(),
-        decoded_programs: shared.decoded_programs.load(Ordering::Relaxed),
-        decode_micros: shared.decode_micros.load(Ordering::Relaxed),
-        snapshot_restores: shared.snapshot_restores.load(Ordering::Relaxed),
-        suffix_steps_saved: shared.suffix_steps_saved.load(Ordering::Relaxed),
-        recent_cell_micros: shared
-            .recent
-            .lock()
-            .expect("recent poisoned")
-            .iter()
-            .copied()
-            .collect(),
-        store: shared.grid.as_ref().map(|grid| grid.stats()),
-    }
-}
-
-/// The `METRICS` surface: every counter family of the daemon — its own
-/// request/cell counters, the pool, the trace store, the persistent store
-/// (when attached) and per-model compute-latency histograms — rendered as
-/// a Prometheus-style text exposition. Derived observability data only;
+/// The daemon's one counter schema: its own request/cell and executor
+/// counters, the pool, the trace store, the persistent store (when
+/// attached) and per-model compute-latency histograms. `STATS` and
+/// `SHUTDOWN` answer with its Prometheus rendering, so a series added here
+/// reaches every statistics surface. Derived observability data only;
 /// nothing here feeds reports, fingerprints or persistence.
-fn render_metrics(shared: &Shared) -> String {
+fn registry(shared: &Shared) -> Registry {
     let mut registry = Registry::new();
-    registry.counter(
-        "secbranch_gridd_requests_total",
-        shared.requests.load(Ordering::Relaxed),
+    registry.gauge(
+        "secbranch_gridd_protocol_version",
+        u64::from(PROTOCOL_VERSION),
     );
-    registry.counter(
-        "secbranch_gridd_cells_requested_total",
-        shared.cells_requested.load(Ordering::Relaxed),
-    );
-    registry.counter(
-        "secbranch_gridd_warm_cells_total",
-        shared.warm_cells.load(Ordering::Relaxed),
-    );
-    registry.counter(
-        "secbranch_gridd_computed_cells_total",
-        shared.computed_cells.load(Ordering::Relaxed),
-    );
-    registry.counter(
-        "secbranch_gridd_coalesced_cells_total",
-        shared.coalesced_cells.load(Ordering::Relaxed),
-    );
-    registry.counter(
-        "secbranch_gridd_recordings_total",
-        shared.recordings.load(Ordering::Relaxed),
-    );
-    registry.counter(
-        "secbranch_gridd_request_errors_total",
-        shared.request_errors.load(Ordering::Relaxed),
-    );
-    registry.counter(
-        "secbranch_gridd_version_rejects_total",
-        shared.version_rejects.load(Ordering::Relaxed),
-    );
-    registry.counter(
-        "secbranch_gridd_snapshot_restores_total",
-        shared.snapshot_restores.load(Ordering::Relaxed),
-    );
-    registry.counter(
-        "secbranch_gridd_suffix_steps_saved_total",
-        shared.suffix_steps_saved.load(Ordering::Relaxed),
-    );
-    registry.counter(
-        "secbranch_gridd_decoded_programs_total",
-        shared.decoded_programs.load(Ordering::Relaxed),
-    );
-    registry.counter(
-        "secbranch_gridd_decode_micros_total",
-        shared.decode_micros.load(Ordering::Relaxed),
-    );
+    // The daemon's own counters, each exported as `secbranch_gridd_<name>_total`.
+    for (name, counter) in [
+        ("requests", &shared.requests),
+        ("cells_requested", &shared.cells_requested),
+        ("warm_cells", &shared.warm_cells),
+        ("computed_cells", &shared.computed_cells),
+        ("coalesced_cells", &shared.coalesced_cells),
+        ("recordings", &shared.recordings),
+        ("request_errors", &shared.request_errors),
+        ("version_rejects", &shared.version_rejects),
+        ("snapshot_restores", &shared.snapshot_restores),
+        ("suffix_steps_saved", &shared.suffix_steps_saved),
+        ("decoded_programs", &shared.decoded_programs),
+        ("decode_micros", &shared.decode_micros),
+    ] {
+        let value = counter.load(Ordering::Relaxed);
+        registry.counter(&format!("secbranch_gridd_{name}_total"), value);
+    }
     shared.pool.stats().register_into(&mut registry);
     shared.pool.store().register_into(&mut registry);
     if let Some(grid) = &shared.grid {
@@ -973,5 +850,10 @@ fn render_metrics(shared: &Shared) -> String {
             &histogram.snapshot(),
         );
     }
-    registry.render_prometheus()
+    registry
+}
+
+/// The `STATS` payload: [`registry`] as Prometheus text.
+fn exposition(shared: &Shared) -> Vec<u8> {
+    registry(shared).render_prometheus().into_bytes()
 }

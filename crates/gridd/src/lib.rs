@@ -26,6 +26,13 @@
 //!   the daemon keeps serving — and because results are content-addressed,
 //!   retrying any failed request is idempotent.
 //!
+//! The daemon speaks exactly one [`PROTOCOL_VERSION`] (v4). Its statistics
+//! have one schema and one serialised form: a `STATS` request (and the
+//! reply to `SHUTDOWN`) returns the daemon's metrics registry as
+//! Prometheus text. [`GridClient::metrics`] hands out that text,
+//! [`GridClient::stats`] parses it into the typed [`StatsSnapshot`] view,
+//! which fails on a missing series rather than reading it as zero.
+//!
 //! ```no_run
 //! use secbranch_gridd::{DaemonConfig, GridClient, GridDaemon, GridRequest};
 //!

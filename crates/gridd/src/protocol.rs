@@ -22,9 +22,13 @@
 //! A frame of a foreign protocol version is answered with a
 //! [`RejectFrame`] and the connection is closed — clients of a foreign
 //! protocol get a machine-readable "speak my version" instead of a hang
-//! or a misparse. Payload contents are encoded with the same
-//! [`Writer`]/[`Reader`] primitives the store records use.
+//! or a misparse. Binary payloads are encoded with the same
+//! [`Writer`]/[`Reader`] primitives the store records use; the statistics
+//! payload is the daemon's metrics registry as Prometheus text, read back
+//! with [`parse_prometheus`](secbranch::obs::parse_prometheus) into the
+//! typed [`StatsSnapshot`] view.
 
+use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
 
 use secbranch_campaign::CampaignReport;
@@ -34,20 +38,13 @@ use secbranch_store::StoreStats;
 /// Magic bytes opening every frame.
 pub const MAGIC: [u8; 4] = *b"SBGD";
 
-/// The protocol version this build speaks. Bump on any frame or payload
-/// layout change — peers refuse other versions instead of misparsing them.
-/// v2 added [`GridRequest::cold`] (the decoders reject trailing bytes, so
-/// the field could not ride on v1 frames). v3 added the `REQ_METRICS` /
-/// `RESP_METRICS` exchange and four executor counters to
-/// [`StatsSnapshot`]; v2 peers are still served (see
-/// [`MIN_PROTOCOL_VERSION`]) — every reply is framed and encoded at the
-/// peer's version, with the v3-only stats fields left off v2 payloads.
-pub const PROTOCOL_VERSION: u32 = 3;
-
-/// The oldest protocol version this build still serves. Frames between
-/// here and [`PROTOCOL_VERSION`] are accepted and answered at the peer's
-/// version; anything older (or newer) is rejected with a [`RejectFrame`].
-pub const MIN_PROTOCOL_VERSION: u32 = 2;
+/// The protocol version this build speaks, and the only one it accepts.
+/// Bump on any frame or payload layout change — peers refuse other
+/// versions instead of misparsing them. v2 added [`GridRequest::cold`];
+/// v3 added a metrics frame and four executor counters to the binary
+/// statistics payload; v4 replaced that payload with the metrics
+/// registry's Prometheus text and made it the only statistics frame.
+pub const PROTOCOL_VERSION: u32 = 4;
 
 /// Upper bound on a frame payload; a corrupted or hostile length prefix
 /// fails the read instead of triggering a giant allocation.
@@ -58,33 +55,27 @@ pub const HEADER_LEN: usize = 4 + 4 + 1 + 8 + 4;
 
 /// Client → daemon: run a security grid (a [`GridRequest`] payload).
 pub const REQ_GRID: u8 = 1;
-/// Client → daemon: return a [`StatsSnapshot`] (empty payload).
+/// Client → daemon: return the daemon's statistics (empty payload),
+/// answered with [`RESP_STATS`].
 pub const REQ_STATS: u8 = 2;
 /// Client → daemon: stop accepting connections (empty payload); answered
-/// with a final [`StatsSnapshot`].
+/// with the final [`RESP_STATS`].
 pub const REQ_SHUTDOWN: u8 = 3;
-/// Client → daemon: return a Prometheus-style text exposition of the
-/// daemon's metrics registry (empty payload). v3 only — a v2 peer sending
-/// this kind gets a [`RejectFrame`] for the frame, without losing the
-/// connection.
-pub const REQ_METRICS: u8 = 4;
 
 /// Daemon → client: one finished cell of the running grid request
 /// (a [`CellFrame`] payload), streamed as soon as the cell is available.
 pub const RESP_CELL: u8 = 16;
 /// Daemon → client: the grid request is complete (a [`DoneFrame`] payload).
 pub const RESP_DONE: u8 = 17;
-/// Daemon → client: a [`StatsSnapshot`] payload.
+/// Daemon → client: the daemon's metrics registry as Prometheus text
+/// exposition (UTF-8 payload; [`StatsSnapshot::from_series`] is its typed
+/// view).
 pub const RESP_STATS: u8 = 18;
 /// Daemon → client: the request failed (a UTF-8 message payload).
 pub const RESP_ERROR: u8 = 19;
 /// Daemon → client: protocol version mismatch (a [`RejectFrame`] payload);
-/// the daemon closes the connection after sending it — except for a v2
-/// peer's [`REQ_METRICS`], which is rejected per-frame with the
-/// connection kept open.
+/// the daemon closes the connection after sending it.
 pub const RESP_REJECT: u8 = 20;
-/// Daemon → client: a Prometheus-style text exposition (UTF-8 payload).
-pub const RESP_METRICS: u8 = 21;
 
 /// Why reading a frame from the wire failed.
 #[derive(Debug)]
@@ -133,40 +124,21 @@ impl From<RecordError> for WireError {
 /// One frame as read off the wire.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Frame {
-    /// The protocol version the frame carried (within
-    /// [`MIN_PROTOCOL_VERSION`]..=[`PROTOCOL_VERSION`]).
-    pub version: u32,
     /// The kind tag (one of the `REQ_*`/`RESP_*` constants).
     pub kind: u8,
     /// The raw payload bytes.
     pub payload: Vec<u8>,
 }
 
-/// Writes one frame at this build's own [`PROTOCOL_VERSION`].
+/// Writes one frame at this build's [`PROTOCOL_VERSION`].
 ///
 /// # Errors
 ///
 /// Propagates stream I/O failures.
 pub fn write_frame(stream: &mut impl Write, kind: u8, payload: &[u8]) -> io::Result<()> {
-    write_frame_versioned(stream, PROTOCOL_VERSION, kind, payload)
-}
-
-/// Writes one frame stamped with an explicit protocol version — how the
-/// daemon answers a [`MIN_PROTOCOL_VERSION`] peer in the version it
-/// speaks.
-///
-/// # Errors
-///
-/// Propagates stream I/O failures.
-pub fn write_frame_versioned(
-    stream: &mut impl Write,
-    version: u32,
-    kind: u8,
-    payload: &[u8],
-) -> io::Result<()> {
     let mut header = Vec::with_capacity(HEADER_LEN + payload.len());
     header.extend_from_slice(&MAGIC);
-    header.extend_from_slice(&version.to_le_bytes());
+    header.extend_from_slice(&PROTOCOL_VERSION.to_le_bytes());
     header.push(kind);
     header.extend_from_slice(&(payload.len() as u64).to_le_bytes());
     header.extend_from_slice(&crc32(payload).to_le_bytes());
@@ -181,8 +153,7 @@ pub fn write_frame_versioned(
 ///
 /// [`WireError::Io`] on stream failure (including a clean peer disconnect,
 /// which surfaces as `UnexpectedEof`), [`WireError::VersionMismatch`] when
-/// the frame carries a version outside
-/// [`MIN_PROTOCOL_VERSION`]..=[`PROTOCOL_VERSION`],
+/// the frame carries any version but [`PROTOCOL_VERSION`],
 /// [`WireError::Corrupt`] on bad magic, an oversized length or a CRC
 /// mismatch.
 pub fn read_frame(stream: &mut impl Read) -> Result<Frame, WireError> {
@@ -192,7 +163,7 @@ pub fn read_frame(stream: &mut impl Read) -> Result<Frame, WireError> {
         return Err(WireError::Corrupt);
     }
     let version = u32::from_le_bytes(header[4..8].try_into().expect("length checked"));
-    if !(MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&version) {
+    if version != PROTOCOL_VERSION {
         return Err(WireError::VersionMismatch {
             found: version,
             expected: PROTOCOL_VERSION,
@@ -209,11 +180,7 @@ pub fn read_frame(stream: &mut impl Read) -> Result<Frame, WireError> {
     if crc32(&payload) != crc {
         return Err(WireError::Corrupt);
     }
-    Ok(Frame {
-        version,
-        kind,
-        payload,
-    })
+    Ok(Frame { kind, payload })
 }
 
 // --- grid requests --------------------------------------------------------
@@ -515,10 +482,58 @@ pub fn decode_reject(payload: &[u8]) -> Result<RejectFrame, RecordError> {
 
 // --- observability --------------------------------------------------------
 
-/// The daemon's observability surface: a superset of the per-run
-/// `MatrixStats` — lifetime request/cell counters, the job queue, the
-/// shared trace store, recent per-cell compute times, and the persistent
-/// store's own counters when one is attached.
+/// Where a typed field of a view lives in that view.
+type Field<T> = fn(&mut T) -> &mut u64;
+
+/// The typed fields of [`StatsSnapshot`] and the series each one reads.
+#[rustfmt::skip]
+const SNAPSHOT_SERIES: [(&str, Field<StatsSnapshot>); 24] = [
+    ("secbranch_gridd_requests_total", |s| &mut s.requests),
+    ("secbranch_gridd_cells_requested_total", |s| &mut s.cells_requested),
+    ("secbranch_gridd_warm_cells_total", |s| &mut s.warm_cells),
+    ("secbranch_gridd_computed_cells_total", |s| &mut s.computed_cells),
+    ("secbranch_gridd_coalesced_cells_total", |s| &mut s.coalesced_cells),
+    ("secbranch_gridd_recordings_total", |s| &mut s.recordings),
+    ("secbranch_gridd_request_errors_total", |s| &mut s.request_errors),
+    ("secbranch_gridd_version_rejects_total", |s| &mut s.version_rejects),
+    ("secbranch_pool_queued", |s| &mut s.queue_depth),
+    ("secbranch_pool_in_flight", |s| &mut s.in_flight),
+    ("secbranch_pool_workers", |s| &mut s.workers),
+    ("secbranch_pool_capacity", |s| &mut s.queue_capacity),
+    ("secbranch_pool_submitted_total", |s| &mut s.pool_submitted),
+    ("secbranch_pool_completed_total", |s| &mut s.pool_completed),
+    ("secbranch_pool_errored_total", |s| &mut s.pool_errored),
+    ("secbranch_pool_expired_total", |s| &mut s.pool_expired),
+    ("secbranch_pool_compute_micros_total", |s| &mut s.pool_compute_micros),
+    ("secbranch_trace_store_hits_total", |s| &mut s.trace_hits),
+    ("secbranch_trace_store_disk_hits_total", |s| &mut s.trace_disk_hits),
+    ("secbranch_trace_store_misses_total", |s| &mut s.trace_misses),
+    ("secbranch_gridd_decoded_programs_total", |s| &mut s.decoded_programs),
+    ("secbranch_gridd_decode_micros_total", |s| &mut s.decode_micros),
+    ("secbranch_gridd_snapshot_restores_total", |s| &mut s.snapshot_restores),
+    ("secbranch_gridd_suffix_steps_saved_total", |s| &mut s.suffix_steps_saved),
+];
+
+/// The persistent store's counters and the series each one reads.
+#[rustfmt::skip]
+const STORE_SERIES: [(&str, Field<StoreStats>); 9] = [
+    ("secbranch_store_trace_hits_total", |s| &mut s.trace_hits),
+    ("secbranch_store_trace_misses_total", |s| &mut s.trace_misses),
+    ("secbranch_store_cell_hits_total", |s| &mut s.cell_hits),
+    ("secbranch_store_cell_misses_total", |s| &mut s.cell_misses),
+    ("secbranch_store_writes_total", |s| &mut s.writes),
+    ("secbranch_store_write_skips_total", |s| &mut s.write_skips),
+    ("secbranch_store_write_errors_total", |s| &mut s.write_errors),
+    ("secbranch_store_corrupt_dropped_total", |s| &mut s.corrupt_dropped),
+    ("secbranch_store_migrated_total", |s| &mut s.migrated),
+];
+
+/// A typed view of the daemon's statistics: lifetime request/cell
+/// counters, the job queue, the shared trace store, the executor counters,
+/// and the persistent store's own counters when one is attached. Built
+/// from the parsed `STATS` exposition by [`StatsSnapshot::from_series`],
+/// which also keeps the whole series map (per-model histograms and every
+/// series the typed fields do not name) in [`StatsSnapshot::series`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StatsSnapshot {
     /// The daemon's protocol version.
@@ -566,200 +581,55 @@ pub struct StatsSnapshot {
     pub trace_disk_hits: u64,
     /// Reference traces that had to be recorded.
     pub trace_misses: u64,
-    /// Distinct programs decoded into micro-ops by the daemon's executors
-    /// (v3; encoded as zero-left-off on v2 frames).
+    /// Distinct programs decoded into micro-ops by the daemon's executors.
     pub decoded_programs: u64,
-    /// Wall-clock microseconds spent in those decodes (v3).
+    /// Wall-clock microseconds spent in those decodes.
     pub decode_micros: u64,
-    /// Spine-snapshot restores across all computed cells (v3).
+    /// Spine-snapshot restores across all computed cells.
     pub snapshot_restores: u64,
     /// Reference-suffix steps the differential executors avoided
-    /// executing (v3).
+    /// executing.
     pub suffix_steps_saved: u64,
-    /// Compute µs of the most recently completed cells (newest last).
-    pub recent_cell_micros: Vec<u64>,
     /// The attached grid store's runtime counters (`None` when the daemon
     /// runs without persistence).
     pub store: Option<StoreStats>,
+    /// Every series of the exposition, keyed as rendered.
+    pub series: BTreeMap<String, u64>,
 }
 
 impl StatsSnapshot {
-    /// Serialises the snapshot as JSON (hand-rolled: the offline build has
-    /// no serde).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let recent: Vec<String> = self.recent_cell_micros.iter().map(u64::to_string).collect();
-        format!(
-            "{{\"protocol_version\":{},\"requests\":{},\"cells_requested\":{},\
-             \"warm_cells\":{},\"computed_cells\":{},\"coalesced_cells\":{},\
-             \"recordings\":{},\"request_errors\":{},\"version_rejects\":{},\
-             \"queue_depth\":{},\"in_flight\":{},\"workers\":{},\"queue_capacity\":{},\
-             \"pool_submitted\":{},\"pool_completed\":{},\"pool_errored\":{},\
-             \"pool_expired\":{},\"pool_compute_micros\":{},\"trace_hits\":{},\
-             \"trace_disk_hits\":{},\"trace_misses\":{},\"decoded_programs\":{},\
-             \"decode_micros\":{},\"snapshot_restores\":{},\"suffix_steps_saved\":{},\
-             \"recent_cell_micros\":[{}],\"store\":{}}}",
-            self.protocol_version,
-            self.requests,
-            self.cells_requested,
-            self.warm_cells,
-            self.computed_cells,
-            self.coalesced_cells,
-            self.recordings,
-            self.request_errors,
-            self.version_rejects,
-            self.queue_depth,
-            self.in_flight,
-            self.workers,
-            self.queue_capacity,
-            self.pool_submitted,
-            self.pool_completed,
-            self.pool_errored,
-            self.pool_expired,
-            self.pool_compute_micros,
-            self.trace_hits,
-            self.trace_disk_hits,
-            self.trace_misses,
-            self.decoded_programs,
-            self.decode_micros,
-            self.snapshot_restores,
-            self.suffix_steps_saved,
-            recent.join(","),
-            self.store
-                .as_ref()
-                .map_or_else(|| "null".to_string(), StoreStats::to_json),
-        )
-    }
-}
-
-/// Encodes a [`StatsSnapshot`] payload for a peer speaking `version`.
-/// The four executor counters added in v3 are left off v2 payloads —
-/// the decoders reject trailing bytes, so they cannot ride along.
-#[must_use]
-pub fn encode_stats(stats: &StatsSnapshot, version: u32) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.u32(stats.protocol_version);
-    for v in [
-        stats.requests,
-        stats.cells_requested,
-        stats.warm_cells,
-        stats.computed_cells,
-        stats.coalesced_cells,
-        stats.recordings,
-        stats.request_errors,
-        stats.version_rejects,
-        stats.queue_depth,
-        stats.in_flight,
-        stats.workers,
-        stats.queue_capacity,
-        stats.pool_submitted,
-        stats.pool_completed,
-        stats.pool_errored,
-        stats.pool_expired,
-        stats.pool_compute_micros,
-        stats.trace_hits,
-        stats.trace_disk_hits,
-        stats.trace_misses,
-    ] {
-        w.u64(v);
-    }
-    if version >= 3 {
-        w.u64(stats.decoded_programs);
-        w.u64(stats.decode_micros);
-        w.u64(stats.snapshot_restores);
-        w.u64(stats.suffix_steps_saved);
-    }
-    w.u64s(&stats.recent_cell_micros);
-    match &stats.store {
-        None => w.u8(0),
-        Some(s) => {
-            w.u8(1);
-            for v in [
-                s.trace_hits,
-                s.trace_misses,
-                s.cell_hits,
-                s.cell_misses,
-                s.writes,
-                s.write_skips,
-                s.write_errors,
-                s.corrupt_dropped,
-                s.migrated,
-            ] {
-                w.u64(v);
-            }
+    /// Builds the view from a parsed `STATS` exposition. The store
+    /// counters are read when any `secbranch_store_` series is present.
+    ///
+    /// # Errors
+    ///
+    /// Names the first series a typed field needs that the exposition
+    /// lacks — a missing counter is an error, never a silent zero.
+    pub fn from_series(series: BTreeMap<String, u64>) -> Result<StatsSnapshot, String> {
+        let get = |name: &str| {
+            series
+                .get(name)
+                .copied()
+                .ok_or_else(|| format!("the statistics lack the series {name}"))
+        };
+        let mut snapshot = StatsSnapshot {
+            protocol_version: u32::try_from(get("secbranch_gridd_protocol_version")?)
+                .map_err(|_| "the protocol version overflows u32".to_string())?,
+            ..StatsSnapshot::default()
+        };
+        for (name, field) in SNAPSHOT_SERIES {
+            *field(&mut snapshot) = get(name)?;
         }
-    }
-    w.into_bytes()
-}
-
-/// Decodes a [`StatsSnapshot`] payload encoded for a peer speaking
-/// `version`; on a v2 payload the v3-only counters stay zero.
-///
-/// # Errors
-///
-/// [`RecordError::Corrupt`] on any malformed byte sequence.
-pub fn decode_stats(payload: &[u8], version: u32) -> Result<StatsSnapshot, RecordError> {
-    let mut r = Reader::new(payload);
-    let mut stats = StatsSnapshot {
-        protocol_version: r.u32()?,
-        ..StatsSnapshot::default()
-    };
-    for field in [
-        &mut stats.requests,
-        &mut stats.cells_requested,
-        &mut stats.warm_cells,
-        &mut stats.computed_cells,
-        &mut stats.coalesced_cells,
-        &mut stats.recordings,
-        &mut stats.request_errors,
-        &mut stats.version_rejects,
-        &mut stats.queue_depth,
-        &mut stats.in_flight,
-        &mut stats.workers,
-        &mut stats.queue_capacity,
-        &mut stats.pool_submitted,
-        &mut stats.pool_completed,
-        &mut stats.pool_errored,
-        &mut stats.pool_expired,
-        &mut stats.pool_compute_micros,
-        &mut stats.trace_hits,
-        &mut stats.trace_disk_hits,
-        &mut stats.trace_misses,
-    ] {
-        *field = r.u64()?;
-    }
-    if version >= 3 {
-        stats.decoded_programs = r.u64()?;
-        stats.decode_micros = r.u64()?;
-        stats.snapshot_restores = r.u64()?;
-        stats.suffix_steps_saved = r.u64()?;
-    }
-    stats.recent_cell_micros = r.u64s()?;
-    stats.store = match r.u8()? {
-        0 => None,
-        1 => {
-            let mut s = StoreStats::default();
-            for field in [
-                &mut s.trace_hits,
-                &mut s.trace_misses,
-                &mut s.cell_hits,
-                &mut s.cell_misses,
-                &mut s.writes,
-                &mut s.write_skips,
-                &mut s.write_errors,
-                &mut s.corrupt_dropped,
-                &mut s.migrated,
-            ] {
-                *field = r.u64()?;
+        if series.keys().any(|key| key.starts_with("secbranch_store_")) {
+            let mut store = StoreStats::default();
+            for (name, field) in STORE_SERIES {
+                *field(&mut store) = get(name)?;
             }
-            Some(s)
+            snapshot.store = Some(store);
         }
-        _ => return Err(RecordError::Corrupt),
-    };
-    if !r.is_exhausted() {
-        return Err(RecordError::Corrupt);
+        snapshot.series = series;
+        Ok(snapshot)
     }
-    Ok(stats)
 }
 
 #[cfg(test)]
@@ -866,95 +736,77 @@ mod tests {
             reject
         );
 
-        let stats = StatsSnapshot {
-            protocol_version: PROTOCOL_VERSION,
-            requests: 5,
-            cells_requested: 60,
-            warm_cells: 40,
-            computed_cells: 15,
-            coalesced_cells: 5,
-            recordings: 6,
-            pool_expired: 4,
-            decoded_programs: 9,
-            decode_micros: 1_234,
-            snapshot_restores: 77,
-            suffix_steps_saved: 88_888,
-            recent_cell_micros: vec![10, 20, 30],
-            store: Some(StoreStats {
-                cell_hits: 40,
-                migrated: 2,
-                ..StoreStats::default()
-            }),
-            ..StatsSnapshot::default()
-        };
-        let decoded = decode_stats(&encode_stats(&stats, PROTOCOL_VERSION), PROTOCOL_VERSION)
-            .expect("decodes");
-        assert_eq!(decoded, stats);
-        assert!(decoded.to_json().contains("\"coalesced_cells\":5"));
-        assert!(decoded.to_json().contains("\"pool_expired\":4"));
-        assert!(decoded.to_json().contains("\"migrated\":2"));
-        assert!(decoded.to_json().contains("\"decoded_programs\":9"));
-        assert!(decoded.to_json().contains("\"decode_micros\":1234"));
-        assert!(decoded.to_json().contains("\"snapshot_restores\":77"));
-        assert!(decoded.to_json().contains("\"suffix_steps_saved\":88888"));
+        // A statistics payload is a rendered registry; the typed view reads
+        // every field from its own series.
+        let text = full_registry().render_prometheus();
+        let series = secbranch::obs::parse_prometheus(&text).expect("parses");
+        let mut stats = StatsSnapshot::from_series(series.clone()).expect("complete");
+        assert_eq!(stats.protocol_version, PROTOCOL_VERSION);
+        for (index, (name, field)) in SNAPSHOT_SERIES.into_iter().enumerate() {
+            assert_eq!(*field(&mut stats), 100 + index as u64, "{name}");
+        }
+        let mut store = stats.store.expect("store series present");
+        for (index, (name, field)) in STORE_SERIES.into_iter().enumerate() {
+            assert_eq!(*field(&mut store), 200 + index as u64, "{name}");
+        }
+        assert_eq!(stats.series, series, "the view keeps every series");
 
-        let stripped = StatsSnapshot::default();
+        // Without any store series the daemon runs without persistence.
+        let storeless: BTreeMap<String, u64> = series
+            .into_iter()
+            .filter(|(key, _)| !key.starts_with("secbranch_store_"))
+            .collect();
         assert_eq!(
-            decode_stats(&encode_stats(&stripped, PROTOCOL_VERSION), PROTOCOL_VERSION)
-                .expect("decodes"),
-            stripped
+            StatsSnapshot::from_series(storeless).expect("ok").store,
+            None
         );
-        assert!(stripped.to_json().contains("\"store\":null"));
+    }
+
+    /// A registry holding every series the typed view reads, each with a
+    /// distinct value.
+    fn full_registry() -> secbranch::obs::Registry {
+        let mut registry = secbranch::obs::Registry::new();
+        registry.gauge(
+            "secbranch_gridd_protocol_version",
+            u64::from(PROTOCOL_VERSION),
+        );
+        for (index, (name, _)) in SNAPSHOT_SERIES.into_iter().enumerate() {
+            registry.counter(name, 100 + index as u64);
+        }
+        for (index, (name, _)) in STORE_SERIES.into_iter().enumerate() {
+            registry.counter(name, 200 + index as u64);
+        }
+        registry
     }
 
     #[test]
-    fn v2_stats_payloads_drop_the_executor_counters_cleanly() {
-        let stats = StatsSnapshot {
-            protocol_version: PROTOCOL_VERSION,
-            requests: 3,
-            decoded_programs: 9,
-            decode_micros: 1_234,
-            snapshot_restores: 77,
-            suffix_steps_saved: 88_888,
-            recent_cell_micros: vec![42],
-            ..StatsSnapshot::default()
-        };
-        // A v2 payload carries no executor counters: the decoder (told it
-        // is v2) leaves them zero, and every other field round-trips.
-        let v2 = encode_stats(&stats, 2);
-        let decoded = decode_stats(&v2, 2).expect("decodes");
-        assert_eq!(decoded.requests, 3);
-        assert_eq!(decoded.recent_cell_micros, vec![42]);
-        assert_eq!(decoded.decoded_programs, 0);
-        assert_eq!(decoded.suffix_steps_saved, 0);
-        // The two layouts genuinely differ — the fields are not silently
-        // appended where a v2 decoder would choke on them.
-        assert_eq!(
-            encode_stats(&stats, PROTOCOL_VERSION).len(),
-            v2.len() + 4 * 8
-        );
-        // Mismatched framing fails cleanly instead of misparsing.
-        assert_eq!(
-            decode_stats(&v2, PROTOCOL_VERSION),
-            Err(RecordError::Corrupt)
-        );
+    fn stats_view_refuses_a_missing_series() {
+        let text = full_registry().render_prometheus();
+        let series = secbranch::obs::parse_prometheus(&text).expect("parses");
+        let names = std::iter::once("secbranch_gridd_protocol_version")
+            .chain(SNAPSHOT_SERIES.into_iter().map(|(name, _)| name))
+            .chain(STORE_SERIES.into_iter().map(|(name, _)| name));
+        for name in names {
+            let mut lacking = series.clone();
+            lacking.remove(name);
+            let error = StatsSnapshot::from_series(lacking).expect_err(name);
+            assert!(error.contains(name), "{error}");
+        }
     }
 
     #[test]
     fn frames_of_every_served_version_are_accepted() {
-        for version in [MIN_PROTOCOL_VERSION, PROTOCOL_VERSION] {
-            let mut wire = Vec::new();
-            write_frame_versioned(&mut wire, version, REQ_STATS, b"").expect("writes");
-            let frame = read_frame(&mut wire.as_slice()).expect("reads");
-            assert_eq!(frame.version, version);
-            assert_eq!(frame.kind, REQ_STATS);
-        }
-        // One below the floor and one above the ceiling are both foreign.
-        for version in [MIN_PROTOCOL_VERSION - 1, PROTOCOL_VERSION + 1] {
-            let mut wire = Vec::new();
-            write_frame_versioned(&mut wire, version, REQ_STATS, b"").expect("writes");
+        let mut wire = Vec::new();
+        write_frame(&mut wire, REQ_STATS, b"").expect("writes");
+        let frame = read_frame(&mut wire.as_slice()).expect("reads");
+        assert_eq!(frame.kind, REQ_STATS);
+        // Only this build's version is served: the previous and the next
+        // one are both foreign.
+        for version in [PROTOCOL_VERSION - 1, PROTOCOL_VERSION + 1] {
+            let mut foreign = wire.clone();
+            foreign[4..8].copy_from_slice(&version.to_le_bytes());
             assert!(matches!(
-                read_frame(&mut wire.as_slice()),
+                read_frame(&mut foreign.as_slice()),
                 Err(WireError::VersionMismatch { found, expected: PROTOCOL_VERSION })
                     if found == version
             ));

@@ -289,27 +289,31 @@ fn concurrent_clients_get_identical_reports_with_single_flight_computation() {
 fn foreign_protocol_versions_are_rejected_with_both_versions() {
     let daemon = RunningDaemon::start(DaemonConfig::default());
 
-    // A hand-built STATS frame claiming protocol version 9.
-    let mut stream = std::net::TcpStream::connect(&daemon.addr).expect("connects");
-    let mut frame = Vec::new();
-    frame.extend_from_slice(b"SBGD");
-    frame.extend_from_slice(&9u32.to_le_bytes());
-    frame.push(2); // REQ_STATS
-    frame.extend_from_slice(&0u64.to_le_bytes());
-    frame.extend_from_slice(&secbranch::store::format::crc32(b"").to_le_bytes());
-    use std::io::Write as _;
-    stream.write_all(&frame).expect("frame sends");
+    // Hand-built STATS frames claiming protocol version 9, and the
+    // previous version, which this build no longer serves.
+    let previous = protocol::PROTOCOL_VERSION - 1;
+    for version in [9, previous] {
+        let mut stream = std::net::TcpStream::connect(&daemon.addr).expect("connects");
+        let mut frame = Vec::new();
+        frame.extend_from_slice(b"SBGD");
+        frame.extend_from_slice(&version.to_le_bytes());
+        frame.push(2); // REQ_STATS
+        frame.extend_from_slice(&0u64.to_le_bytes());
+        frame.extend_from_slice(&secbranch::store::format::crc32(b"").to_le_bytes());
+        use std::io::Write as _;
+        stream.write_all(&frame).expect("frame sends");
 
-    let response = protocol::read_frame(&mut stream).expect("rejection arrives");
-    assert_eq!(response.kind, 20, "RESP_REJECT");
-    let reject = protocol::decode_reject(&response.payload).expect("decodes");
-    assert_eq!(reject.found, 9);
-    assert_eq!(reject.expected, protocol::PROTOCOL_VERSION);
-    // The daemon closed the connection after rejecting.
-    assert!(protocol::read_frame(&mut stream).is_err());
+        let response = protocol::read_frame(&mut stream).expect("rejection arrives");
+        assert_eq!(response.kind, 20, "RESP_REJECT");
+        let reject = protocol::decode_reject(&response.payload).expect("decodes");
+        assert_eq!(reject.found, version);
+        assert_eq!(reject.expected, protocol::PROTOCOL_VERSION);
+        // The daemon closed the connection after rejecting.
+        assert!(protocol::read_frame(&mut stream).is_err());
+    }
 
     let stats = daemon.stop();
-    assert_eq!(stats.version_rejects, 1);
+    assert_eq!(stats.version_rejects, 2);
 }
 
 #[test]
@@ -395,56 +399,23 @@ fn metrics_expose_pool_store_and_executor_series() {
     // The computed cell observed exactly one compute-time sample.
     assert!(exposition.contains("secbranch_cell_compute_micros_count{model=\"skip\"} 1"));
 
-    // The connection survives the metrics round-trip, and the v3 STATS
-    // snapshot carries the executor counters end to end.
+    // The connection survives the metrics round-trip, and the typed view
+    // of the same statistics carries the executor counters end to end.
     let stats = client.stats().expect("stats serve");
     assert!(
         stats.decoded_programs >= 1,
         "the computed cell decoded its program"
     );
-    let json = stats.to_json();
-    assert!(json.contains("\"decoded_programs\":"));
-    assert!(json.contains("\"decode_micros\":"));
-    assert!(json.contains("\"snapshot_restores\":"));
-    assert!(json.contains("\"suffix_steps_saved\":"));
+    for name in [
+        "secbranch_gridd_decoded_programs_total",
+        "secbranch_gridd_decode_micros_total",
+        "secbranch_gridd_snapshot_restores_total",
+        "secbranch_gridd_suffix_steps_saved_total",
+    ] {
+        assert!(stats.series.contains_key(name), "{name}");
+    }
 
     daemon.stop();
-}
-
-#[test]
-fn v2_clients_survive_a_metrics_rejection_and_keep_their_connection() {
-    let daemon = RunningDaemon::start(DaemonConfig::default());
-
-    let mut stream = std::net::TcpStream::connect(&daemon.addr).expect("connects");
-    protocol::write_frame_versioned(&mut stream, 2, protocol::REQ_METRICS, b"")
-        .expect("v2 metrics request sends");
-
-    // METRICS is a v3 frame: a v2 peer is told so with a rejection carrying
-    // both versions...
-    let response = protocol::read_frame(&mut stream).expect("rejection arrives");
-    assert_eq!(response.kind, 20, "RESP_REJECT");
-    let reject = protocol::decode_reject(&response.payload).expect("decodes");
-    assert_eq!(reject.found, 2);
-    assert_eq!(reject.expected, protocol::PROTOCOL_VERSION);
-
-    // ...but unlike a foreign-version frame the connection stays open: a
-    // v2 STATS request on the same stream is answered in kind, with the
-    // v3-only executor counters cleanly absent from the payload.
-    protocol::write_frame_versioned(&mut stream, 2, protocol::REQ_STATS, b"")
-        .expect("v2 stats request sends");
-    let response = protocol::read_frame(&mut stream).expect("stats arrive");
-    assert_eq!(response.kind, 18, "RESP_STATS");
-    assert_eq!(
-        response.version, 2,
-        "replies are framed at the peer's version"
-    );
-    let stats = protocol::decode_stats(&response.payload, response.version).expect("v2 decodes");
-    assert_eq!(stats.protocol_version, protocol::PROTOCOL_VERSION);
-    assert_eq!(stats.decoded_programs, 0, "v3-only fields stay zero for v2");
-    drop(stream);
-
-    let stats = daemon.stop();
-    assert_eq!(stats.version_rejects, 1);
 }
 
 #[cfg(unix)]

@@ -27,8 +27,9 @@
 //!   gauges, fixed-bucket latency [`Histogram`]s) that the per-layer stat
 //!   structs (`MatrixStats`, `PoolStats`, `StoreStats`, daemon counters)
 //!   register into, plus a deterministic Prometheus-style text renderer
-//!   ([`Registry::render_prometheus`]) and a nearest-rank [`percentile`]
-//!   helper. Histogram snapshots merge by plain addition, so merging is
+//!   ([`Registry::render_prometheus`]) with its total inverse
+//!   ([`parse_prometheus`]: exposition text to a sorted series map).
+//!   Histogram snapshots merge by plain addition, so merging is
 //!   associative across shards (test-enforced).
 //!
 //! # Example
@@ -58,7 +59,7 @@ pub mod metrics;
 pub mod trace;
 
 pub use clock::monotonic_micros;
-pub use metrics::{percentile, Histogram, HistogramSnapshot, Registry, BUCKET_BOUNDS};
+pub use metrics::{parse_prometheus, Histogram, HistogramSnapshot, Registry, BUCKET_BOUNDS};
 pub use trace::{
     chrome_trace_json, enabled, flush_thread, install_sink, span, span_with, uninstall_sink, Span,
     SpanEvent, TraceSink,

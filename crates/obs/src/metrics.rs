@@ -181,19 +181,6 @@ impl HistogramSnapshot {
     }
 }
 
-/// The exact nearest-rank percentile of a **sorted ascending** slice: the
-/// smallest element whose rank covers quantile `q` (0.0–1.0). Returns 0
-/// for an empty slice. Used where raw samples are available (e.g. the
-/// daemon's recent-cell ring) and bucket resolution would waste precision.
-#[must_use]
-pub fn percentile(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
-}
-
 /// One registry entry key: metric name plus rendered label pairs
 /// (`model="skip"`), empty for unlabelled series. Both `String`s so the
 /// [`BTreeMap`] ordering makes rendering deterministic.
@@ -269,55 +256,142 @@ impl Registry {
     /// line per metric name, series sorted by name then labels, histograms
     /// expanded into cumulative `_bucket{le=...}` series plus `_sum` and
     /// `_count`. Deterministic: the same registry contents always render
-    /// the same bytes.
+    /// the same bytes. [`parse_prometheus`] reads it back.
     #[must_use]
     pub fn render_prometheus(&self) -> String {
+        fn type_line(out: &mut String, last: &mut Option<String>, name: &str, kind: &str) {
+            if last.as_deref() != Some(name) {
+                out.push_str(&format!("# TYPE {name} {kind}\n"));
+                *last = Some(name.to_string());
+            }
+        }
         let mut out = String::new();
-        let render_plain = |family: &BTreeMap<SeriesKey, u64>, kind: &str, out: &mut String| {
-            let mut last_name: Option<&str> = None;
+        for (family, kind) in [(&self.counters, "counter"), (&self.gauges, "gauge")] {
+            let mut last = None;
             for ((name, labels), value) in family {
-                if last_name != Some(name.as_str()) {
-                    out.push_str(&format!("# TYPE {name} {kind}\n"));
-                    last_name = Some(name.as_str());
-                }
-                if labels.is_empty() {
-                    out.push_str(&format!("{name} {value}\n"));
-                } else {
-                    out.push_str(&format!("{name}{{{labels}}} {value}\n"));
-                }
+                type_line(&mut out, &mut last, name, kind);
+                out.push_str(&format!("{} {value}\n", series_key(name, labels)));
             }
-        };
-        render_plain(&self.counters, "counter", &mut out);
-        render_plain(&self.gauges, "gauge", &mut out);
-        let mut last_name: Option<&str> = None;
+        }
+        let mut last = None;
         for ((name, labels), snapshot) in &self.histograms {
-            if last_name != Some(name.as_str()) {
-                out.push_str(&format!("# TYPE {name} histogram\n"));
-                last_name = Some(name.as_str());
+            type_line(&mut out, &mut last, name, "histogram");
+            let values = snapshot
+                .cumulative()
+                .into_iter()
+                .chain([snapshot.sum, snapshot.count]);
+            for (key, value) in histogram_keys(name, labels).iter().zip(values) {
+                out.push_str(&format!("{key} {value}\n"));
             }
-            let prefix = if labels.is_empty() {
-                String::new()
-            } else {
-                format!("{labels},")
-            };
-            let cumulative = snapshot.cumulative();
-            for (index, &count) in cumulative.iter().enumerate() {
-                let le = match BUCKET_BOUNDS.get(index) {
-                    Some(bound) => bound.to_string(),
-                    None => "+Inf".to_string(),
-                };
-                out.push_str(&format!("{name}_bucket{{{prefix}le=\"{le}\"}} {count}\n"));
-            }
-            let suffix_labels = if labels.is_empty() {
-                String::new()
-            } else {
-                format!("{{{labels}}}")
-            };
-            out.push_str(&format!("{name}_sum{suffix_labels} {}\n", snapshot.sum));
-            out.push_str(&format!("{name}_count{suffix_labels} {}\n", snapshot.count));
         }
         out
     }
+}
+
+/// The exposition key of one series: the metric name, plus its rendered
+/// labels in braces when it has any.
+fn series_key(name: &str, labels: &str) -> String {
+    if labels.is_empty() {
+        name.to_string()
+    } else {
+        format!("{name}{{{labels}}}")
+    }
+}
+
+/// The series keys a histogram expands into: one cumulative `_bucket` per
+/// bound (ending with `le="+Inf"`), then `_sum`, then `_count`.
+fn histogram_keys(name: &str, labels: &str) -> Vec<String> {
+    let prefix = if labels.is_empty() {
+        String::new()
+    } else {
+        format!("{labels},")
+    };
+    let mut keys: Vec<String> = (0..BUCKETS)
+        .map(|index| {
+            let le = BUCKET_BOUNDS
+                .get(index)
+                .map_or_else(|| "+Inf".to_string(), u64::to_string);
+            format!("{name}_bucket{{{prefix}le=\"{le}\"}}")
+        })
+        .collect();
+    keys.push(series_key(&format!("{name}_sum"), labels));
+    keys.push(series_key(&format!("{name}_count"), labels));
+    keys
+}
+
+impl HistogramSnapshot {
+    /// Rebuilds histogram `name` with rendered `labels` (`model="skip"`,
+    /// empty for none) from a parsed exposition — the inverse of the
+    /// expansion [`Registry::render_prometheus`] performs. `None` when a
+    /// series is missing or the cumulative counts do not add up.
+    #[must_use]
+    pub fn from_series(
+        series: &BTreeMap<String, u64>,
+        name: &str,
+        labels: &str,
+    ) -> Option<HistogramSnapshot> {
+        let values = histogram_keys(name, labels)
+            .iter()
+            .map(|key| series.get(key).copied())
+            .collect::<Option<Vec<u64>>>()?;
+        let mut snapshot = HistogramSnapshot {
+            sum: values[BUCKETS],
+            count: values[BUCKETS + 1],
+            ..HistogramSnapshot::default()
+        };
+        let mut below = 0;
+        for (bucket, &cumulative) in snapshot.buckets.iter_mut().zip(&values) {
+            *bucket = cumulative.checked_sub(below)?;
+            below = cumulative;
+        }
+        (below == snapshot.count).then_some(snapshot)
+    }
+}
+
+/// Parses a Prometheus text exposition, as [`Registry::render_prometheus`]
+/// writes it, into a sorted map from series key (the metric name plus its
+/// `{labels}` exactly as rendered) to value.
+///
+/// Total: any input either parses or fails with an error naming the
+/// offending line, never panics. Blank and `#` lines are skipped; every
+/// other line must be `key value` with a valid metric name, one closing
+/// label brace at the end of the key when it has labels, a value of plain
+/// decimal digits that fits a `u64` exactly, and a key not seen before.
+///
+/// # Errors
+///
+/// The first line that breaks one of those rules.
+pub fn parse_prometheus(text: &str) -> Result<BTreeMap<String, u64>, String> {
+    let mut series = BTreeMap::new();
+    for (index, line) in text.lines().enumerate() {
+        let fail = |reason| format!("exposition line {}: {reason}", index + 1);
+        if line.is_empty() || line.starts_with('#') {
+            continue;
+        }
+        let (key, value) = line.rsplit_once(' ').ok_or_else(|| fail("no value"))?;
+        if value.is_empty() || !value.bytes().all(|b| b.is_ascii_digit()) {
+            return Err(fail("value is not a decimal integer"));
+        }
+        let value: u64 = value.parse().map_err(|_| fail("value overflows u64"))?;
+        let name = match key.split_once('{') {
+            None => key,
+            Some((name, labels)) => match labels.strip_suffix('}') {
+                Some(inner) if !inner.contains(['{', '}']) => name,
+                _ => return Err(fail("unbalanced label braces")),
+            },
+        };
+        let mut chars = name.chars();
+        let valid_start = chars
+            .next()
+            .is_some_and(|c| c.is_ascii_alphabetic() || c == '_' || c == ':');
+        if !valid_start || !chars.all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':') {
+            return Err(fail("invalid metric name"));
+        }
+        if series.insert(key.to_string(), value).is_some() {
+            return Err(fail("duplicate series"));
+        }
+    }
+    Ok(series)
 }
 
 #[cfg(test)]
@@ -361,17 +435,6 @@ mod tests {
             "merging shards equals observing the union"
         );
         assert_eq!(left.merge(&HistogramSnapshot::default()), left, "identity");
-    }
-
-    #[test]
-    fn exact_percentiles_use_nearest_rank() {
-        let samples = [10, 20, 30, 40, 50, 60, 70, 80, 90, 100];
-        assert_eq!(percentile(&samples, 0.50), 50);
-        assert_eq!(percentile(&samples, 0.95), 100);
-        assert_eq!(percentile(&samples, 0.99), 100);
-        assert_eq!(percentile(&samples, 0.0), 10);
-        assert_eq!(percentile(&[], 0.5), 0);
-        assert_eq!(percentile(&[7], 0.5), 7);
     }
 
     #[test]
@@ -420,5 +483,75 @@ mod tests {
         assert!(json.contains("\"buckets\":[{\"le\":5,\"count\":2},{\"le\":1000,\"count\":1}]"));
         let empty = HistogramSnapshot::default().to_json();
         assert!(empty.contains("\"buckets\":[]"));
+    }
+
+    #[test]
+    fn parsing_a_rendering_returns_every_series_of_the_registry() {
+        let skip = HistogramSnapshot::from_samples(&[3, 700, 9_000_000]);
+        let plain = HistogramSnapshot::from_samples(&[42]);
+        let mut registry = Registry::new();
+        registry.counter("secbranch_requests_total", u64::MAX);
+        registry.counter_with("secbranch_cells_total", &[("kind", "warm")], 5);
+        registry.gauge("secbranch_queue_depth", 0);
+        registry.histogram_with("secbranch_cell_micros", &[("model", "skip")], &skip);
+        registry.histogram("secbranch_build_micros", &plain);
+        let series = parse_prometheus(&registry.render_prometheus()).expect("parses");
+
+        assert_eq!(series["secbranch_requests_total"], u64::MAX, "exact u64");
+        assert_eq!(series["secbranch_cells_total{kind=\"warm\"}"], 5);
+        assert_eq!(series["secbranch_queue_depth"], 0);
+        assert_eq!(
+            HistogramSnapshot::from_series(&series, "secbranch_cell_micros", "model=\"skip\""),
+            Some(skip)
+        );
+        assert_eq!(
+            HistogramSnapshot::from_series(&series, "secbranch_build_micros", ""),
+            Some(plain)
+        );
+        assert_eq!(series.len(), 3 + 2 * (BUCKETS + 2), "nothing else");
+        assert_eq!(
+            HistogramSnapshot::from_series(&series, "secbranch_cell_micros", "model=\"x\""),
+            None
+        );
+    }
+
+    #[test]
+    fn malformed_expositions_are_refused_by_line() {
+        let refused = |text: &str| parse_prometheus(text).expect_err(text);
+        assert!(refused("a 1\nb").starts_with("exposition line 2:"));
+        for text in [
+            "a",
+            "a ",
+            "a -1",
+            "a +1",
+            "a 1.5",
+            "a 18446744073709551616",
+            "a{x=\"1\" 1",
+            "a{x=\"1\"}} 1",
+            "a}{ 1",
+            "{x=\"1\"} 1",
+            "1a 1",
+            "a-b 1",
+            "a 1\na 2",
+        ] {
+            refused(text);
+        }
+        let series = parse_prometheus("# TYPE a counter\n\na 7\nb{x=\"1 2\"} 8\n").expect("ok");
+        assert_eq!(series["a"], 7);
+        assert_eq!(series["b{x=\"1 2\"}"], 8);
+    }
+
+    #[test]
+    fn inconsistent_histogram_series_rebuild_to_nothing() {
+        let snap = HistogramSnapshot::from_samples(&[3, 700]);
+        let mut registry = Registry::new();
+        registry.histogram("h", &snap);
+        let series = parse_prometheus(&registry.render_prometheus()).expect("parses");
+        let mut shrinking = series.clone();
+        shrinking.insert("h_bucket{le=\"+Inf\"}".to_string(), 0);
+        assert_eq!(HistogramSnapshot::from_series(&shrinking, "h", ""), None);
+        let mut miscounted = series;
+        miscounted.insert("h_count".to_string(), 3);
+        assert_eq!(HistogramSnapshot::from_series(&miscounted, "h", ""), None);
     }
 }

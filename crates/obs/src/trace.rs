@@ -13,10 +13,13 @@
 //!
 //! While on, each thread accumulates finished spans in a thread-local
 //! buffer (a bounded ring: filling it drains to the sink early) that is
-//! flushed to the installed sink when the thread exits — scoped executor
-//! workers flush before their scope returns — or when [`flush_thread`] is
-//! called on the thread. The per-event cost is two clock reads and a `Vec`
-//! push; the sink's lock is only taken on drains.
+//! flushed to the installed sink when [`flush_thread`] is called on the
+//! thread, or when the thread exits. The exit flush runs in a thread-local
+//! destructor, which `JoinHandle::join` waits for but `std::thread::scope`
+//! does not: a scope can return before its threads' destructors have run.
+//! Scoped workers therefore call [`flush_thread`] before they return. The
+//! per-event cost is two clock reads and a `Vec` push; the sink's lock is
+//! only taken on drains.
 
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -184,9 +187,10 @@ fn thread_id() -> u64 {
 
 /// Drains the calling thread's span buffer into the installed sink.
 ///
-/// Threads flush automatically on exit; long-lived threads (the main
-/// thread, pool workers) call this before the sink is read so their tail
-/// of events is not missed.
+/// Threads flush automatically on exit, but that flush is only observable
+/// after a `JoinHandle::join`. Scoped threads and long-lived threads (the
+/// main thread, pool workers) call this before the sink is read so their
+/// tail of events is not missed.
 pub fn flush_thread() {
     BUFFER.with(|buffer| buffer.borrow_mut().flush());
 }
@@ -398,14 +402,45 @@ mod tests {
         let _guard = TEST_LOCK.lock().unwrap();
         let sink = Arc::new(TraceSink::new());
         install_sink(&sink);
-        std::thread::scope(|scope| {
-            scope.spawn(|| {
-                let _span = span("worker");
-            });
-        });
+        // `join` waits for the thread's thread-local destructors, so the
+        // exit flush has happened by the time it returns.
+        std::thread::spawn(|| {
+            let _span = span("worker");
+        })
+        .join()
+        .expect("worker joins");
         uninstall_sink();
         let events = sink.take_events();
         assert!(events.iter().any(|e| e.label == "worker"));
+    }
+
+    #[test]
+    fn scoped_workers_that_flush_deliver_every_span_before_the_scope_returns() {
+        let _guard = TEST_LOCK.lock().unwrap();
+        let sink = Arc::new(TraceSink::new());
+        install_sink(&sink);
+        // A scope may return before its threads' exit flush runs, so the
+        // contract is an explicit flush at the end of each worker. Many
+        // scopes make a missed flush show up as a missing span.
+        const SCOPES: usize = 200;
+        for _ in 0..SCOPES {
+            std::thread::scope(|scope| {
+                for _ in 0..2 {
+                    scope.spawn(|| {
+                        {
+                            let _span = span("scoped");
+                        }
+                        flush_thread();
+                    });
+                }
+            });
+        }
+        uninstall_sink();
+        let events = sink.take_events();
+        assert_eq!(
+            events.iter().filter(|e| e.label == "scoped").count(),
+            2 * SCOPES
+        );
     }
 
     #[test]

@@ -9,12 +9,11 @@ use secbranch::programs::{
     bootloader_module, integer_compare_module, memcmp_module, password_check_module, BootImage,
     BOOT_OK, GRANT,
 };
-use secbranch::{build, Pipeline, ProtectionVariant, Session, Workload};
+use secbranch::{Pipeline, ProtectionVariant, Session, Workload};
 
 /// The encoded-comparison arithmetic agrees across its three implementations:
 /// the `secbranch-ancode` reference, the IR interpreter's `enccmp`, and the
-/// code generated for the ARMv7-M simulator. (Also exercises the legacy
-/// `build` wrapper, which must keep compiling unchanged.)
+/// code generated for the ARMv7-M simulator.
 #[test]
 fn encoded_compare_implementations_agree() {
     use secbranch::ir::builder::FunctionBuilder;
@@ -59,9 +58,11 @@ fn encoded_compare_implementations_agree() {
             let interp_value = interp::run(&m, "enc", &[x, y]).expect("runs").return_value;
             assert_eq!(interp_value, Some(reference), "interp {x} {ir_pred:?} {y}");
 
-            // Generated ARMv7-M code, through the legacy free-function path.
-            let compiled = build(&m, ProtectionVariant::Unprotected).expect("compiles");
-            let mut sim = compiled.into_simulator(64 * 1024);
+            // Generated ARMv7-M code.
+            let artifact = Pipeline::for_variant(ProtectionVariant::Unprotected)
+                .build(&m)
+                .expect("compiles");
+            let mut sim = artifact.compiled().clone().into_simulator(64 * 1024);
             let sim_value = sim
                 .call("enc", &[x, y], 100_000)
                 .expect("runs")

@@ -365,7 +365,7 @@ fn decoder_is_total_and_round_trips_disassembly_on_random_programs() {
                 "seed={seed} index={index}"
             );
         }
-        let (uops, micros) = program.decode_stats().expect("decoded above");
+        let (uops, micros) = program.decode_cost().expect("decoded above");
         assert_eq!(uops, decoded.len() as u64);
         let _ = micros; // timing is environment-dependent; presence suffices
     }
