@@ -16,12 +16,13 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use secbranch::campaign::{
-    json_string, BranchInversion, CampaignRunner, FaultModel, InstructionSkip,
+    json_string, BranchInversion, CampaignReport, FaultModel, InstructionSkip, MatrixExecutor,
+    TraceStore,
 };
 use secbranch::codegen::HardenRegion;
 use secbranch::ir::BlockId;
 use secbranch::passes::{standard_protection_pipeline, AnCoderConfig};
-use secbranch::{BuildError, Measurement, Pipeline, Workload};
+use secbranch::{Artifact, BuildError, Measurement, Pipeline, Workload};
 
 use crate::category::{region_key, CategorizedEscape, Categorizer, FaultCategory};
 use crate::report::RemediationReport;
@@ -356,7 +357,7 @@ impl AdvisorOutcome {
 /// The closed-loop selective-hardening driver.
 #[derive(Debug, Clone)]
 pub struct SelectiveHardening {
-    threads: usize,
+    executor: MatrixExecutor,
     max_rounds: usize,
     max_steps: u64,
 }
@@ -374,17 +375,18 @@ impl SelectiveHardening {
     #[must_use]
     pub fn new() -> Self {
         SelectiveHardening {
-            threads: 1,
+            executor: MatrixExecutor::new().with_threads(1),
             max_rounds: 8,
             max_steps: 200_000,
         }
     }
 
-    /// Campaign worker threads. The reports — and therefore the advisor's
-    /// entire output — are byte-identical for any value.
+    /// Campaign worker threads of the matrix executor. The reports — and
+    /// therefore the advisor's entire output — are byte-identical for any
+    /// value.
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
+        self.executor = self.executor.with_threads(threads);
         self
     }
 
@@ -405,8 +407,22 @@ impl SelectiveHardening {
     /// The fault models the loop defends against: every single-instruction
     /// skip and every conditional-branch inversion of the reference
     /// execution.
-    fn models() -> Vec<Box<dyn FaultModel>> {
-        vec![Box::new(InstructionSkip), Box::new(BranchInversion)]
+    const MODELS: [&'static dyn FaultModel; 2] = [&InstructionSkip, &BranchInversion];
+
+    /// Both models' campaigns on one artifact, as one matrix-executor run
+    /// over one trace store: the reference is recorded once.
+    fn campaigns(
+        &self,
+        artifact: &Artifact,
+        workload: &Workload,
+    ) -> Result<Vec<CampaignReport>, BuildError> {
+        artifact.campaigns(
+            &self.executor,
+            &TraceStore::new(),
+            &workload.entry,
+            &workload.args,
+            &Self::MODELS,
+        )
     }
 
     /// Runs the full advise loop on one workload.
@@ -415,8 +431,6 @@ impl SelectiveHardening {
     ///
     /// Propagates pipeline build or simulation failures.
     pub fn advise(&self, workload: &Workload) -> Result<AdvisorOutcome, BuildError> {
-        let runner = CampaignRunner::new().with_threads(self.threads);
-        let models = Self::models();
         let all_functions: BTreeSet<String> = workload
             .module
             .functions
@@ -432,9 +446,7 @@ impl SelectiveHardening {
         let baseline = base.measure(&workload.entry, &workload.args)?;
         let base_cat = Categorizer::new(&workload.module, &base.compiled().program);
         let mut base_escapes = Vec::new();
-        for model in &models {
-            let report =
-                base.campaign_with(&runner, &workload.entry, &workload.args, model.as_ref())?;
+        for report in self.campaigns(&base, workload)? {
             base_escapes.extend(base_cat.categorize_report(&report));
         }
         let remediation = RemediationReport::new(workload.name.clone(), &base_escapes);
@@ -454,13 +466,7 @@ impl SelectiveHardening {
             let categorizer = Categorizer::new(&workload.module, &artifact.compiled().program);
             let mut escapes = Vec::new();
             selective_escapes.clear();
-            for model in &models {
-                let report = artifact.campaign_with(
-                    &runner,
-                    &workload.entry,
-                    &workload.args,
-                    model.as_ref(),
-                )?;
+            for report in self.campaigns(&artifact, workload)? {
                 selective_escapes.insert(report.model.clone(), report.escapes.len() as u64);
                 escapes.extend(categorizer.categorize_report(&report));
             }
@@ -488,7 +494,7 @@ impl SelectiveHardening {
             measurement: selective_measurement,
             escapes_by_model: selective_escapes,
         };
-        let full = self.measure_full(workload, &runner, &models, &baseline)?;
+        let full = self.measure_full(workload, &baseline)?;
 
         Ok(AdvisorOutcome {
             workload: workload.name.clone(),
@@ -509,8 +515,6 @@ impl SelectiveHardening {
     fn measure_full(
         &self,
         workload: &Workload,
-        runner: &CampaignRunner,
-        models: &[Box<dyn FaultModel>],
         baseline: &Measurement,
     ) -> Result<VariantOutcome, BuildError> {
         // The standard pipeline's lowering passes add blocks, so the
@@ -534,12 +538,11 @@ impl SelectiveHardening {
             .with_skip_hardening(harden)
             .build(&workload.module)?;
         let measurement = artifact.measure(&workload.entry, &workload.args)?;
-        let mut escapes_by_model = BTreeMap::new();
-        for model in models {
-            let report =
-                artifact.campaign_with(runner, &workload.entry, &workload.args, model.as_ref())?;
-            escapes_by_model.insert(report.model.clone(), report.escapes.len() as u64);
-        }
+        let escapes_by_model = self
+            .campaigns(&artifact, workload)?
+            .into_iter()
+            .map(|report| (report.model, report.escapes.len() as u64))
+            .collect();
         Ok(VariantOutcome {
             label: "full".to_string(),
             runtime_overhead_percent: measurement.runtime_overhead_percent(baseline),

@@ -1,25 +1,14 @@
 //! Debug helper: prints the program listing of the protected integer compare
 //! and every dynamic instruction whose skip flips the decision undetected.
 //!
-//! Unlike the aggregate numbers of the `security` binary and
-//! `Artifact::skip_sweep`, this lists the individual offending steps, which
-//! is what one actually needs when tightening the protection.
+//! Unlike the aggregate numbers of the `security` and `campaign` binaries,
+//! this lists the individual offending steps (the escapes of an
+//! instruction-skip campaign), which is what one actually needs when
+//! tightening the protection.
 
-use secbranch::armv7m::{FaultAction, FaultHook, Instr, Machine};
+use secbranch::campaign::InstructionSkip;
 use secbranch::programs::integer_compare_module;
 use secbranch::{Pipeline, ProtectionVariant};
-
-struct SkipAt(u64);
-
-impl FaultHook for SkipAt {
-    fn before_execute(&mut self, step: u64, _: usize, _: &Instr, _: &mut Machine) -> FaultAction {
-        if step == self.0 {
-            FaultAction::Skip
-        } else {
-            FaultAction::Continue
-        }
-    }
-}
 
 fn main() {
     let artifact = Pipeline::for_variant(ProtectionVariant::AnCode)
@@ -28,24 +17,16 @@ fn main() {
         .build(&integer_compare_module())
         .expect("builds");
 
-    let reference = artifact
-        .run("integer_compare", &[1234, 4321])
+    let report = artifact
+        .campaign("integer_compare", &[1234, 4321], &InstructionSkip)
         .expect("reference runs");
-    println!("ref = {reference:?}");
+    println!("ref = {:?}", report.reference);
     println!("{}", artifact.simulator().program().listing());
 
-    for step in 1..=reference.instructions {
-        let mut sim = artifact.simulator();
-        let r = sim.call_with_faults(
-            "integer_compare",
-            &[1234, 4321],
-            artifact.sim().max_steps,
-            &mut SkipAt(step),
+    for escape in &report.escapes {
+        println!(
+            "{} at pc {} ({}) -> wrong undetected, ret {}",
+            escape.fault, escape.pc, escape.instruction, escape.return_value
         );
-        if let Ok(r) = r {
-            if r.cfi_violations == 0 && r.return_value != reference.return_value {
-                println!("step {} -> wrong undetected, ret {}", step, r.return_value);
-            }
-        }
     }
 }

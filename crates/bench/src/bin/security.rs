@@ -1,8 +1,8 @@
 //! Regenerates the Section VI security-analysis numbers: single-location
 //! detectability and the multi-location fault-simulation sweep.
 
+use secbranch::campaign::ConditionCampaign;
 use secbranch_ancode::{hamming, Parameters, Predicate};
-use secbranch_fault::ConditionCampaign;
 
 fn main() {
     let params = Parameters::paper_defaults();

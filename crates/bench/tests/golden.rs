@@ -25,8 +25,7 @@ use std::process::Command;
 use std::sync::Arc;
 
 use secbranch::ancode::{Parameters, Predicate};
-use secbranch::campaign::FaultModel;
-use secbranch::fault::ConditionCampaign;
+use secbranch::campaign::{ConditionCampaign, FaultModel};
 use secbranch::store::format::crc32;
 use secbranch::Session;
 use secbranch_advisor::SelectiveHardening;
@@ -37,17 +36,17 @@ use secbranch_gridd::catalog;
 fn check(name: &str, actual: &str) {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden");
     let golden = dir.join(name);
-    let stale = dir.join(format!("{name}.actual"));
+    let actual_path = dir.join(format!("{name}.actual"));
     let expected = std::fs::read_to_string(&golden).unwrap_or_default();
     if expected == actual {
-        let _ = std::fs::remove_file(&stale);
+        let _ = std::fs::remove_file(&actual_path);
         return;
     }
-    std::fs::write(&stale, actual).expect("writes the .actual file");
+    std::fs::write(&actual_path, actual).expect("writes the .actual file");
     panic!(
         "{name} differs from its golden; compare {} with {}",
         golden.display(),
-        stale.display()
+        actual_path.display()
     );
 }
 

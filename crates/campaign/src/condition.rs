@@ -58,11 +58,11 @@ impl ConditionOutcomeCounts {
     }
 
     /// Fraction of experiments where the decision was flipped undetected.
-    /// Shares the rate arithmetic of [`secbranch_campaign::rate`] with the
+    /// Shares the rate arithmetic of [`crate::rate`] with the
     /// instruction-level counters.
     #[must_use]
     pub fn undetected_rate(&self) -> f64 {
-        secbranch_campaign::rate(self.undetected_flip, self.total())
+        crate::rate(self.undetected_flip, self.total())
     }
 }
 

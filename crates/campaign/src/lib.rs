@@ -13,13 +13,11 @@
 //!   [`RegisterBitFlip`] and [`MemoryBitFlip`], and the paper's core
 //!   attacker, [`BranchInversion`] (every dynamic conditional branch forced
 //!   the wrong way).
-//! * **[`CampaignRunner`]** — executes the fault space on fresh simulators
-//!   from a [`SimulatorSource`], sharded across `std::thread` workers
-//!   (default: available parallelism), and merges outcomes in canonical
-//!   fault-space order, so reports are byte-identical regardless of the
-//!   thread count. Fresh simulators are cheap because the program is
-//!   `Arc`-shared ([`SharedModule`]); a million injections allocate a
-//!   million machines, not a million programs.
+//! * **[`CampaignRunner`]** — the naive oracle: executes the fault space on
+//!   a fresh simulator per injection from a [`SimulatorSource`], with no
+//!   pruning, resume or simulator reuse, and merges outcomes in canonical
+//!   fault-space order. Every production campaign runs on the
+//!   [`MatrixExecutor`] below and is byte-compared against this runner.
 //! * **[`CampaignReport`]** — aggregate [`OutcomeCounts`] plus per-location
 //!   attribution: which instruction each escaped fault was anchored at
 //!   ([`LocationReport`], [`EscapeRecord`]), a text heatmap and a
@@ -37,12 +35,16 @@
 //!   disk and writes fresh recordings back; the executor additionally
 //!   serves whole cells ([`CellKey`] → [`CampaignReport`]) from it, so an
 //!   unchanged grid re-run does zero simulation.
+//! * **[`ConditionCampaign`]** — the other half of the Section VI
+//!   analysis: an arithmetic-level Monte-Carlo over the encoded condition
+//!   computation ([`ConditionOutcomeCounts`], [`FaultLocation`]), with no
+//!   simulator involved.
 //!
 //! # Example
 //!
 //! ```
 //! use secbranch_armv7m::{Cond, Instr, Operand2, ProgramBuilder, Reg, Simulator, Target};
-//! use secbranch_campaign::{BranchInversion, CampaignRunner};
+//! use secbranch_campaign::{BranchInversion, MatrixExecutor, MatrixJob, TraceKey, TraceStore};
 //!
 //! # fn main() -> Result<(), secbranch_armv7m::SimError> {
 //! // max(a, b) — a single unprotected conditional branch.
@@ -55,9 +57,18 @@
 //! p.push(Instr::Bx { rm: Reg::Lr });
 //! let simulator = Simulator::new(p.assemble()?, 4096);
 //!
-//! let report = CampaignRunner::new()
+//! let job = MatrixJob {
+//!     source: &simulator,
+//!     key: TraceKey::new("max-artifact", "max", &[7, 3]),
+//!     entry: "max".to_string(),
+//!     args: vec![7, 3],
+//!     max_steps: 1_000,
+//!     model: &BranchInversion,
+//! };
+//! let results = MatrixExecutor::new()
 //!     .with_threads(2)
-//!     .run(&simulator, "max", &[7, 3], 1_000, &BranchInversion)?;
+//!     .run(&[job], &TraceStore::new())?;
+//! let report = &results[0].report;
 //! assert_eq!(report.counts.wrong_result_undetected, 1);
 //! println!("{}", report.render_heatmap());
 //! # Ok(())
@@ -68,6 +79,7 @@
 #![warn(missing_docs)]
 
 mod accel;
+mod condition;
 mod executor;
 mod liveness;
 mod model;
@@ -78,6 +90,7 @@ mod runner;
 mod service;
 pub mod trace_store;
 
+pub use condition::{ConditionCampaign, ConditionOutcomeCounts, FaultLocation};
 pub use executor::{MatrixCellResult, MatrixError, MatrixExecutor, MatrixJob};
 pub use liveness::{LivenessVerdict, SuffixIndex};
 pub use model::{
@@ -93,8 +106,8 @@ pub use report::{
 pub use runner::{CampaignRunner, OwnedModule, SharedModule, SimulatorSource};
 pub use service::{CellRequest, Completion, ExecutorPool, PoolError, PoolStats};
 pub use trace_store::{
-    record_reference, record_reference_without_checkpoints, RecordedReference, SpineSnapshot,
-    TraceCheckpoint, TraceFetch, TraceKey, TraceStore, CHECKPOINT_BUDGET, DEFAULT_SNAPSHOT_BUDGET,
+    record_reference, RecordedReference, SpineSnapshot, TraceCheckpoint, TraceFetch, TraceKey,
+    TraceStore, CHECKPOINT_BUDGET, DEFAULT_SNAPSHOT_BUDGET,
 };
 
 #[cfg(test)]

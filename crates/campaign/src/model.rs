@@ -308,8 +308,8 @@ pub const FLIP_REGISTERS: [Reg; 5] = [Reg::R0, Reg::R1, Reg::R2, Reg::R3, Reg::R
 /// Monte-Carlo register-bit-flip model: `trials` injections, each flipping a
 /// random bit of a random data register at a random dynamic step.
 ///
-/// The sampling order (step, then register, then bit) matches the historical
-/// `RegisterBitFlipCampaign`, so a given seed reproduces its exact numbers.
+/// The sampling order is step, then register, then bit; a given seed always
+/// draws the same injections (pinned by the committed grid golden).
 #[derive(Debug, Clone, Copy)]
 pub struct RegisterBitFlip {
     /// Number of injections.

@@ -25,7 +25,7 @@ pub enum Outcome {
 /// `part / total` as a float, `0.0` for an empty campaign. The single home
 /// of the rate arithmetic shared by every outcome-counter type (the
 /// instruction-level [`OutcomeCounts`] here and the arithmetic-level
-/// condition counters in `secbranch-fault`).
+/// [`crate::ConditionOutcomeCounts`]).
 #[must_use]
 pub fn rate(part: u64, total: u64) -> f64 {
     if total == 0 {

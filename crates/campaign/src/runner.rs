@@ -1,5 +1,6 @@
-//! The [`CampaignRunner`]: executes a [`FaultModel`]'s fault space on fresh
-//! simulators, sharded across worker threads, with deterministic merging.
+//! The [`CampaignRunner`], the naive oracle: executes a [`FaultModel`]'s
+//! fault space on fresh simulators, sharded across worker threads, with
+//! deterministic merging.
 
 use std::collections::BTreeMap;
 use std::thread;
@@ -12,7 +13,7 @@ use crate::point::FaultPoint;
 use crate::report::{
     classify, CampaignReport, EscapeRecord, LocationReport, Outcome, OutcomeCounts,
 };
-use crate::trace_store::{record_reference_without_checkpoints, RecordedReference};
+use crate::trace_store::record_reference_without_checkpoints;
 
 /// A source of pristine simulators: the campaign engine runs every injection
 /// (and the reference) on a fresh one.
@@ -154,8 +155,10 @@ pub(crate) fn run_point(
     (outcome, return_value)
 }
 
-/// The campaign engine: shards a fault space across worker threads and
-/// merges the outcomes deterministically.
+/// The naive campaign oracle: runs every injection of a fault space on a
+/// freshly built simulator, sharded across worker threads, and merges the
+/// outcomes deterministically. Production campaigns run on the
+/// [`crate::MatrixExecutor`], which is byte-compared against this runner.
 ///
 /// Reports are byte-identical regardless of the thread count: the fault
 /// space has a canonical order (the model's enumeration order), every
@@ -215,27 +218,6 @@ impl CampaignRunner {
         // No checkpoints: this runner never fast-forwards, so it skips the
         // snapshot cost the matrix executor's recordings pay.
         let recorded = record_reference_without_checkpoints(source, entry, args, max_steps)?;
-        Ok(self.run_recorded(source, entry, args, max_steps, model, &recorded))
-    }
-
-    /// Like [`CampaignRunner::run`], but reuses an already-recorded
-    /// reference execution (typically served by a [`crate::TraceStore`])
-    /// instead of recording one — the memoised path of the matrix executor
-    /// and the store-aware artifact campaigns.
-    ///
-    /// `recorded` must be the reference of exactly this
-    /// `(source, entry, args, max_steps)` combination; see the
-    /// [`crate::trace_store`] determinism contract.
-    #[must_use]
-    pub fn run_recorded(
-        &self,
-        source: &dyn SimulatorSource,
-        entry: &str,
-        args: &[u32],
-        max_steps: u64,
-        model: &dyn FaultModel,
-        recorded: &RecordedReference,
-    ) -> CampaignReport {
         let regions = source.global_regions();
         let ctx = CampaignContext {
             trace: &recorded.trace,
@@ -252,7 +234,7 @@ impl CampaignRunner {
             &recorded.trace.result,
             &points,
         );
-        assemble_report(
+        Ok(assemble_report(
             model.name(),
             entry,
             args,
@@ -260,7 +242,7 @@ impl CampaignRunner {
             &recorded.program,
             &points,
             &outcomes,
-        )
+        ))
     }
 
     /// Runs every fault point and returns `(outcome, faulted return value)`

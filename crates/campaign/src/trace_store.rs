@@ -212,7 +212,7 @@ pub fn record_reference(
 /// # Errors
 ///
 /// Returns the [`SimError`] of the reference run if it fails.
-pub fn record_reference_without_checkpoints(
+pub(crate) fn record_reference_without_checkpoints(
     source: &dyn SimulatorSource,
     entry: &str,
     args: &[u32],
@@ -478,10 +478,8 @@ impl StoreInner {
 /// for a recording. Entries are handed out as [`Arc`]s, so N concurrent
 /// campaigns share one trace allocation.
 ///
-/// Entries normally carry resume checkpoints for the matrix executor's
-/// fast-forward path; a store built with
-/// [`TraceStore::without_checkpoints`] records plain traces instead —
-/// the right choice for throwaway stores whose consumers never resume.
+/// Entries carry resume checkpoints for the matrix executor's fast-forward
+/// path.
 ///
 /// # Persistence (spill/attach)
 ///
@@ -509,7 +507,6 @@ pub struct TraceStore {
     misses: AtomicU64,
     evictions: AtomicU64,
     snapshot_evictions: AtomicU64,
-    checkpoints: bool,
 }
 
 impl Default for TraceStore {
@@ -521,7 +518,6 @@ impl Default for TraceStore {
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             snapshot_evictions: AtomicU64::new(0),
-            checkpoints: true,
         }
     }
 }
@@ -531,17 +527,6 @@ impl TraceStore {
     #[must_use]
     pub fn new() -> Self {
         TraceStore::default()
-    }
-
-    /// Creates an empty store whose recordings skip machine checkpoints —
-    /// cheaper when no consumer fast-forwards (e.g. the sequential
-    /// [`crate::CampaignRunner`] path behind a throwaway store).
-    #[must_use]
-    pub fn without_checkpoints() -> Self {
-        TraceStore {
-            checkpoints: false,
-            ..TraceStore::default()
-        }
     }
 
     /// Attaches a persistence backend: spills the current in-memory entries
@@ -727,13 +712,7 @@ impl TraceStore {
         let recorded = {
             let _span =
                 secbranch_obs::span_with("reference", || format!("{} {}", key.artifact, entry));
-            Arc::new(record_reference_impl(
-                source,
-                entry,
-                args,
-                max_steps,
-                self.checkpoints,
-            )?)
+            Arc::new(record_reference(source, entry, args, max_steps)?)
         };
         if let Some(backend) = &backend {
             backend.store_trace(key, &recorded);

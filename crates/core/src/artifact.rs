@@ -4,11 +4,10 @@ use std::sync::Arc;
 
 use secbranch_armv7m::{ExecResult, Simulator};
 use secbranch_campaign::{
-    CampaignReport, CampaignRunner, CellKey, FaultModel, GridBackend, InstructionSkip,
-    RegisterBitFlip, SharedModule, TraceKey, TraceStore,
+    CampaignReport, CampaignRunner, FaultModel, GridBackend, MatrixExecutor, MatrixJob,
+    SharedModule, TraceKey, TraceStore,
 };
 use secbranch_codegen::CompiledModule;
-use secbranch_fault::SweepReport;
 use secbranch_store::GridStore;
 
 use crate::{BuildError, Measurement, Provenance, SimConfig};
@@ -202,9 +201,9 @@ impl Artifact {
     }
 
     /// Runs one fault model's campaign against `entry(args)` on this
-    /// artifact, using all available parallelism.
+    /// artifact, on the [`MatrixExecutor`] with all available parallelism.
     ///
-    /// Each injection executes on a fresh simulator over the `Arc`-shared
+    /// Each injection executes on a simulator over the `Arc`-shared
     /// compilation; the report carries aggregate counters, per-location
     /// attribution, a text heatmap and deterministic JSON.
     ///
@@ -219,18 +218,20 @@ impl Artifact {
         args: &[u32],
         model: &dyn FaultModel,
     ) -> Result<CampaignReport, BuildError> {
-        self.campaign_with(&CampaignRunner::new(), entry, args, model)
+        self.campaign_with_store(
+            &MatrixExecutor::new(),
+            &TraceStore::new(),
+            entry,
+            args,
+            model,
+            None,
+        )
     }
 
-    /// Like [`Artifact::campaign`], with an explicitly configured runner
-    /// (e.g. a fixed thread count for determinism tests).
-    ///
-    /// Routed through a throwaway [`TraceStore`]: a campaign always resolves
-    /// its reference execution via the store interface, whether or not the
-    /// caller keeps a store around to share recordings across campaigns
-    /// (for that, use [`Artifact::campaign_with_store`]). The throwaway
-    /// store records without resume checkpoints — the sequential runner
-    /// never fast-forwards, so snapshots would be pure overhead.
+    /// Runs the campaign on the sequential [`CampaignRunner`]: the naive
+    /// oracle that [`Artifact::campaign`] is byte-compared against. Every
+    /// injection runs on a freshly built simulator, without pruning,
+    /// resume or a trace store.
     ///
     /// # Errors
     ///
@@ -242,26 +243,22 @@ impl Artifact {
         args: &[u32],
         model: &dyn FaultModel,
     ) -> Result<CampaignReport, BuildError> {
-        self.campaign_with_store(
-            runner,
-            &TraceStore::without_checkpoints(),
-            entry,
-            args,
-            model,
-            None,
-        )
+        runner
+            .run(&self.source(), entry, args, self.sim.max_steps, model)
+            .map_err(BuildError::Simulation)
     }
 
-    /// Like [`Artifact::campaign_with`], resolving the reference execution
-    /// through a caller-owned [`TraceStore`]: N campaigns on one artifact
-    /// (different fault models, repeated runs) record the reference trace
-    /// once. Keys are derived via [`Artifact::trace_key`], so a store can
-    /// safely serve many artifacts at once.
+    /// Like [`Artifact::campaign`], on a caller-configured executor and
+    /// resolving the reference execution through a caller-owned
+    /// [`TraceStore`]: N campaigns on one artifact (different fault models,
+    /// repeated runs) record the reference trace once. Keys are derived via
+    /// [`Artifact::trace_key`], so a store can safely serve many artifacts
+    /// at once.
     ///
     /// With `grid: Some(store)`, the campaign additionally persists: the
     /// [`GridStore`] is attached behind `store` (traces warm-start from
-    /// disk and flush back), and the finished report itself is served from
-    /// — and written to — the grid's cell cache keyed by
+    /// disk and flush back), and the executor serves the finished report
+    /// from — and writes it to — the grid's cell cache keyed by
     /// `(artifact fingerprint, model fingerprint, entry, args)`. A warm
     /// cell returns without a single simulated instruction, byte-identical
     /// to a fresh computation.
@@ -271,89 +268,56 @@ impl Artifact {
     /// See [`Artifact::campaign`].
     pub fn campaign_with_store(
         &self,
-        runner: &CampaignRunner,
+        executor: &MatrixExecutor,
         store: &TraceStore,
         entry: &str,
         args: &[u32],
         model: &dyn FaultModel,
         grid: Option<&Arc<GridStore>>,
     ) -> Result<CampaignReport, BuildError> {
-        let cell_key = grid.map(|_| {
-            CellKey::new(
-                self.artifact_fingerprint(),
-                model.fingerprint(),
-                entry,
-                args,
-            )
-        });
-        if let (Some(grid), Some(key)) = (grid, &cell_key) {
-            if let Some(report) = grid.get_cell(key) {
-                return Ok(report);
-            }
+        if let Some(grid) = grid {
             store.attach_backend(Arc::clone(grid) as Arc<dyn GridBackend>);
         }
-        let source = SharedModule {
-            compiled: &self.compiled,
-            memory_size: self.sim.memory_size,
-        };
-        let recorded = store
-            .reference(
-                &self.trace_key(entry, args),
-                &source,
-                entry,
-                args,
-                self.sim.max_steps,
-            )
-            .map_err(BuildError::Simulation)?;
-        let report =
-            runner.run_recorded(&source, entry, args, self.sim.max_steps, model, &recorded);
-        if let (Some(grid), Some(key)) = (grid, &cell_key) {
-            grid.put_cell(key, &report);
-        }
-        Ok(report)
+        let mut reports = self.campaigns(executor, store, entry, args, &[model])?;
+        Ok(reports.pop().expect("one report per model"))
     }
 
-    /// Runs the exhaustive single-instruction-skip sweep of the fault
-    /// analysis on this artifact: every dynamic instruction of the reference
-    /// execution of `entry(args)` is skipped once.
-    ///
-    /// Routed through the campaign engine ([`Artifact::campaign`] with
-    /// [`InstructionSkip`]): a failing reference returns its error without a
-    /// single injection or worker spawned.
+    /// Runs several fault models against `entry(args)` as one
+    /// [`MatrixExecutor::run`]: one job per model, sharing one worker pool
+    /// and one recording of the reference trace in `store`. Reports come
+    /// back in `models` order.
     ///
     /// # Errors
     ///
-    /// Returns [`BuildError::Simulation`] if the fault-free reference run
-    /// fails (individual faulted runs are classified, not propagated).
-    pub fn skip_sweep(&self, entry: &str, args: &[u32]) -> Result<SweepReport, BuildError> {
-        Ok(SweepReport::from(&self.campaign(
-            entry,
-            args,
-            &InstructionSkip,
-        )?))
-    }
-
-    /// Runs a Monte-Carlo register-bit-flip campaign with `trials`
-    /// injections and a deterministic `seed` on this artifact.
-    ///
-    /// Routed through the campaign engine ([`Artifact::campaign`] with
-    /// [`RegisterBitFlip`]); a given seed reproduces the historical numbers.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BuildError::Simulation`] if the fault-free reference run
-    /// fails.
-    pub fn register_flip_campaign(
+    /// See [`Artifact::campaign`].
+    pub fn campaigns(
         &self,
+        executor: &MatrixExecutor,
+        store: &TraceStore,
         entry: &str,
         args: &[u32],
-        seed: u64,
-        trials: u64,
-    ) -> Result<SweepReport, BuildError> {
-        Ok(SweepReport::from(&self.campaign(
-            entry,
-            args,
-            &RegisterBitFlip { trials, seed },
-        )?))
+        models: &[&dyn FaultModel],
+    ) -> Result<Vec<CampaignReport>, BuildError> {
+        let source = self.source();
+        let jobs: Vec<MatrixJob<'_>> = models
+            .iter()
+            .map(|&model| MatrixJob {
+                source: &source,
+                key: self.trace_key(entry, args),
+                entry: entry.to_string(),
+                args: args.to_vec(),
+                max_steps: self.sim.max_steps,
+                model,
+            })
+            .collect();
+        let results = executor.run(&jobs, store).map_err(BuildError::Simulation)?;
+        Ok(results.into_iter().map(|result| result.report).collect())
+    }
+
+    fn source(&self) -> SharedModule<'_> {
+        SharedModule {
+            compiled: &self.compiled,
+            memory_size: self.sim.memory_size,
+        }
     }
 }

@@ -14,10 +14,10 @@
 //! * [`Artifact`] — the output of one compilation. One artifact feeds any
 //!   number of executions ([`Artifact::run`]), measurements
 //!   ([`Artifact::measure`]) and fault campaigns ([`Artifact::campaign`]
-//!   with any [`campaign::FaultModel`], plus the historical
-//!   [`Artifact::skip_sweep`]/[`Artifact::register_flip_campaign`] shapes)
-//!   without recompiling. Fresh simulators `Arc`-share the compiled code,
-//!   so a campaign of millions of injections never copies the program.
+//!   with any [`campaign::FaultModel`], run on the
+//!   [`campaign::MatrixExecutor`]) without recompiling. Simulators
+//!   `Arc`-share the compiled code, so a campaign of millions of
+//!   injections never copies the program.
 //! * [`Session`] — the matrix runner: workloads × pipelines in one
 //!   [`Session::run_matrix`] call, with an internal build cache keyed by
 //!   (module name, pipeline fingerprint) and a structured, serialisable
@@ -33,13 +33,15 @@
 //!
 //! The individual building blocks are re-exported under their own names
 //! ([`ancode`], [`ir`], [`passes`], [`cfi`], [`armv7m`], [`codegen`],
-//! [`fault`], [`programs`], [`store`], [`obs`]).
+//! [`campaign`], [`programs`], [`store`], [`obs`]). The Section VI
+//! condition-value Monte-Carlo is [`campaign::ConditionCampaign`].
 //!
 //! Security matrices and campaigns optionally persist their work: pass a
 //! [`store::GridStore`] to [`Session::security_matrix_with`] (or
-//! [`Artifact::campaign_with_store`]) and reference traces plus finished
-//! campaign cells survive the process — a warm re-run of an unchanged grid
-//! does zero simulation and returns byte-identical reports.
+//! [`Artifact::campaign_with_store`]; both run on the matrix executor,
+//! whose cell cache reads and writes the store) and reference traces plus
+//! finished campaign cells survive the process — a warm re-run of an
+//! unchanged grid does zero simulation and returns byte-identical reports.
 //!
 //! # Example: protecting a password check
 //!
@@ -73,7 +75,6 @@ pub use secbranch_armv7m as armv7m;
 pub use secbranch_campaign as campaign;
 pub use secbranch_cfi as cfi;
 pub use secbranch_codegen as codegen;
-pub use secbranch_fault as fault;
 pub use secbranch_ir as ir;
 pub use secbranch_obs as obs;
 pub use secbranch_passes as passes;

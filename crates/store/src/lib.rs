@@ -54,7 +54,9 @@
 //! [`secbranch_campaign::TraceStore`] (the facade's
 //! `Session::security_matrix_with` and `Artifact::campaign_with_store` take
 //! an `Option<&Arc<GridStore>>` and do this for you) and both record
-//! families flow automatically.
+//! families flow automatically: traces through the trace store, cells
+//! through the `MatrixExecutor`'s cell cache, which every campaign runs
+//! on.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -5,7 +5,7 @@
 //! Run with `cargo run --release --example fault_campaign`.
 
 use secbranch::ancode::{Parameters, Predicate};
-use secbranch::fault::ConditionCampaign;
+use secbranch::campaign::{BranchInversion, ConditionCampaign, FaultModel, InstructionSkip};
 use secbranch::programs::integer_compare_module;
 use secbranch::{Pipeline, ProtectionVariant};
 
@@ -32,7 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let artifact = Pipeline::for_variant(variant)
             .with_max_steps(1_000_000)
             .build(&module)?;
-        let report = artifact.skip_sweep("integer_compare", &[41, 999])?;
+        let report = artifact.campaign("integer_compare", &[41, 999], &InstructionSkip)?;
         println!(
             "  {:<12} injections {:>3}: masked {:>3}, detected {:>3}, crashed {:>3}, successful attacks {:>3}",
             variant.label(),
@@ -47,7 +47,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 3. The general campaign engine: the same artifacts attacked by the
     // paper's core fault model — every dynamic conditional branch forced
     // the wrong way — with per-location attribution of each escape.
-    use secbranch::campaign::BranchInversion;
     println!("\nconditional-branch-inversion campaign (the paper's core attacker):");
     for variant in [ProtectionVariant::Unprotected, ProtectionVariant::AnCode] {
         let artifact = Pipeline::for_variant(variant)
@@ -73,7 +72,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // flattened onto one shared worker pool, and the reference trace of
     // each artifact is recorded once no matter how many models attack it
     // (the stats show the trace-cache doing its job).
-    use secbranch::campaign::{FaultModel, InstructionSkip};
     use secbranch::{Session, Workload};
     println!("\nsecurity matrix on the global fault-space scheduler:");
     let workloads = [Workload::new(

@@ -1,13 +1,13 @@
 //! Fault-campaign determinism through the `Artifact` API: the same seed (and
 //! the same artifact) must produce identical outcome counters, so the
-//! security numbers of Section VI are reproducible run-to-run.
+//! security numbers of Section VI are reproducible run-to-run, and the
+//! production path must agree byte for byte with the sequential oracle.
 
 use secbranch::ancode::{Parameters, Predicate};
 use secbranch::campaign::{
-    BranchInversion, CampaignRunner, DoubleInstructionSkip, FaultModel, InstructionSkip,
-    MemoryBitFlip, RegisterBitFlip,
+    BranchInversion, CampaignRunner, ConditionCampaign, DoubleInstructionSkip, FaultModel,
+    InstructionSkip, MemoryBitFlip, RegisterBitFlip,
 };
-use secbranch::fault::ConditionCampaign;
 use secbranch::programs::integer_compare_module;
 use secbranch::{Artifact, Pipeline, ProtectionVariant};
 
@@ -101,56 +101,73 @@ fn branch_inversion_is_stopped_by_the_protection() {
     );
 }
 
-/// The thin sweep adapters and the engine agree: `Artifact::skip_sweep`
-/// reports exactly the aggregate counters of an `InstructionSkip` campaign.
+/// One production path, one oracle: for every shipped model, on the
+/// protected and the unprotected integer compare, `Artifact::campaign` (the
+/// matrix executor) serialises byte-identically to `Artifact::campaign_with`
+/// on the sequential `CampaignRunner`.
 #[test]
-fn skip_sweep_adapter_matches_the_engine() {
-    let artifact = protected_artifact();
-    let sweep = artifact
-        .skip_sweep("integer_compare", &[41, 999])
-        .expect("runs");
-    let campaign = artifact
-        .campaign("integer_compare", &[41, 999], &InstructionSkip)
-        .expect("runs");
-    assert_eq!(sweep.counts, campaign.counts);
-    assert_eq!(sweep.reference, campaign.reference);
-    assert_eq!(
-        campaign.counts.total(),
-        campaign.reference.instructions,
-        "one injection per dynamic instruction"
-    );
+fn campaign_matches_the_sequential_oracle_for_every_model() {
+    let oracle = CampaignRunner::new().with_threads(1);
+    for artifact in [protected_artifact(), unprotected_artifact()] {
+        for model in shipped_models() {
+            let production = artifact
+                .campaign("integer_compare", &[41, 999], model.as_ref())
+                .expect("runs");
+            let expected = artifact
+                .campaign_with(&oracle, "integer_compare", &[41, 999], model.as_ref())
+                .expect("runs");
+            assert_eq!(
+                production.to_json(),
+                expected.to_json(),
+                "{} on {}",
+                model.name(),
+                artifact.pipeline_label()
+            );
+        }
+        let skip = artifact
+            .campaign("integer_compare", &[41, 999], &InstructionSkip)
+            .expect("runs");
+        assert_eq!(
+            skip.counts.total(),
+            skip.reference.instructions,
+            "one injection per dynamic instruction"
+        );
+    }
 }
 
 /// A failing reference run surfaces its error (instead of a panic or an
-/// empty report) for both the engine and the routed legacy entry points.
+/// empty report) on the production path and on the oracle alike.
 #[test]
 fn reference_errors_are_returned_not_swept() {
     let artifact = protected_artifact();
-    assert!(artifact.campaign("nope", &[], &InstructionSkip).is_err());
-    assert!(artifact.skip_sweep("nope", &[]).is_err());
-    assert!(artifact.register_flip_campaign("nope", &[], 1, 10).is_err());
+    let oracle = CampaignRunner::new().with_threads(1);
+    for model in shipped_models() {
+        assert!(artifact.campaign("nope", &[], model.as_ref()).is_err());
+        assert!(artifact
+            .campaign_with(&oracle, "nope", &[], model.as_ref())
+            .is_err());
+    }
 }
 
-/// The exhaustive instruction-skip sweep is deterministic: two sweeps over
-/// the same artifact produce identical counters, and a separately built
+/// The exhaustive instruction-skip campaign is deterministic: two runs over
+/// the same artifact produce identical reports, and a separately built
 /// artifact of the same pipeline agrees too.
 #[test]
 fn skip_sweep_is_deterministic_across_runs_and_builds() {
+    let sweep = |artifact: &Artifact| {
+        artifact
+            .campaign("integer_compare", &[41, 999], &InstructionSkip)
+            .expect("runs")
+            .to_json()
+    };
     let artifact = protected_artifact();
-    let first = artifact
-        .skip_sweep("integer_compare", &[41, 999])
-        .expect("runs");
-    let second = artifact
-        .skip_sweep("integer_compare", &[41, 999])
-        .expect("runs");
-    assert_eq!(first.counts, second.counts);
-    assert_eq!(first.reference, second.reference);
-
-    let rebuilt = protected_artifact();
-    let third = rebuilt
-        .skip_sweep("integer_compare", &[41, 999])
-        .expect("runs");
-    assert_eq!(first.counts, third.counts, "same fingerprint, same sweep");
+    let first = sweep(&artifact);
+    assert_eq!(first, sweep(&artifact), "same artifact, same report");
+    assert_eq!(
+        first,
+        sweep(&protected_artifact()),
+        "same fingerprint, same report"
+    );
 }
 
 /// The Monte-Carlo register-flip campaign is seed-deterministic through the
@@ -160,20 +177,21 @@ fn skip_sweep_is_deterministic_across_runs_and_builds() {
 #[test]
 fn register_flip_campaign_is_seed_deterministic() {
     let artifact = protected_artifact();
-    let a = artifact
-        .register_flip_campaign("integer_compare", &[77, 77], 0xDEAD_BEEF, 150)
-        .expect("runs");
-    let b = artifact
-        .register_flip_campaign("integer_compare", &[77, 77], 0xDEAD_BEEF, 150)
-        .expect("runs");
+    let flips = |seed: u64| {
+        artifact
+            .campaign(
+                "integer_compare",
+                &[77, 77],
+                &RegisterBitFlip { trials: 150, seed },
+            )
+            .expect("runs")
+    };
+    let a = flips(0xDEAD_BEEF);
+    let b = flips(0xDEAD_BEEF);
     assert_eq!(a.counts, b.counts, "same seed, same outcome counters");
     assert_eq!(a.counts.total(), 150);
-
-    let c = artifact
-        .register_flip_campaign("integer_compare", &[77, 77], 0x0BAD_CAFE, 150)
-        .expect("runs");
     assert_eq!(
-        c.counts.total(),
+        flips(0x0BAD_CAFE).counts.total(),
         150,
         "different seed still runs all trials"
     );

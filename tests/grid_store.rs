@@ -9,9 +9,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use secbranch::campaign::{
-    CampaignRunner, FaultModel, InstructionSkip, MatrixExecutor, RegisterBitFlip,
-};
+use secbranch::campaign::{FaultModel, InstructionSkip, MatrixExecutor, RegisterBitFlip};
 use secbranch::programs::{crc32_table_module, integer_compare_module, pin_retry_module};
 use secbranch::store::GridStore;
 use secbranch::{Pipeline, ProtectionVariant, SecurityReport, Session, Workload};
@@ -235,13 +233,13 @@ fn artifact_campaigns_persist_and_reload_cells() {
         trials: 60,
         seed: 0x5EED,
     };
-    let runner = CampaignRunner::new().with_threads(2);
+    let executor = MatrixExecutor::new().with_threads(2);
 
     let grid = Arc::new(GridStore::open(&dir.0).expect("opens"));
     let artifact = pipeline.build(&module).expect("builds");
     let store = secbranch::campaign::TraceStore::new();
     let first = artifact
-        .campaign_with_store(&runner, &store, "crc32_check", &[], &model, Some(&grid))
+        .campaign_with_store(&executor, &store, "crc32_check", &[], &model, Some(&grid))
         .expect("computes");
     assert_eq!(grid.stats().cell_misses, 1, "first probe missed");
 
@@ -252,7 +250,7 @@ fn artifact_campaigns_persist_and_reload_cells() {
     let warm_store = secbranch::campaign::TraceStore::new();
     let reloaded = again
         .campaign_with_store(
-            &runner,
+            &executor,
             &warm_store,
             "crc32_check",
             &[],
@@ -275,7 +273,7 @@ fn artifact_campaigns_persist_and_reload_cells() {
     };
     let fresh = again
         .campaign_with_store(
-            &runner,
+            &executor,
             &warm_store,
             "crc32_check",
             &[],
