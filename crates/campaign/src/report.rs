@@ -206,60 +206,81 @@ impl CampaignReport {
     /// worker-thread count.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
+        let mut out = String::with_capacity(self.json_size_hint());
+        self.write_json(&mut out);
+        out
+    }
+
+    /// Appends [`CampaignReport::to_json`]'s document to `out`, leaving what
+    /// `out` already holds untouched — so a caller embedding many reports
+    /// builds its whole document in one buffer.
+    pub fn write_json(&self, out: &mut String) {
+        out.push_str("{\"model\":");
+        push_json_string(out, &self.model);
+        out.push_str(",\"entry\":");
+        push_json_string(out, &self.entry);
+        out.push_str(",\"args\":[");
+        for (i, arg) in self.args.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            let _ = write!(out, "{arg}");
+        }
         let _ = write!(
             out,
-            "\"model\":{},\"entry\":{},\"args\":[{}],",
-            json_string(&self.model),
-            json_string(&self.entry),
-            self.args
-                .iter()
-                .map(u32::to_string)
-                .collect::<Vec<_>>()
-                .join(","),
-        );
-        let _ = write!(
-            out,
-            "\"reference\":{{\"return_value\":{},\"cycles\":{},\"instructions\":{}}},",
+            "],\"reference\":{{\"return_value\":{},\"cycles\":{},\"instructions\":{}}},",
             self.reference.return_value, self.reference.cycles, self.reference.instructions,
         );
-        let _ = write!(
-            out,
-            "\"counts\":{},\"escape_rate\":{:.9},",
-            json_counts(&self.counts),
-            self.escape_rate(),
-        );
+        out.push_str("\"counts\":");
+        push_json_counts(out, &self.counts);
+        let _ = write!(out, ",\"escape_rate\":{:.9},", self.escape_rate());
         out.push_str("\"locations\":[");
         for (i, loc) in self.locations.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(
-                out,
-                "{{\"pc\":{},\"location\":{},\"instruction\":{},\"counts\":{}}}",
-                loc.pc,
-                json_string(&loc.location),
-                json_string(&loc.instruction),
-                json_counts(&loc.counts),
-            );
+            let _ = write!(out, "{{\"pc\":{},\"location\":", loc.pc);
+            push_json_string(out, &loc.location);
+            out.push_str(",\"instruction\":");
+            push_json_string(out, &loc.instruction);
+            out.push_str(",\"counts\":");
+            push_json_counts(out, &loc.counts);
+            out.push('}');
         }
         out.push_str("],\"escapes\":[");
         for (i, esc) in self.escapes.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
+            out.push_str("{\"fault\":");
+            push_json_string(out, &esc.fault);
             let _ = write!(
                 out,
-                "{{\"fault\":{},\"step\":{},\"pc\":{},\"instruction\":{},\"return_value\":{}}}",
-                json_string(&esc.fault),
-                esc.step,
-                esc.pc,
-                json_string(&esc.instruction),
-                esc.return_value,
+                ",\"step\":{},\"pc\":{},\"instruction\":",
+                esc.step, esc.pc
             );
+            push_json_string(out, &esc.instruction);
+            let _ = write!(out, ",\"return_value\":{}}}", esc.return_value);
         }
         out.push_str("]}");
-        out
+    }
+
+    /// An estimate of [`CampaignReport::to_json`]'s length — the fixed
+    /// bytes of each entry plus its raw strings — so callers can size their
+    /// buffer once.
+    #[must_use]
+    pub fn json_size_hint(&self) -> usize {
+        let locations: usize = self
+            .locations
+            .iter()
+            .map(|l| 160 + l.location.len() + l.instruction.len())
+            .sum();
+        let escapes: usize = self
+            .escapes
+            .iter()
+            .map(|e| 96 + e.fault.len() + e.instruction.len())
+            .sum();
+        256 + locations + escapes
     }
 }
 
@@ -272,11 +293,12 @@ fn truncated(s: &str, max: usize) -> String {
     }
 }
 
-fn json_counts(c: &OutcomeCounts) -> String {
-    format!(
+fn push_json_counts(out: &mut String, c: &OutcomeCounts) {
+    let _ = write!(
+        out,
         "{{\"masked\":{},\"detected\":{},\"crashed\":{},\"wrong_result_undetected\":{}}}",
         c.masked, c.detected, c.crashed, c.wrong_result_undetected
-    )
+    );
 }
 
 /// Escapes `s` as a JSON string literal (quotes included). Shared by every
@@ -285,6 +307,13 @@ fn json_counts(c: &OutcomeCounts) -> String {
 #[must_use]
 pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
+    push_json_string(&mut out, s);
+    out
+}
+
+/// Appends `s` to `out` as a JSON string literal (quotes included): the
+/// one escape routine behind [`json_string`] and every report writer.
+pub fn push_json_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -300,7 +329,6 @@ pub fn json_string(s: &str) -> String {
         }
     }
     out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -355,5 +383,66 @@ mod tests {
     fn json_strings_are_escaped() {
         assert_eq!(json_string("a\"b\\c"), "\"a\\\"b\\\\c\"");
         assert_eq!(json_string("tab\there"), "\"tab\\there\"");
+    }
+
+    fn awkward_report() -> CampaignReport {
+        let counts = OutcomeCounts {
+            masked: 1,
+            detected: 0,
+            crashed: 0,
+            wrong_result_undetected: 1,
+        };
+        CampaignReport {
+            model: "skip".to_string(),
+            entry: "f".to_string(),
+            args: vec![3, 4],
+            reference: ExecResult {
+                return_value: 7,
+                cycles: 10,
+                instructions: 5,
+                cfi_checks: 1,
+                cfi_violations: 0,
+            },
+            counts: OutcomeCounts {
+                masked: 1,
+                ..counts
+            },
+            locations: vec![LocationReport {
+                pc: 2,
+                location: "l\"q\\b\n".to_string(),
+                instruction: "é→\t\r".to_string(),
+                counts,
+            }],
+            escapes: vec![EscapeRecord {
+                fault: "skip\u{1}@\u{1f}".to_string(),
+                step: 9,
+                pc: 2,
+                instruction: "mov →é".to_string(),
+                return_value: 8,
+            }],
+        }
+    }
+
+    #[test]
+    fn report_json_escapes_every_string_field() {
+        let expected = concat!(
+            r#"{"model":"skip","entry":"f","args":[3,4],"#,
+            r#""reference":{"return_value":7,"cycles":10,"instructions":5},"#,
+            r#""counts":{"masked":1,"detected":0,"crashed":0,"wrong_result_undetected":1},"#,
+            r#""escape_rate":0.500000000,"#,
+            r#""locations":[{"pc":2,"location":"l\"q\\b\n","instruction":"é→\t\r","#,
+            r#""counts":{"masked":1,"detected":0,"crashed":0,"wrong_result_undetected":1}}],"#,
+            r#""escapes":[{"fault":"skip\u0001@\u001f","step":9,"pc":2,"#,
+            r#""instruction":"mov →é","return_value":8}]}"#,
+        );
+        assert_eq!(awkward_report().to_json(), expected);
+    }
+
+    #[test]
+    fn write_json_appends_after_an_existing_prefix() {
+        let report = awkward_report();
+        let mut out = String::from("[\"é\",");
+        report.write_json(&mut out);
+        assert_eq!(out, format!("[\"é\",{}", report.to_json()));
     }
 }

@@ -3,7 +3,7 @@
 
 use std::fmt::Write as _;
 
-use secbranch_campaign::{json_string, CampaignReport};
+use secbranch_campaign::{push_json_string, CampaignReport};
 
 /// One cell of a security matrix: one workload under one pipeline attacked
 /// by one fault model.
@@ -227,19 +227,26 @@ impl SecurityReport {
     /// the same matrix produces byte-identical JSON at any thread count.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"cells\":[");
+        let hint: usize = self
+            .cells
+            .iter()
+            .map(|cell| 128 + cell.report.json_size_hint())
+            .sum();
+        let mut out = String::with_capacity(16 + hint);
+        out.push_str("{\"cells\":[");
         for (i, cell) in self.cells.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(
-                out,
-                "{{\"workload\":{},\"pipeline\":{},\"model\":{},\"report\":{}}}",
-                json_string(&cell.workload),
-                json_string(&cell.pipeline),
-                json_string(&cell.model),
-                cell.report.to_json(),
-            );
+            out.push_str("{\"workload\":");
+            push_json_string(&mut out, &cell.workload);
+            out.push_str(",\"pipeline\":");
+            push_json_string(&mut out, &cell.pipeline);
+            out.push_str(",\"model\":");
+            push_json_string(&mut out, &cell.model);
+            out.push_str(",\"report\":");
+            cell.report.write_json(&mut out);
+            out.push('}');
         }
         out.push_str("]}");
         out

@@ -50,6 +50,11 @@ pub const PROTOCOL_VERSION: u32 = 4;
 /// fails the read instead of triggering a giant allocation.
 pub const MAX_FRAME: u64 = 64 << 20;
 
+/// Most payload bytes [`read_frame`] allocates ahead of their arrival.
+/// Big enough that a full grid's DONE report (about 1 MiB) is read in one
+/// chunk.
+const READ_CHUNK: usize = 2 << 20;
+
 /// Size of the fixed frame header preceding the payload.
 pub const HEADER_LEN: usize = 4 + 4 + 1 + 8 + 4;
 
@@ -175,8 +180,16 @@ pub fn read_frame(stream: &mut impl Read) -> Result<Frame, WireError> {
     if payload_len > MAX_FRAME {
         return Err(WireError::Corrupt);
     }
-    let mut payload = vec![0u8; payload_len as usize];
-    stream.read_exact(&mut payload)?;
+    // Read in bounded chunks so the buffer grows only as bytes arrive: a
+    // header that declares MAX_FRAME and then hangs up costs one chunk,
+    // not the declared length.
+    let len = payload_len as usize;
+    let mut payload = Vec::new();
+    while payload.len() < len {
+        let start = payload.len();
+        payload.resize(len.min(start + READ_CHUNK), 0);
+        stream.read_exact(&mut payload[start..])?;
+    }
     if crc32(&payload) != crc {
         return Err(WireError::Corrupt);
     }

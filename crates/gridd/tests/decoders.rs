@@ -8,8 +8,8 @@ use secbranch::campaign::{CampaignReport, EscapeRecord, LocationReport, OutcomeC
 use secbranch::obs::{parse_prometheus, HistogramSnapshot, Registry};
 use secbranch_gridd::protocol::{
     decode_cell, decode_done, decode_grid_request, decode_reject, encode_cell, encode_done,
-    encode_grid_request, encode_reject, read_frame, write_frame, REQ_GRID, RESP_CELL, RESP_DONE,
-    RESP_REJECT, RESP_STATS,
+    encode_grid_request, encode_reject, read_frame, write_frame, WireError, MAGIC, MAX_FRAME,
+    REQ_GRID, RESP_CELL, RESP_DONE, RESP_ERROR, RESP_REJECT, RESP_STATS,
 };
 use secbranch_gridd::{
     CellFrame, DoneFrame, GridRequest, RejectFrame, Served, StatsSnapshot, PROTOCOL_VERSION,
@@ -178,6 +178,45 @@ fn frame_reader_is_total() {
         let bytes = rng.input(&valid);
         let _ = read_frame(&mut bytes.as_slice());
     }
+}
+
+#[test]
+fn a_frame_cut_short_of_its_declared_length_is_an_io_error() {
+    let mut wire = Vec::new();
+    wire.extend_from_slice(&MAGIC);
+    wire.extend_from_slice(&PROTOCOL_VERSION.to_le_bytes());
+    wire.push(RESP_DONE);
+    wire.extend_from_slice(&MAX_FRAME.to_le_bytes());
+    wire.extend_from_slice(&0u32.to_le_bytes());
+    wire.extend_from_slice(&[0xAB; 10]);
+    match read_frame(&mut wire.as_slice()) {
+        Err(WireError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof),
+        other => panic!("expected an I/O error, got {other:?}"),
+    }
+}
+
+#[test]
+fn frames_with_a_bytewise_crc_are_read() {
+    // A frame built by hand around the CRC-32 of the pangram as the
+    // classic byte-wise loop computes it (the store's format tests pin the
+    // same value against that loop): two 16-byte blocks and an 11-byte
+    // tail, so both halves of the slice-by-16 kernel must agree with it.
+    let payload = b"The quick brown fox jumps over the lazy dog";
+    let mut wire = Vec::new();
+    wire.extend_from_slice(&MAGIC);
+    wire.extend_from_slice(&PROTOCOL_VERSION.to_le_bytes());
+    wire.push(RESP_ERROR);
+    wire.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    wire.extend_from_slice(&0x414F_A339u32.to_le_bytes());
+    wire.extend_from_slice(payload);
+    let mut written = Vec::new();
+    write_frame(&mut written, RESP_ERROR, payload).expect("writes");
+    assert_eq!(written, wire, "write_frame produces the same bytes");
+    let frame = read_frame(&mut wire.as_slice()).expect("reads");
+    assert_eq!(
+        (frame.kind, frame.payload.as_slice()),
+        (RESP_ERROR, &payload[..])
+    );
 }
 
 #[test]

@@ -304,7 +304,6 @@ impl EvictReport {
 #[derive(Debug)]
 pub struct GridStore {
     root: PathBuf,
-    tmp_counter: AtomicU64,
     trace_hits: AtomicU64,
     trace_misses: AtomicU64,
     cell_hits: AtomicU64,
@@ -338,7 +337,6 @@ impl GridStore {
         sweep_stale_staging(&root.join("tmp"));
         let store = GridStore {
             root,
-            tmp_counter: AtomicU64::new(0),
             trace_hits: AtomicU64::new(0),
             trace_misses: AtomicU64::new(0),
             cell_hits: AtomicU64::new(0),
@@ -444,10 +442,13 @@ impl GridStore {
     /// Writes `bytes` to `path` atomically: staged in `tmp/`, published by
     /// rename.
     fn publish(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+        // One counter per process, not per handle: two handles open on
+        // the same directory must never stage to the same file name.
+        static STAGED: AtomicU64 = AtomicU64::new(0);
         let staged = self.root.join("tmp").join(format!(
             "{}.{}.tmp",
             std::process::id(),
-            self.tmp_counter.fetch_add(1, Ordering::Relaxed),
+            STAGED.fetch_add(1, Ordering::Relaxed),
         ));
         fs::write(&staged, bytes)?;
         fs::rename(&staged, path)
