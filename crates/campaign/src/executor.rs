@@ -9,8 +9,9 @@
 //! *entire* matrix down to one job graph:
 //!
 //! 1. every cell's reference trace is fetched through a [`TraceStore`]
-//!    (recorded once per distinct `(artifact, entry, args)` key), and a
-//!    [`SuffixIndex`] is built once per key for liveness pruning,
+//!    (recorded once per distinct `(artifact, entry, args)` key); the
+//!    reference carries its [`SuffixIndex`] for liveness pruning, built on
+//!    its first use and shared by every later run over the store,
 //! 2. every cell's fault space is partitioned by its model's
 //!    [`FaultModel::plan`] into execution groups — multi-fault batches
 //!    sharing a first fault stay atomic, everything else splits freely —
@@ -266,8 +267,11 @@ const CYCLE_GUARD_WINDOW: u64 = 64;
 struct CycleGuard<'h, H: FaultHook + ?Sized> {
     /// Shared prover scoreboard for the shard, keyed by anchor pc.
     memo: &'h RefCell<HashMap<usize, ProveMemo>>,
-    /// Shard-shared scratch simulator for the prover's discovery walks.
-    scratch: &'h RefCell<Simulator>,
+    /// Shard-shared scratch simulator for the prover's discovery walks,
+    /// created from `source` on the shard's first proof attempt.
+    scratch: &'h RefCell<Option<Simulator>>,
+    /// The artifact under attack, for creating the scratch simulator.
+    source: &'h dyn SimulatorSource,
     inner: &'h mut H,
     /// First step eligible for anchoring: past the last injected fault (the
     /// inner hook returns only `Continue` from here on) and past the
@@ -301,11 +305,13 @@ impl<'h, H: FaultHook + ?Sized> CycleGuard<'h, H> {
         program: Arc<Program>,
         max_steps: u64,
         memo: &'h RefCell<HashMap<usize, ProveMemo>>,
-        scratch: &'h RefCell<Simulator>,
+        scratch: &'h RefCell<Option<Simulator>>,
+        source: &'h dyn SimulatorSource,
     ) -> Self {
         CycleGuard {
             memo,
             scratch,
+            source,
             inner,
             watch_from,
             program,
@@ -370,7 +376,8 @@ impl<H: FaultHook + ?Sized> FaultHook for CycleGuard<'_, H> {
                         self.tried_prove = true;
                         let _span =
                             secbranch_obs::span_with("prover", || format!("pc {pc} step {step}"));
-                        let scratch = &mut *self.scratch.borrow_mut();
+                        let mut scratch = self.scratch.borrow_mut();
+                        let scratch = scratch.get_or_insert_with(|| self.source.fresh_simulator());
                         let mut outcome = accel::prove_divergence(
                             &self.program,
                             machine,
@@ -428,21 +435,6 @@ impl<H: FaultHook + ?Sized> FaultHook for CycleGuard<'_, H> {
     }
 }
 
-/// This thread's cumulative CPU time in microseconds, from the scheduler's
-/// nanosecond execution account (`/proc/thread-self/schedstat`). `None` on
-/// platforms without that interface; callers fall back to wall-clock time.
-#[cfg(target_os = "linux")]
-fn thread_cpu_micros() -> Option<u64> {
-    let text = std::fs::read_to_string("/proc/thread-self/schedstat").ok()?;
-    let nanos: u64 = text.split_whitespace().next()?.parse().ok()?;
-    Some(nanos / 1_000)
-}
-
-#[cfg(not(target_os = "linux"))]
-fn thread_cpu_micros() -> Option<u64> {
-    None
-}
-
 /// Everything the per-point execution paths of one cell need, bundled so
 /// the resume helpers stay readable.
 struct CellExec<'a> {
@@ -453,8 +445,10 @@ struct CellExec<'a> {
     /// Prover scoreboard shared by every trial this shard runs, so loop
     /// shapes the prover keeps failing on stop being re-analysed.
     prove_memo: RefCell<HashMap<usize, ProveMemo>>,
-    /// Scratch simulator the prover replays run futures on.
-    scratch: RefCell<Simulator>,
+    /// Scratch simulator the prover replays run futures on; allocated only
+    /// when the shard's first proof attempt needs it (most shards never
+    /// consult the prover).
+    scratch: RefCell<Option<Simulator>>,
     /// Whether a `fast_forward` span has been recorded for this shard;
     /// checkpoint restores happen per fault point, so tracing each one would
     /// dwarf the work being traced. One representative span per shard keeps
@@ -551,6 +545,7 @@ impl CellExec<'_> {
             self.job.max_steps,
             &self.prove_memo,
             &self.scratch,
+            self.job.source,
         );
         let threshold = last_fault_step.max(cursor.steps_done() + 1);
         let mut cp_index = checkpoints.partition_point(|cp| cp.steps_done < threshold);
@@ -885,11 +880,14 @@ impl MatrixExecutor {
     /// small enough that a big cell splits across every worker.
     pub const DEFAULT_SHARD_SIZE: usize = 64;
 
-    /// An executor using all available parallelism.
+    /// An executor using all available parallelism (probed once per
+    /// process: the pool builds one executor per cell).
     #[must_use]
     pub fn new() -> Self {
+        static HOST_PARALLELISM: OnceLock<usize> = OnceLock::new();
         MatrixExecutor {
-            threads: thread::available_parallelism().map_or(1, usize::from),
+            threads: *HOST_PARALLELISM
+                .get_or_init(|| thread::available_parallelism().map_or(1, usize::from)),
             shard_size: MatrixExecutor::DEFAULT_SHARD_SIZE,
             ignore_cell_cache: false,
         }
@@ -1016,9 +1014,10 @@ impl MatrixExecutor {
             .collect();
 
         // Phase 1: reference traces for the live (non-cached) jobs,
-        // memoised per key, plus one liveness index per distinct key (a
-        // failed index build disables pruning for those cells — always
-        // safe — and nothing else).
+        // memoised per key, each with the liveness index its reference
+        // carries — built on the reference's first use in this store and
+        // reused by every later run (a failed index build disables pruning
+        // for those cells — always safe — and nothing else).
         let mut recorded: Vec<Option<Arc<RecordedReference>>> = vec![None; jobs.len()];
         let mut fetches: Vec<Option<TraceFetch>> = vec![None; jobs.len()];
         for (index, job) in jobs.iter().enumerate() {
@@ -1035,26 +1034,14 @@ impl MatrixExecutor {
             recorded[index] = Some(reference);
             fetches[index] = Some(fetch);
         }
-        let mut suffix_by_key: HashMap<&TraceKey, Option<Arc<SuffixIndex>>> = HashMap::new();
-        let suffixes: Vec<Option<Arc<SuffixIndex>>> = jobs
+        let suffixes: Vec<Option<&SuffixIndex>> = jobs
             .iter()
             .zip(&recorded)
             .map(|(job, reference)| {
-                let reference = reference.as_ref()?;
-                suffix_by_key
-                    .entry(&job.key)
-                    .or_insert_with(|| {
-                        let mut sim = job.source.fresh_simulator();
-                        SuffixIndex::build(
-                            &mut sim,
-                            &job.entry,
-                            &job.args,
-                            job.max_steps,
-                            &reference.trace,
-                        )
-                        .map(Arc::new)
-                    })
-                    .clone()
+                reference
+                    .as_ref()?
+                    .suffix_index(job.source, &job.entry, &job.args, job.max_steps)
+                    .map(|index| &**index)
             })
             .collect();
 
@@ -1164,14 +1151,14 @@ impl MatrixExecutor {
                 reference: recorded[shard.job]
                     .as_ref()
                     .expect("only live jobs have shards"),
-                suffix: suffixes[shard.job].as_deref(),
+                suffix: suffixes[shard.job],
                 store,
                 prove_memo: RefCell::new(HashMap::new()),
-                scratch: RefCell::new(job.source.fresh_simulator()),
+                scratch: RefCell::new(None),
                 ff_traced: Cell::new(false),
                 restore_traced: Cell::new(false),
             };
-            let cpu_start = thread_cpu_micros();
+            let cpu_start = secbranch_obs::thread_cpu_micros();
             let started = Instant::now();
             let mut stats = ShardStats::default();
             let mut outcomes: Vec<(Outcome, u32)> = Vec::new();
@@ -1188,7 +1175,7 @@ impl MatrixExecutor {
                     }
                 }
             }
-            stats.micros = match (cpu_start, thread_cpu_micros()) {
+            stats.micros = match (cpu_start, secbranch_obs::thread_cpu_micros()) {
                 // Meter shard compute on CPU time where the kernel exposes
                 // it: wall-clock timers overcount whenever workers
                 // oversubscribe the host, charging each shard for the time

@@ -69,7 +69,8 @@ impl CellKey {
 
 /// The persistable payload of one reference execution: a
 /// [`RecordedReference`] minus the program (see the [module docs](self) for
-/// why the program travels out of band).
+/// why the program travels out of band) and minus its liveness index, which
+/// is derived data a loaded reference rebuilds on first use.
 #[derive(Debug, Clone)]
 pub struct PersistedTrace {
     /// The step-by-step trace of the fault-free run.
@@ -91,12 +92,7 @@ impl PersistedTrace {
         self,
         program: std::sync::Arc<secbranch_armv7m::Program>,
     ) -> RecordedReference {
-        RecordedReference {
-            trace: self.trace,
-            program,
-            memory_size: self.memory_size,
-            checkpoints: self.checkpoints,
-        }
+        RecordedReference::new(self.trace, program, self.memory_size, self.checkpoints)
     }
 
     /// Borrows the persistable parts of a recording (the inverse of

@@ -316,6 +316,14 @@ pub(crate) fn assemble_report(
     let mut counts = OutcomeCounts::default();
     let mut by_pc: BTreeMap<usize, OutcomeCounts> = BTreeMap::new();
     let mut escapes = Vec::new();
+    // Each instruction is rendered once, however many escapes land on it.
+    let mut rendered: Vec<Option<String>> = vec![None; program.len()];
+    let mut instruction_text = |pc: usize| match rendered.get_mut(pc) {
+        Some(text) => text
+            .get_or_insert_with(|| program.instructions()[pc].to_string())
+            .clone(),
+        None => "<out of range>".to_string(),
+    };
     for (point, &(outcome, return_value)) in points.iter().zip(outcomes) {
         counts.record(outcome);
         let step = point.anchor_step();
@@ -326,7 +334,7 @@ pub(crate) fn assemble_report(
                 fault: point.to_string(),
                 step,
                 pc,
-                instruction: instruction_text(program, pc),
+                instruction: instruction_text(pc),
                 return_value,
             });
         }
@@ -336,7 +344,7 @@ pub(crate) fn assemble_report(
         .map(|(pc, counts)| LocationReport {
             pc,
             location: nearest_label(program, pc),
-            instruction: instruction_text(program, pc),
+            instruction: instruction_text(pc),
             counts,
         })
         .collect();
@@ -349,13 +357,6 @@ pub(crate) fn assemble_report(
         locations,
         escapes,
     }
-}
-
-fn instruction_text(program: &Program, pc: usize) -> String {
-    program
-        .instructions()
-        .get(pc)
-        .map_or_else(|| "<out of range>".to_string(), ToString::to_string)
 }
 
 /// The nearest label at or before `pc`, rendered as `label` or

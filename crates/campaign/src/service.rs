@@ -521,6 +521,49 @@ mod tests {
     }
 
     #[test]
+    fn cold_cells_reuse_the_liveness_index_of_their_reference() {
+        // A cold request recomputes its cells from the references the pool
+        // already holds: once a reference has been used, a later cell on
+        // it (another model, or the same one again) replays nothing to
+        // rebuild its liveness index.
+        let store = Arc::new(TraceStore::new());
+        let pool = ExecutorPool::new(Arc::clone(&store), 1, 4);
+        let run_cold = |model: Arc<dyn FaultModel + Send + Sync>| {
+            let (tx, rx) = mpsc::channel();
+            let mut request = request_for(model);
+            request.cold = true;
+            assert!(pool.submit(
+                0,
+                request,
+                Box::new(move |result| tx.send(result).expect("receiver alive")),
+            ));
+            rx.recv().expect("callback fired").expect("cell runs")
+        };
+        let index = || {
+            let reference = store
+                .reference(
+                    &TraceKey::new("max-artifact", "max", &[7, 3]),
+                    &max_simulator(),
+                    "max",
+                    &[7, 3],
+                    100,
+                )
+                .expect("stored");
+            Arc::clone(reference.built_suffix_index().expect("built"))
+        };
+        let first = run_cold(Arc::new(InstructionSkip));
+        let built = index();
+        for model in [
+            Arc::new(BranchInversion) as Arc<dyn FaultModel + Send + Sync>,
+            Arc::new(InstructionSkip),
+        ] {
+            run_cold(model);
+            assert!(Arc::ptr_eq(&built, &index()), "no second build");
+        }
+        assert_eq!(run_cold(Arc::new(InstructionSkip)).report, first.report);
+    }
+
+    #[test]
     fn failing_references_surface_through_the_callback() {
         let pool = ExecutorPool::new(Arc::new(TraceStore::new()), 1, 4);
         let mut bad = request_for(Arc::new(BranchInversion));

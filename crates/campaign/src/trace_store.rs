@@ -32,10 +32,11 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use secbranch_armv7m::{FaultAction, FaultHook, Instr, Machine, MachineState, Program, SimError};
 
+use crate::liveness::SuffixIndex;
 use crate::model::ReferenceTrace;
 use crate::persist::GridBackend;
 use crate::runner::SimulatorSource;
@@ -100,6 +101,12 @@ pub struct TraceCheckpoint {
 
 /// One recorded reference execution plus the static context fault models
 /// need to build their spaces over it.
+///
+/// It also carries the reference's liveness index ([`SuffixIndex`]), built
+/// by the first executor run that uses the reference and then shared by
+/// every later run over the same store entry
+/// ([`RecordedReference::built_suffix_index`]). The index is derived data:
+/// it is never persisted and never part of a fingerprint.
 #[derive(Debug)]
 pub struct RecordedReference {
     /// The step-by-step trace of the fault-free run.
@@ -111,9 +118,58 @@ pub struct RecordedReference {
     /// Machine checkpoints along the trace, in ascending `steps_done`
     /// order, starting with the pre-step-1 state.
     pub checkpoints: Vec<TraceCheckpoint>,
+    /// The liveness index once built; `Some(None)` when the replay diverged
+    /// and pruning stays off for this reference.
+    suffix: OnceLock<Option<Arc<SuffixIndex>>>,
 }
 
 impl RecordedReference {
+    /// A reference with its liveness index not yet built.
+    #[must_use]
+    pub fn new(
+        trace: ReferenceTrace,
+        program: Arc<Program>,
+        memory_size: u32,
+        checkpoints: Vec<TraceCheckpoint>,
+    ) -> Self {
+        RecordedReference {
+            trace,
+            program,
+            memory_size,
+            checkpoints,
+            suffix: OnceLock::new(),
+        }
+    }
+
+    /// The reference's liveness index, built on the first call by replaying
+    /// `entry(args)` on a fresh simulator from `source` and shared by every
+    /// later call. `None` — pruning disabled, which is always safe — when
+    /// the replay diverges from the trace.
+    ///
+    /// By the [`TraceKey`] contract, `source`, `entry`, `args` and
+    /// `max_steps` describe the execution this reference recorded.
+    pub(crate) fn suffix_index(
+        &self,
+        source: &dyn SimulatorSource,
+        entry: &str,
+        args: &[u32],
+        max_steps: u64,
+    ) -> Option<&Arc<SuffixIndex>> {
+        self.suffix
+            .get_or_init(|| {
+                let mut sim = source.fresh_simulator();
+                SuffixIndex::build(&mut sim, entry, args, max_steps, &self.trace).map(Arc::new)
+            })
+            .as_ref()
+    }
+
+    /// The liveness index if an executor run has built one; `None` before
+    /// the first build (or after one whose replay diverged).
+    #[must_use]
+    pub fn built_suffix_index(&self) -> Option<&Arc<SuffixIndex>> {
+        self.suffix.get()?.as_ref()
+    }
+
     /// The latest checkpoint usable for an injection anchored at dynamic
     /// step `anchor` — the one with the largest `steps_done < anchor`, so
     /// the anchor step itself still executes (and the fault hook still
@@ -234,16 +290,16 @@ fn record_reference_impl(
         ..TraceRecorder::default()
     };
     let result = sim.call_with_faults(entry, args, max_steps, &mut recorder)?;
-    Ok(RecordedReference {
-        trace: ReferenceTrace {
+    Ok(RecordedReference::new(
+        ReferenceTrace {
             result,
             pcs: recorder.pcs,
             conditional_steps: recorder.conditional_steps,
         },
-        program: Arc::clone(sim.shared_program()),
-        memory_size: sim.machine().memory_size(),
-        checkpoints: recorder.checkpoints,
-    })
+        Arc::clone(sim.shared_program()),
+        sim.machine().memory_size(),
+        recorder.checkpoints,
+    ))
 }
 
 /// How one [`TraceStore`] request was satisfied — the per-request truth the
@@ -456,11 +512,14 @@ impl StoreInner {
             };
             let entry = self.entries.get_mut(&victim).expect("victim exists");
             let old = &entry.reference;
+            // The liveness index does not depend on checkpoints: the
+            // stripped entry keeps it (or builds it later, if not yet built).
             let stripped = Arc::new(RecordedReference {
                 trace: old.trace.clone(),
                 program: Arc::clone(&old.program),
                 memory_size: old.memory_size,
                 checkpoints: Vec::new(),
+                suffix: old.suffix.clone(),
             });
             self.checkpoint_bytes -= entry.checkpoint_bytes;
             entry.checkpoint_bytes = 0;

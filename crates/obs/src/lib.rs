@@ -14,7 +14,9 @@
 //!
 //! * **[`mod@clock`]** — a process-wide monotonic microsecond clock
 //!   ([`monotonic_micros`]). All span timestamps share this origin, so
-//!   events from different threads land on one timeline.
+//!   events from different threads land on one timeline. Also the
+//!   per-thread CPU clock ([`thread_cpu_micros`]) shard compute is metered
+//!   on — the crate's one audited `unsafe` call.
 //! * **[`mod@trace`]** — span-based tracing. [`span`] / [`span_with`] return
 //!   RAII guards that record `(id, parent, label, t_start, t_end, thread,
 //!   detail)` events into a thread-local buffer, drained into an installed
@@ -51,14 +53,16 @@
 //! assert!(json.starts_with("{\"traceEvents\":["));
 //! ```
 
-#![forbid(unsafe_code)]
+// `deny`, not `forbid`: `clock::thread_cpu_micros` is the one audited
+// FFI call and carries the crate's only `#[allow(unsafe_code)]`.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod clock;
 pub mod metrics;
 pub mod trace;
 
-pub use clock::monotonic_micros;
+pub use clock::{monotonic_micros, thread_cpu_micros};
 pub use metrics::{parse_prometheus, Histogram, HistogramSnapshot, Registry, BUCKET_BOUNDS};
 pub use trace::{
     chrome_trace_json, enabled, flush_thread, install_sink, span, span_with, uninstall_sink, Span,

@@ -363,8 +363,8 @@ mod tests {
 
     fn sample_trace_record() -> (TraceKey, RecordedReference) {
         let key = TraceKey::new("artifact-fp", "entry", &[1, 2, 3]);
-        let recorded = RecordedReference {
-            trace: ReferenceTrace {
+        let recorded = RecordedReference::new(
+            ReferenceTrace {
                 result: ExecResult {
                     return_value: 7,
                     cycles: 100,
@@ -375,18 +375,18 @@ mod tests {
                 pcs: vec![0, 1, 2, 5, 6],
                 conditional_steps: vec![3],
             },
-            program: std::sync::Arc::new(
+            std::sync::Arc::new(
                 secbranch_armv7m::ProgramBuilder::new()
                     .assemble()
                     .expect("assembles"),
             ),
-            memory_size: 4096,
-            checkpoints: vec![TraceCheckpoint {
+            4096,
+            vec![TraceCheckpoint {
                 steps_done: 0,
                 pc: 0,
                 state: sample_state(),
             }],
-        };
+        );
         (key, recorded)
     }
 

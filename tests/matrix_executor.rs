@@ -4,11 +4,16 @@
 //! size, while recording each (artifact, entry, args) reference trace
 //! exactly once per matrix.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
 use secbranch::campaign::{
-    BranchInversion, CampaignRunner, DoubleInstructionSkip, FaultModel, InstructionSkip,
-    MatrixExecutor, RegisterBitFlip,
+    BranchInversion, CampaignReport, CampaignRunner, DoubleInstructionSkip, FaultModel,
+    GridBackend, InstructionSkip, MatrixExecutor, MatrixJob, RegisterBitFlip, SharedModule,
+    TraceFetch, TraceStore,
 };
 use secbranch::programs::{integer_compare_module, password_check_module};
+use secbranch::store::GridStore;
 use secbranch::{Pipeline, ProtectionVariant, Session, Workload};
 
 fn grid_workloads() -> Vec<Workload> {
@@ -302,4 +307,112 @@ fn matrix_reproduces_the_branch_inversion_result() {
             "{workload}: the encoded branch detects every inversion"
         );
     }
+}
+
+/// The liveness index lives with its reference: it is built on the
+/// reference's first use and every later single-cell run over the same
+/// store — another model on the same key, a run after the checkpoint
+/// budget stripped the entry — reuses that one allocation instead of
+/// replaying the reference again. A reference reloaded from a `GridStore`
+/// arrives without one and builds it on first use. Every report equals
+/// the sequential oracle's.
+#[test]
+fn each_reference_builds_its_liveness_index_once() {
+    let artifact = Pipeline::for_variant(ProtectionVariant::AnCode)
+        .with_memory_size(1 << 16)
+        .with_max_steps(100_000)
+        .build(&password_check_module(8))
+        .expect("builds");
+    let source = SharedModule {
+        compiled: artifact.compiled(),
+        memory_size: artifact.sim().memory_size,
+    };
+    let (entry, args, max_steps) = ("password_check", &[][..], artifact.sim().max_steps);
+    let key = artifact.trace_key(entry, args);
+    let skip = InstructionSkip;
+    let flip = RegisterBitFlip {
+        trials: 120,
+        seed: 0xC0FFEE,
+    };
+    let run = |executor: MatrixExecutor, model: &dyn FaultModel, store: &TraceStore| {
+        let job = MatrixJob {
+            source: &source,
+            key: key.clone(),
+            entry: entry.to_string(),
+            args: args.to_vec(),
+            max_steps,
+            model,
+        };
+        let mut results = executor.run(&[job], store).expect("cell runs");
+        results.pop().expect("one job in, one result out").report
+    };
+    let single = MatrixExecutor::new().with_threads(1);
+    let index_in = |store: &TraceStore| {
+        let reference = store
+            .reference(&key, &source, entry, args, max_steps)
+            .expect("stored");
+        reference.built_suffix_index().map(Arc::clone)
+    };
+
+    let store = TraceStore::new();
+    let skip_report = run(single, &skip, &store);
+    let index = index_in(&store).expect("the first run built the index");
+    let flip_report = run(single, &flip, &store);
+    let after_flip = index_in(&store).expect("still built");
+    assert!(
+        Arc::ptr_eq(&index, &after_flip),
+        "the second model's run reused the index"
+    );
+
+    store.set_checkpoint_budget(Some(0));
+    let stripped = store
+        .reference(&key, &source, entry, args, max_steps)
+        .expect("stored");
+    assert!(stripped.checkpoints.is_empty(), "the budget stripped them");
+    assert_eq!(run(single, &skip, &store), skip_report);
+    let after_strip = index_in(&store).expect("kept across the strip");
+    assert!(
+        Arc::ptr_eq(&index, &after_strip),
+        "the stripped entry kept the index"
+    );
+
+    let runner = CampaignRunner::new().with_threads(1);
+    for (report, model) in [
+        (&skip_report, &skip as &dyn FaultModel),
+        (&flip_report, &flip),
+    ] {
+        let oracle: CampaignReport = runner
+            .run(&source, entry, args, max_steps, model)
+            .expect("oracle runs");
+        assert_eq!(report.to_json(), oracle.to_json(), "{}", model.name());
+    }
+
+    // Disk reload: the persisted trace carries no index.
+    static COUNTER: AtomicU64 = AtomicU64::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "secbranch-liveness-{}-{}",
+        std::process::id(),
+        COUNTER.fetch_add(1, Ordering::Relaxed)
+    ));
+    let cold = TraceStore::new();
+    cold.attach_backend(Arc::new(GridStore::open(&dir).expect("opens")) as Arc<dyn GridBackend>);
+    assert_eq!(run(single, &skip, &cold), skip_report);
+    let warm = TraceStore::new();
+    warm.attach_backend(Arc::new(GridStore::open(&dir).expect("reopens")) as Arc<dyn GridBackend>);
+    let (loaded, fetch) = warm
+        .reference_traced(&key, &source, entry, args, max_steps)
+        .expect("loads");
+    assert_eq!(fetch, TraceFetch::Disk);
+    assert!(
+        loaded.built_suffix_index().is_none(),
+        "a loaded reference has not built its index yet"
+    );
+    let uncached = single.with_cell_cache_ignored(true);
+    assert_eq!(run(uncached, &skip, &warm), skip_report);
+    let reloaded = index_in(&warm).expect("built on first use");
+    assert_eq!(run(uncached, &flip, &warm), flip_report);
+    let reloaded_again = index_in(&warm).expect("still built");
+    assert!(Arc::ptr_eq(&reloaded, &reloaded_again));
+    assert!(!Arc::ptr_eq(&index, &reloaded), "one index per store entry");
+    let _ = std::fs::remove_dir_all(&dir);
 }
