@@ -943,5 +943,15 @@ mod tests {
         let mut pass = warm_pass();
         pass.recordings = 3;
         assert!(pass.to_json().contains("\"recordings\":3"));
+        pass.trace_disk_hits = 12;
+        pass.trace_misses = 1;
+        pass.cell_misses = 59;
+        assert_eq!(
+            pass.to_json(),
+            concat!(
+                r#"{"wall_micros":10,"trace_hits":0,"trace_disk_hits":12,"#,
+                r#""trace_misses":1,"cell_hits":4,"cell_misses":59,"recordings":3}"#,
+            )
+        );
     }
 }

@@ -423,3 +423,28 @@ fn run_benchmark(options: &Options) {
         series_json(&stats.series),
     );
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn done_frames_serialise_every_counter_in_order() {
+        let done = DoneFrame {
+            report_json: "{\"cells\":[]}".to_string(),
+            cells: 60,
+            warm_cells: 2,
+            computed_cells: 50,
+            coalesced_cells: 8,
+            recordings: 12,
+            wall_micros: u64::MAX,
+        };
+        assert_eq!(
+            done_json(&done),
+            concat!(
+                r#"{"cells":60,"warm_cells":2,"computed_cells":50,"coalesced_cells":8,"#,
+                r#""recordings":12,"wall_micros":18446744073709551615}"#,
+            )
+        );
+    }
+}

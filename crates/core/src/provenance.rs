@@ -81,6 +81,27 @@ mod tests {
         assert!(json.contains("\"passes\":[\"loop-decoupler\",\"an-coder\"]"));
         assert!(json.contains("\"pipeline_fingerprint\""));
         assert!(json.contains("\"artifact_fingerprint\""));
+        assert_eq!(
+            json,
+            concat!(
+                r#"{"module_hash":"00deadbeef001234","pipeline_fingerprint":"cfi=Full;passes=[x]","#,
+                r#""artifact_fingerprint":"cfi=Full;passes=[x]|module=00deadbeef001234","#,
+                r#""passes":["loop-decoupler","an-coder"]}"#,
+            )
+        );
+        let awkward = Provenance {
+            module_hash: "h\"q".to_string(),
+            pipeline_fingerprint: "p\\\n".to_string(),
+            artifact_fingerprint: "a\u{1}".to_string(),
+            passes: Vec::new(),
+        };
+        assert_eq!(
+            awkward.to_json(),
+            concat!(
+                r#"{"module_hash":"h\"q","pipeline_fingerprint":"p\\\n","#,
+                r#""artifact_fingerprint":"a\u0001","passes":[]}"#,
+            )
+        );
     }
 
     #[test]

@@ -252,3 +252,43 @@ impl SecurityReport {
         out
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn matrix_stats_serialise_every_field_in_order() {
+        let stats = MatrixStats {
+            threads: 4,
+            trace_hits: 48,
+            trace_disk_hits: 1,
+            trace_misses: 12,
+            cell_hits: 2,
+            cell_misses: 58,
+            total_wall_micros: 123_456,
+            cell_compute_micros: vec![7, 0, 90_001],
+            store_checkpoint_bytes: 65_536,
+            store_checkpoint_evictions: 3,
+            snapshot_restores: 3_607,
+            suffix_steps_saved: 4_047_424,
+            decoded_programs: 12,
+            decoded_uops: 9_876,
+            decode_micros: 55,
+        };
+        assert_eq!(
+            stats.to_json(),
+            concat!(
+                r#"{"threads":4,"trace_hits":48,"trace_disk_hits":1,"trace_misses":12,"#,
+                r#""cell_hits":2,"cell_misses":58,"total_wall_micros":123456,"#,
+                r#""cell_compute_micros":[7,0,90001],"store_checkpoint_bytes":65536,"#,
+                r#""store_checkpoint_evictions":3,"snapshot_restores":3607,"#,
+                r#""suffix_steps_saved":4047424,"decoded_programs":12,"#,
+                r#""decoded_uops":9876,"decode_micros":55}"#,
+            )
+        );
+        assert!(MatrixStats::default()
+            .to_json()
+            .contains(r#""total_wall_micros":0,"cell_compute_micros":[],"#));
+    }
+}

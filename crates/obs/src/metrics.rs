@@ -483,6 +483,19 @@ mod tests {
         assert!(json.contains("\"buckets\":[{\"le\":5,\"count\":2},{\"le\":1000,\"count\":1}]"));
         let empty = HistogramSnapshot::default().to_json();
         assert!(empty.contains("\"buckets\":[]"));
+        let overflowing = HistogramSnapshot::from_samples(&[3, 3, 700, 2_000_000]);
+        assert_eq!(
+            overflowing.to_json(),
+            concat!(
+                r#"{"count":4,"sum":2000706,"p50":5,"p90":1000000,"p95":1000000,"#,
+                r#""p99":1000000,"buckets":[{"le":5,"count":2},{"le":1000,"count":1},"#,
+                r#"{"le":null,"count":1}]}"#,
+            )
+        );
+        assert_eq!(
+            empty,
+            r#"{"count":0,"sum":0,"p50":0,"p90":0,"p95":0,"p99":0,"buckets":[]}"#
+        );
     }
 
     #[test]

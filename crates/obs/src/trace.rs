@@ -474,5 +474,25 @@ mod tests {
         assert!(json.contains("\"dur\":20"));
         assert!(json.contains("cell \\\"a\\\"\\n"), "details are escaped");
         assert_eq!(json.matches("\"ph\":\"M\"").count(), 2, "one per thread");
+
+        let awkward = vec![SpanEvent {
+            id: 7,
+            parent: 3,
+            label: "q\"b\\n\n\u{1}",
+            detail: "d\"\\\n\u{1}é".to_string(),
+            start_micros: 5,
+            end_micros: 9,
+            thread: 4,
+        }];
+        assert_eq!(
+            chrome_trace_json(&awkward),
+            concat!(
+                r#"{"traceEvents":[{"ph":"M","name":"thread_name","pid":1,"tid":4,"#,
+                r#""args":{"name":"obs-thread-4"}},"#,
+                r#"{"name":"q\"b\\n\n\u0001","ph":"X","ts":5,"dur":4,"pid":1,"tid":4,"#,
+                r#""args":{"id":7,"parent":3,"detail":"d\"\\\n\u0001é"}}]}"#,
+            )
+        );
+        assert_eq!(chrome_trace_json(&[]), r#"{"traceEvents":[]}"#);
     }
 }

@@ -770,3 +770,76 @@ impl GridBackend for GridStore {
         self.put_cell(key, report);
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn reports_serialise_every_counter_in_order() {
+        let stats = StoreStats {
+            trace_hits: 1,
+            trace_misses: 2,
+            cell_hits: 3,
+            cell_misses: 4,
+            writes: 5,
+            write_skips: 6,
+            write_errors: 7,
+            corrupt_dropped: 8,
+            migrated: u64::MAX,
+        };
+        assert_eq!(
+            stats.to_json(),
+            concat!(
+                r#"{"trace_hits":1,"trace_misses":2,"cell_hits":3,"cell_misses":4,"#,
+                r#""writes":5,"write_skips":6,"write_errors":7,"corrupt_dropped":8,"#,
+                r#""migrated":18446744073709551615}"#,
+            )
+        );
+        let scan = ScanReport {
+            trace_records: 12,
+            cell_records: 60,
+            corrupt_records: 1,
+            total_bytes: 4096,
+        };
+        assert_eq!(
+            scan.to_json(),
+            concat!(
+                r#"{"format_version":1,"trace_records":12,"cell_records":60,"#,
+                r#""corrupt_records":1,"total_bytes":4096}"#,
+            )
+        );
+        let compact = CompactReport {
+            retained: 9,
+            removed_traces: 2,
+            removed_cells: 3,
+            removed_corrupt: 0,
+            reclaimed_bytes: 777,
+        };
+        assert_eq!(
+            compact.to_json(),
+            concat!(
+                r#"{"retained":9,"removed_traces":2,"removed_cells":3,"#,
+                r#""removed_corrupt":0,"reclaimed_bytes":777}"#,
+            )
+        );
+        let evict = EvictReport {
+            examined: 72,
+            evicted: 5,
+            reclaimed_bytes: 1000,
+            retained_bytes: 0,
+        };
+        assert_eq!(
+            evict.to_json(),
+            r#"{"examined":72,"evicted":5,"reclaimed_bytes":1000,"retained_bytes":0}"#
+        );
+        assert_eq!(
+            StoreStats::default().to_json(),
+            concat!(
+                r#"{"trace_hits":0,"trace_misses":0,"cell_hits":0,"cell_misses":0,"#,
+                r#""writes":0,"write_skips":0,"write_errors":0,"corrupt_dropped":0,"#,
+                r#""migrated":0}"#,
+            )
+        );
+    }
+}
