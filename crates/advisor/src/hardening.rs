@@ -16,11 +16,11 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use secbranch::campaign::{
-    json_string, BranchInversion, CampaignReport, FaultModel, InstructionSkip, MatrixExecutor,
-    TraceStore,
+    BranchInversion, CampaignReport, FaultModel, InstructionSkip, MatrixExecutor, TraceStore,
 };
 use secbranch::codegen::HardenRegion;
 use secbranch::ir::BlockId;
+use secbranch::obs::json::Fixed;
 use secbranch::passes::{standard_protection_pipeline, AnCoderConfig};
 use secbranch::{Artifact, BuildError, Measurement, Pipeline, Workload};
 
@@ -133,39 +133,22 @@ impl HardeningConfig {
     pub fn harden_region_count(&self) -> usize {
         self.harden.values().map(BTreeSet::len).sum()
     }
+}
 
-    /// Hand-rolled JSON of the configuration (deterministic order).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"an_targets\":{");
-        for (i, (function, blocks)) in self.an_targets.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let list: Vec<String> = blocks.iter().map(|b| b.0.to_string()).collect();
-            out.push_str(&format!("{}:[{}]", json_string(function), list.join(",")));
-        }
-        out.push_str("},\"cfi_functions\":[");
-        for (i, function) in self.cfi_functions.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&json_string(function));
-        }
-        out.push_str("],\"harden\":{");
-        for (i, (function, regions)) in self.harden.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let list: Vec<String> = regions
-                .iter()
-                .map(|r| json_string(&region_key(*r)))
-                .collect();
-            out.push_str(&format!("{}:[{}]", json_string(function), list.join(",")));
-        }
-        out.push_str("}}");
-        out
-    }
+secbranch::obs::impl_to_json! { HardeningConfig |c|
+    an_targets: listed_per_function(&c.an_targets, |block| block.0),
+    cfi_functions: c.cfi_functions.iter().collect::<Vec<_>>(),
+    harden: listed_per_function(&c.harden, |region| region_key(*region)),
+}
+
+/// A function → set map with each set written as a list of `item`s.
+fn listed_per_function<T, V>(
+    map: &BTreeMap<String, BTreeSet<T>>,
+    item: impl Fn(&T) -> V,
+) -> BTreeMap<&str, Vec<V>> {
+    map.iter()
+        .map(|(function, set)| (function.as_str(), set.iter().map(&item).collect()))
+        .collect()
 }
 
 /// What one hardening round saw.
@@ -191,6 +174,10 @@ impl RoundRecord {
     }
 }
 
+secbranch::obs::impl_to_json! { RoundRecord |r|
+    round, escapes: r.escapes_by_model, an_blocks, harden_regions, cfi_functions,
+}
+
 /// One measured protection variant next to the campaign escapes it leaves.
 #[derive(Debug, Clone, PartialEq)]
 pub struct VariantOutcome {
@@ -212,29 +199,16 @@ impl VariantOutcome {
     pub fn total_escapes(&self) -> u64 {
         self.escapes_by_model.values().sum()
     }
+}
 
-    fn to_json(&self) -> String {
-        let mut escapes = String::from("{");
-        for (i, (model, count)) in self.escapes_by_model.iter().enumerate() {
-            if i > 0 {
-                escapes.push(',');
-            }
-            escapes.push_str(&format!("{}:{}", json_string(model), count));
-        }
-        escapes.push('}');
-        format!(
-            "{{\"label\":{},\"cycles\":{},\"code_size_bytes\":{},\
-             \"entry_size_bytes\":{},\"escapes\":{},\
-             \"runtime_overhead_percent\":{:.2},\"size_overhead_percent\":{:.2}}}",
-            json_string(&self.label),
-            self.measurement.result.cycles,
-            self.measurement.code_size_bytes,
-            self.measurement.entry_size_bytes,
-            escapes,
-            self.runtime_overhead_percent,
-            self.size_overhead_percent,
-        )
-    }
+secbranch::obs::impl_to_json! { VariantOutcome |v|
+    label,
+    cycles: v.measurement.result.cycles,
+    code_size_bytes: v.measurement.code_size_bytes,
+    entry_size_bytes: v.measurement.entry_size_bytes,
+    escapes: v.escapes_by_model,
+    runtime_overhead_percent: Fixed(v.runtime_overhead_percent, 2),
+    size_overhead_percent: Fixed(v.size_overhead_percent, 2),
 }
 
 /// The complete result of one advise run on one workload.
@@ -262,49 +236,6 @@ pub struct AdvisorOutcome {
 }
 
 impl AdvisorOutcome {
-    /// Hand-rolled JSON of the outcome. Contains no timing or
-    /// machine-dependent data, so it is byte-identical across campaign
-    /// thread counts.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut rounds = String::from("[");
-        for (i, r) in self.rounds.iter().enumerate() {
-            if i > 0 {
-                rounds.push(',');
-            }
-            let mut escapes = String::from("{");
-            for (j, (model, count)) in r.escapes_by_model.iter().enumerate() {
-                if j > 0 {
-                    escapes.push(',');
-                }
-                escapes.push_str(&format!("{}:{}", json_string(model), count));
-            }
-            escapes.push('}');
-            rounds.push_str(&format!(
-                "{{\"round\":{},\"escapes\":{},\"an_blocks\":{},\
-                 \"harden_regions\":{},\"cfi_functions\":{}}}",
-                r.round, escapes, r.an_blocks, r.harden_regions, r.cfi_functions
-            ));
-        }
-        rounds.push(']');
-        format!(
-            "{{\"workload\":{},\"entry\":{},\"converged\":{},\
-             \"baseline\":{{\"cycles\":{},\"code_size_bytes\":{}}},\
-             \"remediation\":{},\"rounds\":{},\"config\":{},\
-             \"selective\":{},\"full\":{}}}",
-            json_string(&self.workload),
-            json_string(&self.entry),
-            self.converged,
-            self.baseline.result.cycles,
-            self.baseline.code_size_bytes,
-            self.remediation.to_json(),
-            rounds,
-            self.config.to_json(),
-            self.selective.to_json(),
-            self.full.to_json(),
-        )
-    }
-
     /// Renders a human-readable summary: the remediation table, the round
     /// progression and the selective-vs-full comparison.
     #[must_use]
@@ -352,6 +283,20 @@ impl AdvisorOutcome {
         }
         out
     }
+}
+
+// The outcome's JSON holds no timing or machine-dependent data, so it is
+// byte-identical across campaign thread counts.
+secbranch::obs::impl_to_json! { AdvisorOutcome |o|
+    workload, entry, converged, baseline: Baseline(&o.baseline), remediation, rounds, config,
+    selective, full,
+}
+
+/// The unprotected measurement as the advisor's JSON reports it.
+struct Baseline<'a>(&'a Measurement);
+
+secbranch::obs::impl_to_json! { Baseline<'_> |b|
+    cycles: b.0.result.cycles, code_size_bytes: b.0.code_size_bytes,
 }
 
 /// The closed-loop selective-hardening driver.

@@ -1,5 +1,5 @@
 //! The remediation report: per-location escape causes and the recommended
-//! countermeasure, rendered as a text table and hand-rolled JSON.
+//! countermeasure, rendered as a text table and JSON.
 //!
 //! Entries aggregate [`CategorizedEscape`]s by `(function, region,
 //! category)` and are emitted in that (fully deterministic) order, so the
@@ -8,7 +8,6 @@
 
 use std::collections::BTreeMap;
 
-use secbranch::campaign::json_string;
 use secbranch::codegen::HardenRegion;
 
 use crate::category::{region_key, CategorizedEscape, FaultCategory};
@@ -111,46 +110,19 @@ impl RemediationReport {
         }
         out
     }
+}
 
-    /// Serialises the report as JSON (hand-rolled, deterministic field and
-    /// entry order).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str(&format!(
-            "\"workload\":{},\"total_escapes\":{},\"entries\":[",
-            json_string(&self.workload),
-            self.total_escapes
-        ));
-        for (i, e) in self.entries.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let mut models = String::from("{");
-            for (j, (model, count)) in e.by_model.iter().enumerate() {
-                if j > 0 {
-                    models.push(',');
-                }
-                models.push_str(&format!("{}:{}", json_string(model), count));
-            }
-            models.push('}');
-            out.push_str(&format!(
-                "{{\"function\":{},\"region\":{},\"category\":{},\
-                 \"countermeasure\":{},\"escapes\":{},\"by_model\":{},\
-                 \"example_pc\":{},\"example_instruction\":{}}}",
-                json_string(&e.function),
-                json_string(&region_key(e.region)),
-                json_string(e.category.key()),
-                json_string(e.countermeasure),
-                e.escapes,
-                models,
-                e.example_pc,
-                json_string(&e.example_instruction),
-            ));
-        }
-        out.push_str("]}");
-        out
-    }
+secbranch::obs::impl_to_json! { RemediationReport |r| workload, total_escapes, entries }
+
+secbranch::obs::impl_to_json! { RemediationEntry |e|
+    function,
+    region: region_key(e.region),
+    category: e.category.key(),
+    countermeasure,
+    escapes,
+    by_model,
+    example_pc,
+    example_instruction,
 }
 
 #[cfg(test)]

@@ -35,6 +35,7 @@ use secbranch::campaign::{
     BranchInversion, CampaignRunner, DoubleInstructionSkip, FaultModel, InstructionSkip,
     MatrixExecutor, MemoryBitFlip, RegisterBitFlip,
 };
+use secbranch::obs::json::{self, Fixed};
 use secbranch::programs::{
     crc32_table_module, integer_compare_module, memcmp_module, password_check_module,
     pin_retry_module,
@@ -42,6 +43,7 @@ use secbranch::programs::{
 use secbranch::store::GridStore;
 use secbranch::{MatrixStats, Pipeline, ProtectionVariant, SecurityReport, Session, Workload};
 use secbranch_advisor::SelectiveHardening;
+use secbranch_bench::print_json_object;
 
 fn usage(message: &str) -> ! {
     eprintln!("{message}");
@@ -364,11 +366,11 @@ fn main() {
         let scan = grid
             .scan()
             .unwrap_or_else(|e| fail("scanning the grid store", &e));
-        println!(
-            "{{\"max_bytes\":{max_bytes},\"evict\":{},\"scan\":{}}}",
-            report.to_json(),
-            scan.to_json()
-        );
+        print_json_object(|o| {
+            o.field("max_bytes", &max_bytes)
+                .field("evict", &report)
+                .field("scan", &scan);
+        });
         return;
     }
 
@@ -541,8 +543,9 @@ fn run_advise(options: &Options) {
         usage("--advise needs at least one workload");
     }
     if options.json {
-        let parts: Vec<String> = outcomes.iter().map(|o| o.to_json()).collect();
-        println!("{{\"advise\":[{}]}}", parts.join(","));
+        print_json_object(|o| {
+            o.field("advise", &outcomes);
+        });
     } else {
         for outcome in &outcomes {
             println!("=== {} ===", outcome.workload);
@@ -596,11 +599,9 @@ fn compact_store(grid: &Arc<GridStore>, options: &Options) {
     let scan = grid
         .scan()
         .unwrap_or_else(|e| fail("scanning the grid store", &e));
-    println!(
-        "{{\"compact\":{},\"scan\":{}}}",
-        report.to_json(),
-        scan.to_json()
-    );
+    print_json_object(|o| {
+        o.field("compact", &report).field("scan", &scan);
+    });
 }
 
 /// One executor pass of the `--matrix` benchmark, condensed for the JSON
@@ -641,20 +642,10 @@ impl PassSummary {
             && self.cell_hits > 0
             && self.cell_misses == 0
     }
+}
 
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"wall_micros\":{},\"trace_hits\":{},\"trace_disk_hits\":{},\
-             \"trace_misses\":{},\"cell_hits\":{},\"cell_misses\":{},\"recordings\":{}}}",
-            self.wall_micros,
-            self.trace_hits,
-            self.trace_disk_hits,
-            self.trace_misses,
-            self.cell_hits,
-            self.cell_misses,
-            self.recordings,
-        )
-    }
+secbranch::obs::impl_to_json! { PassSummary |p|
+    wall_micros, trace_hits, trace_disk_hits, trace_misses, cell_hits, cell_misses, recordings,
 }
 
 /// The `--matrix` benchmark: one fixed grid (4 workloads × variants ×
@@ -759,77 +750,65 @@ fn run_matrix_benchmark(
         .collect();
 
     if options.json {
-        let cell_micros: Vec<String> = matrix
-            .stats
-            .cell_compute_micros
-            .iter()
-            .map(u64::to_string)
-            .collect();
-        let per_model_json = if options.per_model {
-            let entries: Vec<String> = per_model
-                .iter()
-                .map(|(name, micros)| {
-                    format!(
-                        "{{\"model\":{},\"compute_micros\":{micros}}}",
-                        secbranch::campaign::json_string(name)
-                    )
-                })
-                .collect();
-            format!(",\"per_model\":[{}]", entries.join(","))
-        } else {
-            String::new()
-        };
-        let store_json = match (&warm, grid) {
-            (Some(warm), Some(grid)) => format!(
-                "{{\"dir\":{},\"first\":{},\"warm\":{},\"first_warm\":{},\
-                 \"runtime\":{}}}",
-                secbranch::campaign::json_string(&grid.root().display().to_string()),
-                first.to_json(),
-                warm.to_json(),
-                first.is_warm(),
-                grid.stats().to_json(),
-            ),
-            _ => "null".to_string(),
-        };
-        println!(
-            "{{\"grid\":{{\"workloads\":{},\"pipelines\":{},\"models\":{},\"cells\":{}}},\
-             \"threads\":{},\"shard_size\":{},\"host_parallelism\":{},\"trials\":{},\
-             \"max_steps\":{},\"build_micros\":{},\
-             \"sequential\":{{\"wall_micros\":{},\"trace_hits\":0,\"trace_misses\":{}}},\
-             \"matrix\":{{\"wall_micros\":{},\"trace_hits\":{},\"trace_disk_hits\":{},\
-             \"trace_misses\":{},\"cell_hits\":{},\"cell_misses\":{},\
-             \"cell_compute_micros\":[{}],\"snapshot_restores\":{},\
-             \"suffix_steps_saved\":{},\"decoded_programs\":{},\"decoded_uops\":{},\
-             \"decode_micros\":{},\"compute_histogram\":{}{per_model_json}}},\
-             \"store\":{store_json},\
-             \"speedup\":{:.3},\"identical\":true}}",
-            matrix.workloads.len(),
-            matrix.pipelines.len(),
-            matrix.models.len(),
-            matrix.cells.len(),
-            executor.threads(),
-            executor.shard_size(),
-            std::thread::available_parallelism().map_or(1, usize::from),
-            options.trials,
-            options.effective_max_steps(),
-            build_micros,
-            sequential.stats.total_wall_micros,
-            sequential.stats.trace_misses,
-            first.wall_micros,
-            first.trace_hits,
-            first.trace_disk_hits,
-            first.trace_misses,
-            first.cell_hits,
-            first.cell_misses,
-            cell_micros.join(","),
-            matrix.stats.snapshot_restores,
-            matrix.stats.suffix_steps_saved,
-            matrix.stats.decoded_programs,
-            matrix.stats.decoded_uops,
-            matrix.stats.decode_micros,
-            matrix.stats.compute_histogram().to_json(),
-            speedup,
-        );
+        let stats = &matrix.stats;
+        print_json_object(|o| {
+            o.object("grid", |g| {
+                g.field("workloads", &matrix.workloads.len())
+                    .field("pipelines", &matrix.pipelines.len())
+                    .field("models", &matrix.models.len())
+                    .field("cells", &matrix.cells.len());
+            })
+            .field("threads", &executor.threads())
+            .field("shard_size", &executor.shard_size())
+            .field(
+                "host_parallelism",
+                &std::thread::available_parallelism().map_or(1, usize::from),
+            )
+            .field("trials", &options.trials)
+            .field("max_steps", &options.effective_max_steps())
+            .field("build_micros", &build_micros)
+            .object("sequential", |q| {
+                q.field("wall_micros", &sequential.stats.total_wall_micros)
+                    .field("trace_hits", &0u32)
+                    .field("trace_misses", &sequential.stats.trace_misses);
+            })
+            .object("matrix", |m| {
+                m.field("wall_micros", &first.wall_micros)
+                    .field("trace_hits", &first.trace_hits)
+                    .field("trace_disk_hits", &first.trace_disk_hits)
+                    .field("trace_misses", &first.trace_misses)
+                    .field("cell_hits", &first.cell_hits)
+                    .field("cell_misses", &first.cell_misses)
+                    .field("cell_compute_micros", &stats.cell_compute_micros)
+                    .field("snapshot_restores", &stats.snapshot_restores)
+                    .field("suffix_steps_saved", &stats.suffix_steps_saved)
+                    .field("decoded_programs", &stats.decoded_programs)
+                    .field("decoded_uops", &stats.decoded_uops)
+                    .field("decode_micros", &stats.decode_micros)
+                    .field("compute_histogram", &stats.compute_histogram());
+                if options.per_model {
+                    m.array("per_model", |a| {
+                        for (name, micros) in &per_model {
+                            a.object(|e| {
+                                e.field("model", name).field("compute_micros", micros);
+                            });
+                        }
+                    });
+                }
+            })
+            .field_with("store", |out| match (&warm, grid) {
+                (Some(warm), Some(grid)) => json::object(out, |s| {
+                    s.field("dir", &grid.root().display().to_string())
+                        .field("first", &first)
+                        .field("warm", warm)
+                        .field("first_warm", &first.is_warm())
+                        .field("runtime", &grid.stats());
+                }),
+                _ => out.push_str("null"),
+            })
+            .field("speedup", &Fixed(speedup, 3))
+            .field("identical", &true);
+        });
         return;
     }
     println!(

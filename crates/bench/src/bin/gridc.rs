@@ -23,8 +23,9 @@ use std::fmt::Write as _;
 use std::process::exit;
 use std::time::{Duration, Instant};
 
-use secbranch::campaign::json_string;
+use secbranch::obs::json;
 use secbranch::obs::HistogramSnapshot;
+use secbranch_bench::print_json_object;
 use secbranch_gridd::{DoneFrame, GridClient, GridRequest};
 
 fn usage(message: &str) -> ! {
@@ -170,16 +171,7 @@ fn connect(addr: &str) -> GridClient {
 }
 
 fn done_json(done: &DoneFrame) -> String {
-    format!(
-        "{{\"cells\":{},\"warm_cells\":{},\"computed_cells\":{},\"coalesced_cells\":{},\
-         \"recordings\":{},\"wall_micros\":{}}}",
-        done.cells,
-        done.warm_cells,
-        done.computed_cells,
-        done.coalesced_cells,
-        done.recordings,
-        done.wall_micros,
-    )
+    done.to_json()
 }
 
 /// One grid request with per-cell progress on stderr.
@@ -272,7 +264,7 @@ fn main() {
         if options.stats && !options.json {
             print!("{}", render_stats_table(&snapshot.series));
         } else {
-            println!("{}", series_json(&snapshot.series));
+            println!("{}", json::to_string(&snapshot.series));
         }
         return;
     }
@@ -284,12 +276,12 @@ fn main() {
 
     if options.clients > 1 {
         let (results, wall_micros) = run_concurrent(&options, options.clients, options.cold);
-        println!(
-            "{{\"clients\":{},\"identical\":true,\"wall_micros\":{},\"results\":[{}]}}",
-            options.clients,
-            wall_micros,
-            results.iter().map(done_json).collect::<Vec<_>>().join(","),
-        );
+        print_json_object(|o| {
+            o.field("clients", &options.clients)
+                .field("identical", &true)
+                .field("wall_micros", &wall_micros)
+                .field("results", &results);
+        });
         return;
     }
 
@@ -312,15 +304,6 @@ fn rate(part: u64, whole: u64) -> String {
     } else {
         format!("{:.1}%", part as f64 * 100.0 / whole as f64)
     }
-}
-
-/// The series map as one flat JSON object, keys in series order.
-fn series_json(series: &BTreeMap<String, u64>) -> String {
-    let fields: Vec<String> = series
-        .iter()
-        .map(|(key, value)| format!("{}:{value}", json_string(key)))
-        .collect();
-    format!("{{{}}}", fields.join(","))
 }
 
 /// `--stats` without `--json`: the series as a table a human can read at a
@@ -401,27 +384,33 @@ fn run_benchmark(options: &Options) {
         );
     }
     let stats = client.stats().unwrap_or_else(|e| fail("stats", &e));
-    println!(
-        "{{\"grid\":{{\"workloads\":{},\"variants\":{},\"models\":{},\"cells\":{}}},\
-         \"trials\":{},\"max_steps\":{},\"cold\":{},\
-         \"first\":{},\"warm\":{},\"first_was_warm\":{},\"warm_was_warm\":{},\
-         \"concurrent\":{{\"clients\":{},\"wall_micros\":{},\"identical\":true}},\
-         \"daemon\":{}}}",
-        options.workloads.len(),
-        options.variants.len(),
-        options.models.len(),
-        first.cells,
-        options.trials,
-        options.max_steps,
-        options.cold,
-        done_json(&first),
-        done_json(&warm),
-        first.computed_cells == 0 && first.recordings == 0,
-        warm.computed_cells == 0 && warm.recordings == 0,
-        clients,
-        concurrent_wall,
-        series_json(&stats.series),
-    );
+    print_json_object(|o| {
+        o.object("grid", |g| {
+            g.field("workloads", &options.workloads.len())
+                .field("variants", &options.variants.len())
+                .field("models", &options.models.len())
+                .field("cells", &first.cells);
+        })
+        .field("trials", &options.trials)
+        .field("max_steps", &options.max_steps)
+        .field("cold", &options.cold)
+        .field("first", &first)
+        .field("warm", &warm)
+        .field(
+            "first_was_warm",
+            &(first.computed_cells == 0 && first.recordings == 0),
+        )
+        .field(
+            "warm_was_warm",
+            &(warm.computed_cells == 0 && warm.recordings == 0),
+        )
+        .object("concurrent", |c| {
+            c.field("clients", &clients)
+                .field("wall_micros", &concurrent_wall)
+                .field("identical", &true);
+        })
+        .field("daemon", &stats.series);
+    });
 }
 
 #[cfg(test)]

@@ -15,8 +15,16 @@ use std::process::exit;
 
 // The single home of the Table III cell formatting, re-exported so the
 // binaries only need the harness crate.
+use secbranch::obs::json;
 pub use secbranch::overhead_cell;
 use secbranch::ProtectionVariant;
+
+/// Prints one JSON object, whose fields `fill` adds, as a line of stdout.
+pub fn print_json_object(fill: impl FnOnce(&mut json::Object<'_>)) {
+    let mut out = String::new();
+    json::object(&mut out, fill);
+    println!("{out}");
+}
 
 /// Parses the binaries' CLI arguments into protection variants using
 /// [`ProtectionVariant`]'s `FromStr` labels (`unprotected`, `cfi`,

@@ -100,8 +100,7 @@ pub use model::{
 pub use persist::{CellKey, GridBackend, PersistedTrace};
 pub use point::{FaultPoint, PointHook};
 pub use report::{
-    classify, json_string, push_json_string, rate, CampaignReport, EscapeRecord, LocationReport,
-    Outcome, OutcomeCounts,
+    classify, rate, CampaignReport, EscapeRecord, LocationReport, Outcome, OutcomeCounts,
 };
 pub use runner::{CampaignRunner, OwnedModule, SharedModule, SimulatorSource};
 pub use service::{CellRequest, Completion, ExecutorPool, PoolError, PoolStats};

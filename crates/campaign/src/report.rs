@@ -4,6 +4,7 @@
 use std::fmt::Write as _;
 
 use secbranch_armv7m::ExecResult;
+use secbranch_obs::json::{self, Fixed, ToJson};
 
 /// Classification of a faulted run against the fault-free reference.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -200,10 +201,9 @@ impl CampaignReport {
         out
     }
 
-    /// Serialises the report as a self-contained JSON document (hand-rolled:
-    /// the offline build has no serde). The output is fully deterministic —
-    /// the engine guarantees byte-identical reports independent of the
-    /// worker-thread count.
+    /// Serialises the report as a self-contained JSON document. The output
+    /// is fully deterministic — the engine guarantees byte-identical
+    /// reports independent of the worker-thread count.
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(self.json_size_hint());
@@ -215,54 +215,20 @@ impl CampaignReport {
     /// `out` already holds untouched — so a caller embedding many reports
     /// builds its whole document in one buffer.
     pub fn write_json(&self, out: &mut String) {
-        out.push_str("{\"model\":");
-        push_json_string(out, &self.model);
-        out.push_str(",\"entry\":");
-        push_json_string(out, &self.entry);
-        out.push_str(",\"args\":[");
-        for (i, arg) in self.args.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{arg}");
-        }
-        let _ = write!(
-            out,
-            "],\"reference\":{{\"return_value\":{},\"cycles\":{},\"instructions\":{}}},",
-            self.reference.return_value, self.reference.cycles, self.reference.instructions,
-        );
-        out.push_str("\"counts\":");
-        push_json_counts(out, &self.counts);
-        let _ = write!(out, ",\"escape_rate\":{:.9},", self.escape_rate());
-        out.push_str("\"locations\":[");
-        for (i, loc) in self.locations.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{{\"pc\":{},\"location\":", loc.pc);
-            push_json_string(out, &loc.location);
-            out.push_str(",\"instruction\":");
-            push_json_string(out, &loc.instruction);
-            out.push_str(",\"counts\":");
-            push_json_counts(out, &loc.counts);
-            out.push('}');
-        }
-        out.push_str("],\"escapes\":[");
-        for (i, esc) in self.escapes.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"fault\":");
-            push_json_string(out, &esc.fault);
-            let _ = write!(
-                out,
-                ",\"step\":{},\"pc\":{},\"instruction\":",
-                esc.step, esc.pc
-            );
-            push_json_string(out, &esc.instruction);
-            let _ = write!(out, ",\"return_value\":{}}}", esc.return_value);
-        }
-        out.push_str("]}");
+        json::object(out, |o| {
+            o.field("model", &self.model)
+                .field("entry", &self.entry)
+                .field("args", &self.args)
+                .object("reference", |r| {
+                    r.field("return_value", &self.reference.return_value)
+                        .field("cycles", &self.reference.cycles)
+                        .field("instructions", &self.reference.instructions);
+                })
+                .field("counts", &self.counts)
+                .field("escape_rate", &Fixed(self.escape_rate(), 9))
+                .field("locations", &self.locations)
+                .field("escapes", &self.escapes);
+        });
     }
 
     /// An estimate of [`CampaignReport::to_json`]'s length — the fixed
@@ -293,43 +259,17 @@ fn truncated(s: &str, max: usize) -> String {
     }
 }
 
-fn push_json_counts(out: &mut String, c: &OutcomeCounts) {
-    let _ = write!(
-        out,
-        "{{\"masked\":{},\"detected\":{},\"crashed\":{},\"wrong_result_undetected\":{}}}",
-        c.masked, c.detected, c.crashed, c.wrong_result_undetected
-    );
-}
-
-/// Escapes `s` as a JSON string literal (quotes included). Shared by every
-/// hand-rolled JSON serialiser of the workspace — the offline build has no
-/// serde.
-#[must_use]
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    push_json_string(&mut out, s);
-    out
-}
-
-/// Appends `s` to `out` as a JSON string literal (quotes included): the
-/// one escape routine behind [`json_string`] and every report writer.
-pub fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
+impl ToJson for CampaignReport {
+    fn write_json(&self, out: &mut String) {
+        CampaignReport::write_json(self, out);
     }
-    out.push('"');
 }
+
+secbranch_obs::impl_to_json! { OutcomeCounts |c| masked, detected, crashed, wrong_result_undetected }
+
+secbranch_obs::impl_to_json! { LocationReport |l| pc, location, instruction, counts }
+
+secbranch_obs::impl_to_json! { EscapeRecord |e| fault, step, pc, instruction, return_value }
 
 #[cfg(test)]
 mod tests {
@@ -377,12 +317,6 @@ mod tests {
         assert_eq!(classify(&reference, &flagged), Outcome::Detected);
         let crashed = Err(secbranch_armv7m::SimError::StepLimitExceeded { limit: 5 });
         assert_eq!(classify(&reference, &crashed), Outcome::Crashed);
-    }
-
-    #[test]
-    fn json_strings_are_escaped() {
-        assert_eq!(json_string("a\"b\\c"), "\"a\\\"b\\\\c\"");
-        assert_eq!(json_string("tab\there"), "\"tab\\there\"");
     }
 
     fn awkward_report() -> CampaignReport {

@@ -366,10 +366,15 @@ struct SnapshotEntry {
     bytes: usize,
 }
 
+/// The one load or recording of a missed key that is under way: its
+/// first requester fills the slot, concurrent requesters wait on it.
+type Flight = Arc<OnceLock<Result<Arc<RecordedReference>, SimError>>>;
+
 /// The lock-guarded interior of a [`TraceStore`].
 #[derive(Debug)]
 struct StoreInner {
     entries: HashMap<TraceKey, StoreEntry>,
+    in_flight: HashMap<TraceKey, Flight>,
     snapshots: HashMap<(TraceKey, u64), SnapshotEntry>,
     tick: u64,
     checkpoint_bytes: usize,
@@ -383,6 +388,7 @@ impl Default for StoreInner {
     fn default() -> Self {
         StoreInner {
             entries: HashMap::new(),
+            in_flight: HashMap::new(),
             snapshots: HashMap::new(),
             tick: 0,
             checkpoint_bytes: 0,
@@ -742,7 +748,7 @@ impl TraceStore {
         args: &[u32],
         max_steps: u64,
     ) -> Result<(Arc<RecordedReference>, TraceFetch), SimError> {
-        let backend = {
+        let (flight, backend) = {
             let mut inner = self.inner.lock().expect("trace store poisoned");
             if let Some(entry) = inner.entries.get(key) {
                 let found = Arc::clone(&entry.reference);
@@ -750,35 +756,47 @@ impl TraceStore {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 return Ok((found, TraceFetch::Memory));
             }
-            inner.backend.clone()
+            let flight = Arc::clone(inner.in_flight.entry(key.clone()).or_default());
+            (flight, inner.backend.clone())
         };
-        // Disk, then recording, both outside the lock: loads and recordings
-        // are slow and deterministic, so a concurrent duplicate wastes a
-        // little work but never changes the stored value.
-        if let Some(backend) = &backend {
-            if let Some(persisted) = backend.load_trace(key) {
+        // Single flight: the first requester of a missed key loads or
+        // records it outside the lock, and concurrent requesters of the same
+        // key wait for that result instead of recording again — so the
+        // counters do not depend on thread timing.
+        let mut fetch = TraceFetch::Memory;
+        let result = flight.get_or_init(|| {
+            let result = if let Some(persisted) = backend.as_ref().and_then(|b| b.load_trace(key)) {
                 // Reattach the program from the requesting source — by the
                 // key contract it is the program the trace was recorded on.
                 let program = Arc::clone(source.fresh_simulator().shared_program());
-                let loaded = Arc::new(persisted.into_recorded(program));
                 self.disk_hits.fetch_add(1, Ordering::Relaxed);
-                let mut inner = self.inner.lock().expect("trace store poisoned");
-                let stored = inner.insert(key, loaded, &self.evictions);
-                return Ok((stored, TraceFetch::Disk));
-            }
+                fetch = TraceFetch::Disk;
+                Ok(Arc::new(persisted.into_recorded(program)))
+            } else {
+                self.misses.fetch_add(1, Ordering::Relaxed);
+                fetch = TraceFetch::Recorded;
+                let recorded = {
+                    let _span = secbranch_obs::span_with("reference", || {
+                        format!("{} {}", key.artifact, entry)
+                    });
+                    record_reference(source, entry, args, max_steps).map(Arc::new)
+                };
+                if let (Ok(recorded), Some(backend)) = (&recorded, &backend) {
+                    backend.store_trace(key, recorded);
+                }
+                recorded
+            };
+            let mut inner = self.inner.lock().expect("trace store poisoned");
+            inner.in_flight.remove(key);
+            result.map(|reference| inner.insert(key, reference, &self.evictions))
+        });
+        let reference = result.clone()?;
+        if fetch == TraceFetch::Memory {
+            // Served by a concurrent request's load or recording.
+            self.inner.lock().expect("trace store poisoned").touch(key);
+            self.hits.fetch_add(1, Ordering::Relaxed);
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let recorded = {
-            let _span =
-                secbranch_obs::span_with("reference", || format!("{} {}", key.artifact, entry));
-            Arc::new(record_reference(source, entry, args, max_steps)?)
-        };
-        if let Some(backend) = &backend {
-            backend.store_trace(key, &recorded);
-        }
-        let mut inner = self.inner.lock().expect("trace store poisoned");
-        let stored = inner.insert(key, recorded, &self.evictions);
-        Ok((stored, TraceFetch::Recorded))
+        Ok((reference, fetch))
     }
 
     /// Registers the store's counters into an observability
@@ -1125,6 +1143,96 @@ mod tests {
         assert_eq!(store.snapshot_bytes(), 0, "budget drop evicts the rest");
         store.cache_spine_snapshot(&key, 5, snap(&mut sim));
         assert!(store.spine_snapshot(&key, 5).is_none());
+    }
+
+    /// A backend that finds nothing, slowly, and counts trace writes: the
+    /// delay keeps concurrent misses of one key overlapping.
+    #[derive(Default)]
+    struct SlowEmptyBackend {
+        trace_writes: AtomicU64,
+    }
+
+    impl GridBackend for SlowEmptyBackend {
+        fn load_trace(&self, _key: &TraceKey) -> Option<PersistedTrace> {
+            std::thread::sleep(std::time::Duration::from_millis(100));
+            None
+        }
+        fn store_trace(&self, _key: &TraceKey, _recorded: &RecordedReference) {
+            self.trace_writes.fetch_add(1, Ordering::Relaxed);
+        }
+        fn load_cell(
+            &self,
+            _key: &crate::persist::CellKey,
+        ) -> Option<crate::report::CampaignReport> {
+            None
+        }
+        fn store_cell(
+            &self,
+            _key: &crate::persist::CellKey,
+            _report: &crate::report::CampaignReport,
+        ) {
+        }
+    }
+
+    #[test]
+    fn concurrent_misses_of_one_key_record_it_once() {
+        const THREADS: usize = 8;
+        let store = TraceStore::new();
+        let backend = Arc::new(SlowEmptyBackend::default());
+        store.attach_backend(Arc::clone(&backend) as Arc<dyn GridBackend>);
+        let key = TraceKey::new("art", "max", &[7, 3]);
+        let barrier = std::sync::Barrier::new(THREADS);
+        let fetched: Vec<(Arc<RecordedReference>, TraceFetch)> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let sim = max_simulator();
+                        barrier.wait();
+                        store
+                            .reference_traced(&key, &sim, "max", &[7, 3], 100)
+                            .expect("records")
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        assert_eq!(store.misses(), 1, "one recording for one key");
+        assert_eq!(store.hits(), THREADS as u64 - 1, "the others waited for it");
+        assert_eq!(backend.trace_writes.load(Ordering::Relaxed), 1);
+        let recorded = fetched
+            .iter()
+            .filter(|(_, fetch)| *fetch == TraceFetch::Recorded)
+            .count();
+        assert_eq!(recorded, 1);
+        for (reference, _) in &fetched {
+            assert!(
+                Arc::ptr_eq(reference, &fetched[0].0),
+                "one shared reference"
+            );
+        }
+    }
+
+    #[test]
+    fn concurrent_requests_of_a_failing_key_all_see_the_error() {
+        const THREADS: usize = 4;
+        let store = TraceStore::new();
+        store.attach_backend(Arc::new(SlowEmptyBackend::default()) as Arc<dyn GridBackend>);
+        let key = TraceKey::new("art", "nope", &[]);
+        let barrier = std::sync::Barrier::new(THREADS);
+        std::thread::scope(|scope| {
+            for _ in 0..THREADS {
+                scope.spawn(|| {
+                    let sim = max_simulator();
+                    barrier.wait();
+                    assert!(store.reference(&key, &sim, "nope", &[], 100).is_err());
+                });
+            }
+        });
+        assert_eq!(store.misses(), 1, "waiters share the failed attempt");
+        assert!(store.is_empty(), "no entry for the failure");
+        let sim = max_simulator();
+        assert!(store.reference(&key, &sim, "nope", &[], 100).is_err());
+        assert_eq!(store.misses(), 2, "a later request records again");
     }
 
     #[test]

@@ -11,8 +11,6 @@
 
 use std::fmt;
 
-use secbranch_campaign::json_string;
-
 /// How one [`crate::Artifact`] came to be: the source module's content hash,
 /// the pipeline configuration fingerprint, the middle-end pass sequence and
 /// the combined artifact fingerprint the trace store keys on.
@@ -33,21 +31,8 @@ pub struct Provenance {
     pub passes: Vec<String>,
 }
 
-impl Provenance {
-    /// Serialises the record as a JSON object (hand-rolled: the offline
-    /// build has no serde). Deterministic: equal records render equal bytes.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let passes: Vec<String> = self.passes.iter().map(|p| json_string(p)).collect();
-        format!(
-            "{{\"module_hash\":{},\"pipeline_fingerprint\":{},\
-             \"artifact_fingerprint\":{},\"passes\":[{}]}}",
-            json_string(&self.module_hash),
-            json_string(&self.pipeline_fingerprint),
-            json_string(&self.artifact_fingerprint),
-            passes.join(","),
-        )
-    }
+secbranch_obs::impl_to_json! { Provenance |p|
+    module_hash, pipeline_fingerprint, artifact_fingerprint, passes,
 }
 
 /// Renders the record as the `;`-prefixed comment header used by

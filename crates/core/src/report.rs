@@ -3,7 +3,7 @@
 
 use std::fmt::Write as _;
 
-use secbranch_campaign::json_string;
+use secbranch_obs::json::Fixed;
 
 use crate::{Measurement, Provenance};
 
@@ -123,65 +123,23 @@ impl Report {
         }
         out
     }
-
-    /// Serialises the report as a self-contained JSON document (hand-rolled:
-    /// the offline build has no serde).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        let _ = write!(out, "\"workloads\":{},", json_string_array(&self.workloads));
-        let _ = write!(out, "\"pipelines\":{},", json_string_array(&self.pipelines));
-        out.push_str("\"cells\":[");
-        for (i, cell) in self.cells.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let m = &cell.measurement;
-            let _ = write!(
-                out,
-                "{{\"workload\":{},\"pipeline\":{},\"code_size_bytes\":{},\
-                 \"entry_size_bytes\":{},\"return_value\":{},\"cycles\":{},\
-                 \"instructions\":{},\"cfi_checks\":{},\"cfi_violations\":{},\
-                 \"size_overhead_percent\":{},\"runtime_overhead_percent\":{},\
-                 \"provenance\":{}}}",
-                json_string(&cell.workload),
-                json_string(&cell.pipeline),
-                m.code_size_bytes,
-                m.entry_size_bytes,
-                m.result.return_value,
-                m.result.cycles,
-                m.result.instructions,
-                m.result.cfi_checks,
-                m.result.cfi_violations,
-                json_opt_f64(cell.size_overhead_percent),
-                json_opt_f64(cell.runtime_overhead_percent),
-                cell.provenance.to_json(),
-            );
-        }
-        out.push_str("]}");
-        out
-    }
 }
 
-fn json_string_array(items: &[String]) -> String {
-    let mut out = String::from("[");
-    for (i, item) in items.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&json_string(item));
-    }
-    out.push(']');
-    out
-}
+secbranch_obs::impl_to_json! { Report |r| workloads, pipelines, cells }
 
-fn json_opt_f64(v: Option<f64>) -> String {
-    match v {
-        // JSON has no NaN/Infinity; overheads are finite by construction but
-        // guard anyway.
-        Some(v) if v.is_finite() => format!("{v:.6}"),
-        Some(_) | None => "null".to_string(),
-    }
+secbranch_obs::impl_to_json! { ReportCell |c|
+    workload,
+    pipeline,
+    code_size_bytes: c.measurement.code_size_bytes,
+    entry_size_bytes: c.measurement.entry_size_bytes,
+    return_value: c.measurement.result.return_value,
+    cycles: c.measurement.result.cycles,
+    instructions: c.measurement.result.instructions,
+    cfi_checks: c.measurement.result.cfi_checks,
+    cfi_violations: c.measurement.result.cfi_violations,
+    size_overhead_percent: c.size_overhead_percent.map(|v| Fixed(v, 6)),
+    runtime_overhead_percent: c.runtime_overhead_percent.map(|v| Fixed(v, 6)),
+    provenance,
 }
 
 #[cfg(test)]
@@ -192,13 +150,5 @@ mod tests {
     fn overhead_cell_formats_percentages() {
         assert_eq!(overhead_cell(110.0, 100.0), "110 (+10.000%)");
         assert_eq!(overhead_cell(50.0, 0.0), "50");
-    }
-
-    #[test]
-    fn json_string_arrays_are_escaped() {
-        assert_eq!(
-            json_string_array(&["a\"b".to_string(), "c".to_string()]),
-            "[\"a\\\"b\",\"c\"]"
-        );
     }
 }

@@ -3,7 +3,8 @@
 
 use std::fmt::Write as _;
 
-use secbranch_campaign::{push_json_string, CampaignReport};
+use secbranch_campaign::CampaignReport;
+use secbranch_obs::json;
 
 /// One cell of a security matrix: one workload under one pipeline attacked
 /// by one fault model.
@@ -110,40 +111,12 @@ impl MatrixStats {
         registry.counter("secbranch_matrix_decode_micros_total", self.decode_micros);
         registry.histogram("secbranch_cell_compute_micros", &self.compute_histogram());
     }
+}
 
-    /// Serialises the stats as a JSON object (hand-rolled: the offline
-    /// build has no serde).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let cells: Vec<String> = self
-            .cell_compute_micros
-            .iter()
-            .map(u64::to_string)
-            .collect();
-        format!(
-            "{{\"threads\":{},\"trace_hits\":{},\"trace_disk_hits\":{},\"trace_misses\":{},\
-             \"cell_hits\":{},\"cell_misses\":{},\"total_wall_micros\":{},\
-             \"cell_compute_micros\":[{}],\"store_checkpoint_bytes\":{},\
-             \"store_checkpoint_evictions\":{},\"snapshot_restores\":{},\
-             \"suffix_steps_saved\":{},\"decoded_programs\":{},\
-             \"decoded_uops\":{},\"decode_micros\":{}}}",
-            self.threads,
-            self.trace_hits,
-            self.trace_disk_hits,
-            self.trace_misses,
-            self.cell_hits,
-            self.cell_misses,
-            self.total_wall_micros,
-            cells.join(","),
-            self.store_checkpoint_bytes,
-            self.store_checkpoint_evictions,
-            self.snapshot_restores,
-            self.suffix_steps_saved,
-            self.decoded_programs,
-            self.decoded_uops,
-            self.decode_micros,
-        )
-    }
+secbranch_obs::impl_to_json! { MatrixStats |s|
+    threads, trace_hits, trace_disk_hits, trace_misses, cell_hits, cell_misses,
+    total_wall_micros, cell_compute_micros, store_checkpoint_bytes, store_checkpoint_evictions,
+    snapshot_restores, suffix_steps_saved, decoded_programs, decoded_uops, decode_micros,
 }
 
 /// The structured result of a variants × fault-models security evaluation:
@@ -219,8 +192,7 @@ impl SecurityReport {
     }
 
     /// Serialises the matrix as a self-contained JSON document; each cell
-    /// embeds its full campaign report (hand-rolled: the offline build has
-    /// no serde).
+    /// embeds its full campaign report.
     ///
     /// The output is fully deterministic — [`SecurityReport::stats`] is not
     /// included (serialise it separately via [`MatrixStats::to_json`]), so
@@ -233,25 +205,14 @@ impl SecurityReport {
             .map(|cell| 128 + cell.report.json_size_hint())
             .sum();
         let mut out = String::with_capacity(16 + hint);
-        out.push_str("{\"cells\":[");
-        for (i, cell) in self.cells.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"workload\":");
-            push_json_string(&mut out, &cell.workload);
-            out.push_str(",\"pipeline\":");
-            push_json_string(&mut out, &cell.pipeline);
-            out.push_str(",\"model\":");
-            push_json_string(&mut out, &cell.model);
-            out.push_str(",\"report\":");
-            cell.report.write_json(&mut out);
-            out.push('}');
-        }
-        out.push_str("]}");
+        json::object(&mut out, |o| {
+            o.field("cells", &self.cells);
+        });
         out
     }
 }
+
+secbranch_obs::impl_to_json! { SecurityCell |c| workload, pipeline, model, report }
 
 #[cfg(test)]
 mod tests {

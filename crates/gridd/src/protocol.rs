@@ -419,6 +419,12 @@ pub struct DoneFrame {
     pub wall_micros: u64,
 }
 
+// The JSON of a done frame is how the request was served; the report is
+// its own document.
+secbranch::obs::impl_to_json! { DoneFrame |d|
+    cells, warm_cells, computed_cells, coalesced_cells, recordings, wall_micros,
+}
+
 /// Encodes a [`DoneFrame`] payload.
 #[must_use]
 pub fn encode_done(done: &DoneFrame) -> Vec<u8> {

@@ -10,7 +10,7 @@
 //! > in report equality, artifact fingerprints, or persistence. Reports are
 //! > byte-identical with tracing enabled or disabled, at any thread count.
 //!
-//! Three pieces:
+//! Four pieces:
 //!
 //! * **[`mod@clock`]** — a process-wide monotonic microsecond clock
 //!   ([`monotonic_micros`]). All span timestamps share this origin, so
@@ -33,6 +33,11 @@
 //!   ([`parse_prometheus`]: exposition text to a sorted series map).
 //!   Histogram snapshots merge by plain addition, so merging is
 //!   associative across shards (test-enforced).
+//! * **[`mod@json`]** — the workspace's one JSON writer (the offline build
+//!   has no serde). Reports, stats, traces and the binaries' summaries all
+//!   serialise through it: [`json::ToJson`] values append into one buffer,
+//!   [`impl_to_json!`] turns a field list into an object, and
+//!   [`json::write_str`] is the single string-escape routine.
 //!
 //! # Example
 //!
@@ -59,6 +64,7 @@
 #![warn(missing_docs)]
 
 pub mod clock;
+pub mod json;
 pub mod metrics;
 pub mod trace;
 

@@ -147,39 +147,32 @@ impl HistogramSnapshot {
         BUCKET_BOUNDS[BUCKET_BOUNDS.len() - 1]
     }
 
-    /// Serialises the snapshot as a JSON object: bucket-estimated
-    /// `p50`/`p90`/`p95`/`p99`, `sum`, `count`, and the non-empty buckets
-    /// as `{"le":bound,"count":n}` pairs (`"le":null` is the overflow
-    /// bucket). Hand-rolled: the offline build has no serde.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut buckets = String::new();
-        let mut first = true;
-        for (index, &count) in self.buckets.iter().enumerate() {
-            if count == 0 {
-                continue;
-            }
-            if !first {
-                buckets.push(',');
-            }
-            first = false;
-            match BUCKET_BOUNDS.get(index) {
-                Some(bound) => buckets.push_str(&format!("{{\"le\":{bound},\"count\":{count}}}")),
-                None => buckets.push_str(&format!("{{\"le\":null,\"count\":{count}}}")),
-            }
-        }
-        format!(
-            "{{\"count\":{},\"sum\":{},\"p50\":{},\"p90\":{},\"p95\":{},\"p99\":{},\
-             \"buckets\":[{buckets}]}}",
-            self.count,
-            self.sum,
-            self.quantile(0.50),
-            self.quantile(0.90),
-            self.quantile(0.95),
-            self.quantile(0.99),
-        )
+    /// The non-empty buckets, as the JSON lists them.
+    fn nonempty_buckets(&self) -> Vec<Bucket> {
+        let bounds = BUCKET_BOUNDS.iter().copied().map(Some).chain([None]);
+        bounds
+            .zip(self.buckets)
+            .filter(|&(_, count)| count > 0)
+            .map(|(le, count)| Bucket { le, count })
+            .collect()
     }
 }
+
+// `p50`…`p99` are bucket-estimated; `buckets` lists the non-empty buckets as
+// `{"le":bound,"count":n}` pairs, `"le":null` being the overflow bucket.
+crate::impl_to_json! { HistogramSnapshot |h|
+    count, sum, p50: h.quantile(0.50), p90: h.quantile(0.90), p95: h.quantile(0.95),
+    p99: h.quantile(0.99), buckets: h.nonempty_buckets(),
+}
+
+/// One non-empty bucket of a [`HistogramSnapshot`]: upper bound (`None`
+/// for the overflow bucket) and sample count.
+struct Bucket {
+    le: Option<u64>,
+    count: u64,
+}
+
+crate::impl_to_json! { Bucket |b| le, count }
 
 /// One registry entry key: metric name plus rendered label pairs
 /// (`model="skip"`), empty for unlabelled series. Both `String`s so the

@@ -26,6 +26,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::clock::monotonic_micros;
+use crate::json;
 
 /// Finished spans a thread buffers locally before draining to the sink.
 /// Small enough to bound memory per thread, large enough that drains (the
@@ -283,23 +284,6 @@ impl Drop for Span {
     }
 }
 
-/// Escapes a string for embedding in a JSON string literal.
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Renders events as Chrome trace-event JSON (the object form:
 /// `{"traceEvents":[...]}`), loadable in `chrome://tracing` and Perfetto.
 ///
@@ -309,39 +293,40 @@ fn escape_json(s: &str) -> String {
 /// metadata (`"ph":"M"`) event is emitted per thread seen.
 #[must_use]
 pub fn chrome_trace_json(events: &[SpanEvent]) -> String {
-    let mut out = String::from("{\"traceEvents\":[");
-    let mut first = true;
     let mut threads: Vec<u64> = events.iter().map(|e| e.thread).collect();
     threads.sort_unstable();
     threads.dedup();
-    for thread in threads {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str(&format!(
-            "{{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":1,\"tid\":{thread},\
-             \"args\":{{\"name\":\"obs-thread-{thread}\"}}}}"
-        ));
-    }
-    for event in events {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str(&format!(
-            "{{\"name\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":1,\"tid\":{},\
-             \"args\":{{\"id\":{},\"parent\":{},\"detail\":\"{}\"}}}}",
-            escape_json(event.label),
-            event.start_micros,
-            event.end_micros - event.start_micros,
-            event.thread,
-            event.id,
-            event.parent,
-            escape_json(&event.detail),
-        ));
-    }
-    out.push_str("]}");
+    let mut out = String::new();
+    json::object(&mut out, |o| {
+        o.array("traceEvents", |a| {
+            for thread in threads {
+                a.object(|m| {
+                    m.field("ph", "M")
+                        .field("name", "thread_name")
+                        .field("pid", &1u32)
+                        .field("tid", &thread)
+                        .object("args", |args| {
+                            args.field("name", &format!("obs-thread-{thread}"));
+                        });
+                });
+            }
+            for event in events {
+                a.object(|x| {
+                    x.field("name", event.label)
+                        .field("ph", "X")
+                        .field("ts", &event.start_micros)
+                        .field("dur", &(event.end_micros - event.start_micros))
+                        .field("pid", &1u32)
+                        .field("tid", &event.thread)
+                        .object("args", |args| {
+                            args.field("id", &event.id)
+                                .field("parent", &event.parent)
+                                .field("detail", &event.detail);
+                        });
+                });
+            }
+        });
+    });
     out
 }
 

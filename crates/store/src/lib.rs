@@ -175,26 +175,11 @@ impl StoreStats {
         );
         registry.counter("secbranch_store_migrated_total", self.migrated);
     }
+}
 
-    /// Serialises the counters as JSON (hand-rolled: the offline build has
-    /// no serde).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"trace_hits\":{},\"trace_misses\":{},\"cell_hits\":{},\"cell_misses\":{},\
-             \"writes\":{},\"write_skips\":{},\"write_errors\":{},\"corrupt_dropped\":{},\
-             \"migrated\":{}}}",
-            self.trace_hits,
-            self.trace_misses,
-            self.cell_hits,
-            self.cell_misses,
-            self.writes,
-            self.write_skips,
-            self.write_errors,
-            self.corrupt_dropped,
-            self.migrated,
-        )
-    }
+secbranch_obs::impl_to_json! { StoreStats |s|
+    trace_hits, trace_misses, cell_hits, cell_misses, writes, write_skips, write_errors,
+    corrupt_dropped, migrated,
 }
 
 /// What [`GridStore::scan`] found on disk: a full-directory validation
@@ -212,21 +197,9 @@ pub struct ScanReport {
     pub total_bytes: u64,
 }
 
-impl ScanReport {
-    /// Serialises the scan as JSON (hand-rolled: the offline build has no
-    /// serde).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"format_version\":{},\"trace_records\":{},\"cell_records\":{},\
-             \"corrupt_records\":{},\"total_bytes\":{}}}",
-            format::FORMAT_VERSION,
-            self.trace_records,
-            self.cell_records,
-            self.corrupt_records,
-            self.total_bytes,
-        )
-    }
+secbranch_obs::impl_to_json! { ScanReport |s|
+    format_version: format::FORMAT_VERSION, trace_records, cell_records, corrupt_records,
+    total_bytes,
 }
 
 /// What [`GridStore::compact`] did: removals by family, retained records,
@@ -251,21 +224,10 @@ impl CompactReport {
     pub fn removed(&self) -> u64 {
         self.removed_traces + self.removed_cells + self.removed_corrupt
     }
+}
 
-    /// Serialises the compaction outcome as JSON (hand-rolled: the offline
-    /// build has no serde).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"retained\":{},\"removed_traces\":{},\"removed_cells\":{},\
-             \"removed_corrupt\":{},\"reclaimed_bytes\":{}}}",
-            self.retained,
-            self.removed_traces,
-            self.removed_cells,
-            self.removed_corrupt,
-            self.reclaimed_bytes,
-        )
-    }
+secbranch_obs::impl_to_json! { CompactReport |c|
+    retained, removed_traces, removed_cells, removed_corrupt, reclaimed_bytes,
 }
 
 /// What [`GridStore::evict_to`] did: LRU eviction towards a byte budget.
@@ -281,18 +243,7 @@ pub struct EvictReport {
     pub retained_bytes: u64,
 }
 
-impl EvictReport {
-    /// Serialises the eviction outcome as JSON (hand-rolled: the offline
-    /// build has no serde).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"examined\":{},\"evicted\":{},\"reclaimed_bytes\":{},\
-             \"retained_bytes\":{}}}",
-            self.examined, self.evicted, self.reclaimed_bytes, self.retained_bytes,
-        )
-    }
-}
+secbranch_obs::impl_to_json! { EvictReport |e| examined, evicted, reclaimed_bytes, retained_bytes }
 
 /// The disk-backed, content-addressed store (see the [crate docs](self) for
 /// layout and guarantees).
