@@ -13,11 +13,12 @@
 
 use std::process::exit;
 
+use secbranch::obs::json;
+use secbranch::ProtectionVariant;
+
 // The single home of the Table III cell formatting, re-exported so the
 // binaries only need the harness crate.
-use secbranch::obs::json;
 pub use secbranch::overhead_cell;
-use secbranch::ProtectionVariant;
 
 /// Prints one JSON object, whose fields `fill` adds, as a line of stdout.
 pub fn print_json_object(fill: impl FnOnce(&mut json::Object<'_>)) {
