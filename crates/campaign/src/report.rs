@@ -294,6 +294,12 @@ mod tests {
     }
 
     #[test]
+    fn json_strings_are_escaped() {
+        assert_eq!(json::to_string("a\"b\\c"), "\"a\\\"b\\\\c\"");
+        assert_eq!(json::to_string("tab\there"), "\"tab\\there\"");
+    }
+
+    #[test]
     fn classify_matches_the_reference_contract() {
         let reference = ExecResult {
             return_value: 7,

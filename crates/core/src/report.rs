@@ -151,4 +151,12 @@ mod tests {
         assert_eq!(overhead_cell(110.0, 100.0), "110 (+10.000%)");
         assert_eq!(overhead_cell(50.0, 0.0), "50");
     }
+
+    #[test]
+    fn json_string_arrays_are_escaped() {
+        assert_eq!(
+            secbranch_obs::json::to_string(&vec!["a\"b".to_string(), "c".to_string()]),
+            "[\"a\\\"b\",\"c\"]"
+        );
+    }
 }
