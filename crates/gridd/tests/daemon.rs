@@ -440,3 +440,170 @@ fn unix_socket_transport_serves_and_cleans_up() {
     daemon.stop();
     assert!(!socket.exists(), "socket file is removed on shutdown");
 }
+
+/// The `STATS` exposition of a storeful one-worker daemon after one fixed
+/// cold grid, line by line: every `# TYPE` line, every series name in
+/// rendering order, and every value except the timings (the compute and
+/// decode microsecond counters, and the compute histogram's buckets and
+/// sum), which read `<timing>`.
+#[test]
+fn stats_exposition_names_kinds_and_counts_are_pinned() {
+    let store = TempDir::new("pinned");
+    let daemon = RunningDaemon::start(DaemonConfig {
+        workers: 1,
+        store_dir: Some(store.0.clone()),
+        ..DaemonConfig::default()
+    });
+    let grid = request(
+        &["integer_compare"],
+        &["unprotected", "prototype"],
+        &["skip", "double-skip"],
+        50,
+    );
+    let mut client = daemon.client();
+    client.request_grid(&grid, |_| {}).expect("grid serves");
+    let exposition = client.metrics().expect("metrics serve");
+    daemon.stop();
+
+    let is_timing = |key: &str| {
+        key == "secbranch_pool_compute_micros_total"
+            || key == "secbranch_gridd_decode_micros_total"
+            || key.starts_with("secbranch_cell_compute_micros_bucket")
+            || key.starts_with("secbranch_cell_compute_micros_sum")
+    };
+    let masked: String = exposition
+        .lines()
+        .map(|line| match line.rsplit_once(' ') {
+            Some((key, _)) if !line.starts_with('#') && is_timing(key) => {
+                format!("{key} <timing>\n")
+            }
+            _ => format!("{line}\n"),
+        })
+        .collect();
+    assert_eq!(masked, PINNED_EXPOSITION);
+}
+
+const PINNED_EXPOSITION: &str = r#"# TYPE secbranch_gridd_cells_requested_total counter
+secbranch_gridd_cells_requested_total 4
+# TYPE secbranch_gridd_coalesced_cells_total counter
+secbranch_gridd_coalesced_cells_total 0
+# TYPE secbranch_gridd_computed_cells_total counter
+secbranch_gridd_computed_cells_total 4
+# TYPE secbranch_gridd_decode_micros_total counter
+secbranch_gridd_decode_micros_total <timing>
+# TYPE secbranch_gridd_decoded_programs_total counter
+secbranch_gridd_decoded_programs_total 2
+# TYPE secbranch_gridd_recordings_total counter
+secbranch_gridd_recordings_total 2
+# TYPE secbranch_gridd_request_errors_total counter
+secbranch_gridd_request_errors_total 0
+# TYPE secbranch_gridd_requests_total counter
+secbranch_gridd_requests_total 1
+# TYPE secbranch_gridd_snapshot_restores_total counter
+secbranch_gridd_snapshot_restores_total 65
+# TYPE secbranch_gridd_suffix_steps_saved_total counter
+secbranch_gridd_suffix_steps_saved_total 247
+# TYPE secbranch_gridd_version_rejects_total counter
+secbranch_gridd_version_rejects_total 0
+# TYPE secbranch_gridd_warm_cells_total counter
+secbranch_gridd_warm_cells_total 0
+# TYPE secbranch_pool_completed_total counter
+secbranch_pool_completed_total 4
+# TYPE secbranch_pool_compute_micros_total counter
+secbranch_pool_compute_micros_total <timing>
+# TYPE secbranch_pool_errored_total counter
+secbranch_pool_errored_total 0
+# TYPE secbranch_pool_expired_total counter
+secbranch_pool_expired_total 0
+# TYPE secbranch_pool_submitted_total counter
+secbranch_pool_submitted_total 4
+# TYPE secbranch_store_cell_hits_total counter
+secbranch_store_cell_hits_total 0
+# TYPE secbranch_store_cell_misses_total counter
+secbranch_store_cell_misses_total 8
+# TYPE secbranch_store_corrupt_dropped_total counter
+secbranch_store_corrupt_dropped_total 0
+# TYPE secbranch_store_migrated_total counter
+secbranch_store_migrated_total 0
+# TYPE secbranch_store_trace_hits_total counter
+secbranch_store_trace_hits_total 0
+# TYPE secbranch_store_trace_misses_total counter
+secbranch_store_trace_misses_total 2
+# TYPE secbranch_store_write_errors_total counter
+secbranch_store_write_errors_total 0
+# TYPE secbranch_store_write_skips_total counter
+secbranch_store_write_skips_total 0
+# TYPE secbranch_store_writes_total counter
+secbranch_store_writes_total 6
+# TYPE secbranch_trace_store_checkpoint_evictions_total counter
+secbranch_trace_store_checkpoint_evictions_total 0
+# TYPE secbranch_trace_store_disk_hits_total counter
+secbranch_trace_store_disk_hits_total 0
+# TYPE secbranch_trace_store_hits_total counter
+secbranch_trace_store_hits_total 2
+# TYPE secbranch_trace_store_misses_total counter
+secbranch_trace_store_misses_total 2
+# TYPE secbranch_trace_store_snapshot_evictions_total counter
+secbranch_trace_store_snapshot_evictions_total 0
+# TYPE secbranch_gridd_protocol_version gauge
+secbranch_gridd_protocol_version 4
+# TYPE secbranch_pool_capacity gauge
+secbranch_pool_capacity 256
+# TYPE secbranch_pool_in_flight gauge
+secbranch_pool_in_flight 0
+# TYPE secbranch_pool_queued gauge
+secbranch_pool_queued 0
+# TYPE secbranch_pool_workers gauge
+secbranch_pool_workers 1
+# TYPE secbranch_trace_store_checkpoint_bytes gauge
+secbranch_trace_store_checkpoint_bytes 192
+# TYPE secbranch_trace_store_entries gauge
+secbranch_trace_store_entries 2
+# TYPE secbranch_trace_store_snapshot_bytes gauge
+secbranch_trace_store_snapshot_bytes 956
+# TYPE secbranch_cell_compute_micros histogram
+secbranch_cell_compute_micros_bucket{model="double-skip",le="1"} <timing>
+secbranch_cell_compute_micros_bucket{model="double-skip",le="2"} <timing>
+secbranch_cell_compute_micros_bucket{model="double-skip",le="5"} <timing>
+secbranch_cell_compute_micros_bucket{model="double-skip",le="10"} <timing>
+secbranch_cell_compute_micros_bucket{model="double-skip",le="20"} <timing>
+secbranch_cell_compute_micros_bucket{model="double-skip",le="50"} <timing>
+secbranch_cell_compute_micros_bucket{model="double-skip",le="100"} <timing>
+secbranch_cell_compute_micros_bucket{model="double-skip",le="200"} <timing>
+secbranch_cell_compute_micros_bucket{model="double-skip",le="500"} <timing>
+secbranch_cell_compute_micros_bucket{model="double-skip",le="1000"} <timing>
+secbranch_cell_compute_micros_bucket{model="double-skip",le="2000"} <timing>
+secbranch_cell_compute_micros_bucket{model="double-skip",le="5000"} <timing>
+secbranch_cell_compute_micros_bucket{model="double-skip",le="10000"} <timing>
+secbranch_cell_compute_micros_bucket{model="double-skip",le="20000"} <timing>
+secbranch_cell_compute_micros_bucket{model="double-skip",le="50000"} <timing>
+secbranch_cell_compute_micros_bucket{model="double-skip",le="100000"} <timing>
+secbranch_cell_compute_micros_bucket{model="double-skip",le="200000"} <timing>
+secbranch_cell_compute_micros_bucket{model="double-skip",le="500000"} <timing>
+secbranch_cell_compute_micros_bucket{model="double-skip",le="1000000"} <timing>
+secbranch_cell_compute_micros_bucket{model="double-skip",le="+Inf"} <timing>
+secbranch_cell_compute_micros_sum{model="double-skip"} <timing>
+secbranch_cell_compute_micros_count{model="double-skip"} 2
+secbranch_cell_compute_micros_bucket{model="skip",le="1"} <timing>
+secbranch_cell_compute_micros_bucket{model="skip",le="2"} <timing>
+secbranch_cell_compute_micros_bucket{model="skip",le="5"} <timing>
+secbranch_cell_compute_micros_bucket{model="skip",le="10"} <timing>
+secbranch_cell_compute_micros_bucket{model="skip",le="20"} <timing>
+secbranch_cell_compute_micros_bucket{model="skip",le="50"} <timing>
+secbranch_cell_compute_micros_bucket{model="skip",le="100"} <timing>
+secbranch_cell_compute_micros_bucket{model="skip",le="200"} <timing>
+secbranch_cell_compute_micros_bucket{model="skip",le="500"} <timing>
+secbranch_cell_compute_micros_bucket{model="skip",le="1000"} <timing>
+secbranch_cell_compute_micros_bucket{model="skip",le="2000"} <timing>
+secbranch_cell_compute_micros_bucket{model="skip",le="5000"} <timing>
+secbranch_cell_compute_micros_bucket{model="skip",le="10000"} <timing>
+secbranch_cell_compute_micros_bucket{model="skip",le="20000"} <timing>
+secbranch_cell_compute_micros_bucket{model="skip",le="50000"} <timing>
+secbranch_cell_compute_micros_bucket{model="skip",le="100000"} <timing>
+secbranch_cell_compute_micros_bucket{model="skip",le="200000"} <timing>
+secbranch_cell_compute_micros_bucket{model="skip",le="500000"} <timing>
+secbranch_cell_compute_micros_bucket{model="skip",le="1000000"} <timing>
+secbranch_cell_compute_micros_bucket{model="skip",le="+Inf"} <timing>
+secbranch_cell_compute_micros_sum{model="skip"} <timing>
+secbranch_cell_compute_micros_count{model="skip"} 2
+"#;
