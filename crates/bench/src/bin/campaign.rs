@@ -691,14 +691,14 @@ fn run_matrix_benchmark(
             models,
         )
         .unwrap_or_else(|e| fail("sequential security matrix", &e));
-    let misses_before = session.trace_store().misses();
+    let misses_before = session.trace_store().stats().misses;
     let matrix = session
         .security_matrix_with(executor, &workloads, pipelines, models, grid)
         .unwrap_or_else(|e| fail("matrix security matrix", &e));
     assert_identical(&sequential, &matrix, "matrix executor");
     let first = PassSummary::of(
         &matrix.stats,
-        session.trace_store().misses() - misses_before,
+        session.trace_store().stats().misses - misses_before,
     );
 
     // With a store: a second pass from a *fresh* session. Its in-memory
@@ -710,7 +710,7 @@ fn run_matrix_benchmark(
             .security_matrix_with(executor, &workloads, pipelines, models, Some(grid))
             .unwrap_or_else(|e| fail("warm security matrix", &e));
         assert_identical(&sequential, &warm_report, "warm matrix executor");
-        PassSummary::of(&warm_report.stats, fresh.trace_store().misses())
+        PassSummary::of(&warm_report.stats, fresh.trace_store().stats().misses)
     });
 
     if options.expect_warm && !first.is_warm() {

@@ -6,7 +6,7 @@
 use std::collections::BTreeMap;
 use std::process::Command;
 
-use secbranch::obs::parse_prometheus;
+use secbranch::obs::{parse_prometheus, Registry};
 use secbranch_gridd::{DaemonConfig, GridClient, GridDaemon, GridRequest, StatsSnapshot};
 
 /// Parses the flat `{"key":u64,...}` object `gridc --stats --json` prints.
@@ -93,86 +93,40 @@ fn every_metrics_series_matches_stats_json_and_the_typed_view() {
 
     let view = client.stats().expect("stats serve");
     assert_eq!(view.series, series, "the view keeps every series");
+    assert_eq!(view.computed_cells, 4);
+    assert_eq!(view.pool.workers, 2);
     let store_stats = view.store.expect("a store is attached");
-    for (name, value) in [
-        (
-            "secbranch_gridd_protocol_version",
-            u64::from(view.protocol_version),
-        ),
-        ("secbranch_gridd_requests_total", view.requests),
-        (
-            "secbranch_gridd_cells_requested_total",
-            view.cells_requested,
-        ),
-        ("secbranch_gridd_warm_cells_total", view.warm_cells),
-        ("secbranch_gridd_computed_cells_total", view.computed_cells),
-        (
-            "secbranch_gridd_coalesced_cells_total",
-            view.coalesced_cells,
-        ),
-        ("secbranch_gridd_recordings_total", view.recordings),
-        ("secbranch_gridd_request_errors_total", view.request_errors),
-        (
-            "secbranch_gridd_version_rejects_total",
-            view.version_rejects,
-        ),
-        ("secbranch_pool_queued", view.queue_depth),
-        ("secbranch_pool_in_flight", view.in_flight),
-        ("secbranch_pool_workers", view.workers),
-        ("secbranch_pool_capacity", view.queue_capacity),
-        ("secbranch_pool_submitted_total", view.pool_submitted),
-        ("secbranch_pool_completed_total", view.pool_completed),
-        ("secbranch_pool_errored_total", view.pool_errored),
-        ("secbranch_pool_expired_total", view.pool_expired),
-        (
-            "secbranch_pool_compute_micros_total",
-            view.pool_compute_micros,
-        ),
-        ("secbranch_trace_store_hits_total", view.trace_hits),
-        (
-            "secbranch_trace_store_disk_hits_total",
-            view.trace_disk_hits,
-        ),
-        ("secbranch_trace_store_misses_total", view.trace_misses),
-        (
-            "secbranch_gridd_decoded_programs_total",
-            view.decoded_programs,
-        ),
-        ("secbranch_gridd_decode_micros_total", view.decode_micros),
-        (
-            "secbranch_gridd_snapshot_restores_total",
-            view.snapshot_restores,
-        ),
-        (
-            "secbranch_gridd_suffix_steps_saved_total",
-            view.suffix_steps_saved,
-        ),
-        ("secbranch_store_trace_hits_total", store_stats.trace_hits),
-        (
-            "secbranch_store_trace_misses_total",
-            store_stats.trace_misses,
-        ),
-        ("secbranch_store_cell_hits_total", store_stats.cell_hits),
-        ("secbranch_store_cell_misses_total", store_stats.cell_misses),
-        ("secbranch_store_writes_total", store_stats.writes),
-        ("secbranch_store_write_skips_total", store_stats.write_skips),
-        (
-            "secbranch_store_write_errors_total",
-            store_stats.write_errors,
-        ),
-        (
-            "secbranch_store_corrupt_dropped_total",
-            store_stats.corrupt_dropped,
-        ),
-        ("secbranch_store_migrated_total", store_stats.migrated),
-    ] {
-        assert_eq!(series[name], value, "{name}");
+    assert_eq!(
+        store_stats.cell_misses,
+        series["secbranch_store_cell_misses_total"]
+    );
+    // Every typed field, registered back, is the series of the same name.
+    let mut typed = Registry::new();
+    typed.gauge(
+        "secbranch_gridd_protocol_version",
+        u64::from(view.protocol_version),
+    );
+    view.daemon.register_into(&mut typed);
+    view.pool.register_into(&mut typed);
+    view.traces.register_into(&mut typed);
+    store_stats.register_into(&mut typed);
+    let typed = parse_prometheus(&typed.render_prometheus()).expect("parses");
+    for (name, value) in &typed {
+        assert_eq!(series[name], *value, "{name}");
         // The same series missing from the text is an error, not a 0.
         let mut lacking = series.clone();
         lacking.remove(name);
         let error = StatsSnapshot::from_series(lacking).expect_err(name);
-        assert!(error.contains(name), "{error}");
+        assert!(error.contains(name.as_str()), "{error}");
     }
+    assert_eq!(
+        series
+            .keys()
+            .filter(|name| !typed.contains_key(*name))
+            .count(),
+        2 * 22,
+        "only the two per-model histograms are left untyped"
+    );
 
     // The daemon sat idle throughout, so every read saw one state.
     assert_eq!(client.metrics().expect("metrics serve"), text);

@@ -1529,7 +1529,7 @@ mod tests {
             .with_threads(2)
             .run(&jobs, &starved)
             .expect("runs");
-        assert_eq!(starved.snapshot_bytes(), 0, "budget keeps nothing");
+        assert_eq!(starved.stats().snapshot_bytes, 0, "budget keeps nothing");
         assert_eq!(
             baseline[0].report.to_json(),
             pinched[0].report.to_json(),
@@ -1568,7 +1568,7 @@ mod tests {
             .with_threads(2)
             .run(&jobs, &store)
             .expect("runs");
-        assert_eq!((store.hits(), store.misses()), (1, 1));
+        assert_eq!((store.stats().hits, store.stats().misses), (1, 1));
         assert!(!results[0].trace_hit(), "first cell records");
         assert_eq!(results[0].trace_fetch, Some(TraceFetch::Recorded));
         assert!(results[1].trace_hit(), "second cell reuses");
@@ -1579,7 +1579,7 @@ mod tests {
         );
         // A second matrix over the same keys is all hits.
         let again = MatrixExecutor::new().run(&jobs, &store).expect("runs");
-        assert_eq!((store.hits(), store.misses()), (3, 1));
+        assert_eq!((store.stats().hits, store.stats().misses), (3, 1));
         assert!(again.iter().all(|r| r.trace_hit()));
     }
 

@@ -106,7 +106,7 @@ pub use runner::{CampaignRunner, OwnedModule, SharedModule, SimulatorSource};
 pub use service::{CellRequest, Completion, ExecutorPool, PoolError, PoolStats};
 pub use trace_store::{
     record_reference, RecordedReference, SpineSnapshot, TraceCheckpoint, TraceFetch, TraceKey,
-    TraceStore, CHECKPOINT_BUDGET, DEFAULT_SNAPSHOT_BUDGET,
+    TraceStore, TraceStoreStats, CHECKPOINT_BUDGET, DEFAULT_SNAPSHOT_BUDGET,
 };
 
 #[cfg(test)]

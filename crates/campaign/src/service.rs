@@ -27,7 +27,7 @@
 //! end of a channel observes the disconnect).
 
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::Instant;
@@ -180,53 +180,34 @@ struct PoolShared {
     /// Signalled when the queue loses a job (or shuts down).
     space: Condvar,
     capacity: usize,
-    submitted: AtomicU64,
-    in_flight: AtomicU64,
-    completed: AtomicU64,
-    errored: AtomicU64,
-    expired: AtomicU64,
-    compute_micros: AtomicU64,
+    counters: PoolCounters,
 }
 
-/// A point-in-time snapshot of the pool's counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PoolStats {
-    /// Worker threads serving the queue.
-    pub workers: usize,
-    /// Maximum queued (not yet claimed) jobs before `submit` blocks.
-    pub capacity: usize,
-    /// Jobs currently waiting in the queue.
-    pub queued: usize,
-    /// Jobs claimed by a worker and not yet completed.
-    pub in_flight: u64,
-    /// Jobs accepted by `submit` over the pool's lifetime.
-    pub submitted: u64,
-    /// Jobs whose callback received an `Ok` result.
-    pub completed: u64,
-    /// Jobs whose callback received an `Err` (failing reference run).
-    pub errored: u64,
-    /// Jobs dropped unexecuted because their deadline passed while they
-    /// were still queued (their callbacks received
-    /// [`PoolError::DeadlineExpired`]).
-    pub expired: u64,
-    /// Injection compute time summed over all completed cells, in µs.
-    pub compute_micros: u64,
-}
-
-impl PoolStats {
-    /// Registers this snapshot's counters and gauges under the
-    /// `secbranch_pool_*` prefix. Derived observability data only — never
-    /// part of reports, fingerprints, or persistence.
-    pub fn register_into(&self, registry: &mut secbranch_obs::Registry) {
-        registry.gauge("secbranch_pool_workers", self.workers as u64);
-        registry.gauge("secbranch_pool_capacity", self.capacity as u64);
-        registry.gauge("secbranch_pool_queued", self.queued as u64);
-        registry.gauge("secbranch_pool_in_flight", self.in_flight);
-        registry.counter("secbranch_pool_submitted_total", self.submitted);
-        registry.counter("secbranch_pool_completed_total", self.completed);
-        registry.counter("secbranch_pool_errored_total", self.errored);
-        registry.counter("secbranch_pool_expired_total", self.expired);
-        registry.counter("secbranch_pool_compute_micros_total", self.compute_micros);
+secbranch_obs::counters! {
+    /// A point-in-time snapshot of the pool's counters. The gauges
+    /// `workers`, `capacity` and `queued` are read from the pool itself by
+    /// [`ExecutorPool::stats`].
+    pub struct PoolStats(PoolCounters) {
+        /// Worker threads serving the queue.
+        workers: gauge("secbranch_pool_workers"),
+        /// Maximum queued (not yet claimed) jobs before `submit` blocks.
+        capacity: gauge("secbranch_pool_capacity"),
+        /// Jobs currently waiting in the queue.
+        queued: gauge("secbranch_pool_queued"),
+        /// Jobs claimed by a worker and not yet completed.
+        in_flight: gauge("secbranch_pool_in_flight"),
+        /// Jobs accepted by `submit` over the pool's lifetime.
+        submitted: counter("secbranch_pool_submitted_total"),
+        /// Jobs whose callback received an `Ok` result.
+        completed: counter("secbranch_pool_completed_total"),
+        /// Jobs whose callback received an `Err` (failing reference run).
+        errored: counter("secbranch_pool_errored_total"),
+        /// Jobs dropped unexecuted because their deadline passed while they
+        /// were still queued (their callbacks received
+        /// [`PoolError::DeadlineExpired`]).
+        expired: counter("secbranch_pool_expired_total"),
+        /// Injection compute time summed over all completed cells, in µs.
+        compute_micros: counter("secbranch_pool_compute_micros_total"),
     }
 }
 
@@ -268,12 +249,7 @@ impl ExecutorPool {
             ready: Condvar::new(),
             space: Condvar::new(),
             capacity: capacity.max(1),
-            submitted: AtomicU64::new(0),
-            in_flight: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            errored: AtomicU64::new(0),
-            expired: AtomicU64::new(0),
-            compute_micros: AtomicU64::new(0),
+            counters: PoolCounters::default(),
         });
         let workers = (0..workers.max(1))
             .map(|_| {
@@ -314,7 +290,10 @@ impl ExecutorPool {
             request,
             on_done,
         });
-        self.shared.submitted.fetch_add(1, Ordering::Relaxed);
+        self.shared
+            .counters
+            .submitted
+            .fetch_add(1, Ordering::Relaxed);
         drop(state);
         self.shared.ready.notify_one();
         true
@@ -331,15 +310,10 @@ impl ExecutorPool {
             .heap
             .len();
         PoolStats {
-            workers: self.workers.len(),
-            capacity: self.shared.capacity,
-            queued,
-            in_flight: self.shared.in_flight.load(Ordering::Relaxed),
-            submitted: self.shared.submitted.load(Ordering::Relaxed),
-            completed: self.shared.completed.load(Ordering::Relaxed),
-            errored: self.shared.errored.load(Ordering::Relaxed),
-            expired: self.shared.expired.load(Ordering::Relaxed),
-            compute_micros: self.shared.compute_micros.load(Ordering::Relaxed),
+            workers: self.workers.len() as u64,
+            capacity: self.shared.capacity as u64,
+            queued: queued as u64,
+            ..self.shared.counters.snapshot()
         }
     }
 }
@@ -390,11 +364,11 @@ fn worker_loop(shared: &PoolShared) {
             .deadline
             .is_some_and(|deadline| Instant::now() >= deadline)
         {
-            shared.expired.fetch_add(1, Ordering::Relaxed);
+            shared.counters.expired.fetch_add(1, Ordering::Relaxed);
             on_done(Err(PoolError::DeadlineExpired));
             continue;
         }
-        shared.in_flight.fetch_add(1, Ordering::Relaxed);
+        shared.counters.in_flight.fetch_add(1, Ordering::Relaxed);
         // One single-threaded executor run per cell: the pool's parallelism
         // is across cells, and every executor invariant (cell-cache probe,
         // trace memo, canonical assembly, write-back) is inherited verbatim.
@@ -424,18 +398,19 @@ fn worker_loop(shared: &PoolShared) {
         match &result {
             Ok(cell) => {
                 shared
+                    .counters
                     .compute_micros
                     .fetch_add(cell.compute_micros, Ordering::Relaxed);
-                shared.completed.fetch_add(1, Ordering::Relaxed);
+                shared.counters.completed.fetch_add(1, Ordering::Relaxed);
             }
             Err(PoolError::DeadlineExpired) => {
-                shared.expired.fetch_add(1, Ordering::Relaxed);
+                shared.counters.expired.fetch_add(1, Ordering::Relaxed);
             }
             Err(_) => {
-                shared.errored.fetch_add(1, Ordering::Relaxed);
+                shared.counters.errored.fetch_add(1, Ordering::Relaxed);
             }
         }
-        shared.in_flight.fetch_sub(1, Ordering::Relaxed);
+        shared.counters.in_flight.fetch_sub(1, Ordering::Relaxed);
         on_done(result);
     }
 }
@@ -513,7 +488,7 @@ mod tests {
             assert_eq!(pooled.report.to_json(), sequential.to_json());
         }
         // Both cells share one TraceKey: the reference was recorded once.
-        assert_eq!(store.misses(), 1);
+        assert_eq!(store.stats().misses, 1);
         let stats = pool.stats();
         assert_eq!(stats.submitted, 2);
         assert_eq!(stats.completed, 2);

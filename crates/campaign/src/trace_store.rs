@@ -554,36 +554,45 @@ impl StoreInner {
 /// through, and an in-memory miss consults the backend before recording —
 /// which is how a matrix run warm-starts from a store directory written by
 /// an earlier process. Fetch provenance is reported per request as
-/// [`TraceFetch`] and in the [`TraceStore::disk_hits`] counter.
+/// [`TraceFetch`] and in the `disk_hits` of [`TraceStore::stats`].
 ///
 /// # Bounding memory
 ///
 /// [`TraceStore::set_checkpoint_budget`] caps the bytes retained by resume
 /// checkpoints. When an insertion exceeds the budget, checkpoints are
-/// stripped from the least-recently-used entries until it fits (counted by
-/// [`TraceStore::checkpoint_evictions`]); the traces themselves always
-/// stay, and consumers transparently fall back to full re-execution when a
-/// checkpoint is gone — output never changes, only speed.
-#[derive(Debug)]
+/// stripped from the least-recently-used entries until it fits (counted in
+/// the `checkpoint_evictions` of [`TraceStore::stats`]); the traces
+/// themselves always stay, and consumers transparently fall back to full
+/// re-execution when a checkpoint is gone — output never changes, only
+/// speed.
+#[derive(Debug, Default)]
 pub struct TraceStore {
     inner: Mutex<StoreInner>,
-    hits: AtomicU64,
-    disk_hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    snapshot_evictions: AtomicU64,
+    counters: TraceStoreCounters,
 }
 
-impl Default for TraceStore {
-    fn default() -> Self {
-        TraceStore {
-            inner: Mutex::new(StoreInner::default()),
-            hits: AtomicU64::new(0),
-            disk_hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            snapshot_evictions: AtomicU64::new(0),
-        }
+secbranch_obs::counters! {
+    /// A point-in-time snapshot of a [`TraceStore`]'s counters: the memo's
+    /// hit/miss/disk counters plus checkpoint and snapshot retention. The
+    /// three gauges are read under the store's lock by
+    /// [`TraceStore::stats`].
+    pub struct TraceStoreStats(TraceStoreCounters) {
+        /// Requests served from the in-memory memo.
+        hits: counter("secbranch_trace_store_hits_total"),
+        /// Requests served from the attached backend.
+        disk_hits: counter("secbranch_trace_store_disk_hits_total"),
+        /// Requests that had to record (including failed recordings).
+        misses: counter("secbranch_trace_store_misses_total"),
+        /// Entries whose checkpoints the checkpoint budget evicted.
+        checkpoint_evictions: counter("secbranch_trace_store_checkpoint_evictions_total"),
+        /// Spine snapshots the snapshot budget evicted.
+        snapshot_evictions: counter("secbranch_trace_store_snapshot_evictions_total"),
+        /// Distinct traces currently stored.
+        entries: gauge("secbranch_trace_store_entries"),
+        /// Bytes currently retained by resume checkpoints.
+        checkpoint_bytes: gauge("secbranch_trace_store_checkpoint_bytes"),
+        /// Bytes currently retained by cached spine snapshots.
+        snapshot_bytes: gauge("secbranch_trace_store_snapshot_bytes"),
     }
 }
 
@@ -628,7 +637,7 @@ impl TraceStore {
     pub fn set_checkpoint_budget(&self, budget: Option<usize>) {
         let mut inner = self.inner.lock().expect("trace store poisoned");
         inner.checkpoint_budget = budget;
-        inner.enforce_budget(&self.evictions);
+        inner.enforce_budget(&self.counters.checkpoint_evictions);
     }
 
     /// The configured checkpoint byte budget, if any.
@@ -638,21 +647,6 @@ impl TraceStore {
             .lock()
             .expect("trace store poisoned")
             .checkpoint_budget
-    }
-
-    /// Bytes currently retained by resume checkpoints.
-    #[must_use]
-    pub fn checkpoint_bytes(&self) -> usize {
-        self.inner
-            .lock()
-            .expect("trace store poisoned")
-            .checkpoint_bytes
-    }
-
-    /// How many entries have had their checkpoints evicted by the budget.
-    #[must_use]
-    pub fn checkpoint_evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
     }
 
     /// Caches the spine snapshot of a grouped multi-fault batch — the
@@ -666,7 +660,7 @@ impl TraceStore {
     /// Reports are byte-identical either way.
     pub fn cache_spine_snapshot(&self, key: &TraceKey, first: u64, snapshot: Arc<SpineSnapshot>) {
         let mut inner = self.inner.lock().expect("trace store poisoned");
-        inner.cache_snapshot(key, first, snapshot, &self.snapshot_evictions);
+        inner.cache_snapshot(key, first, snapshot, &self.counters.snapshot_evictions);
     }
 
     /// The cached spine snapshot for `(key, first)`, if it survived the
@@ -687,22 +681,7 @@ impl TraceStore {
     pub fn set_snapshot_budget(&self, budget: Option<usize>) {
         let mut inner = self.inner.lock().expect("trace store poisoned");
         inner.snapshot_budget = budget;
-        inner.enforce_snapshot_budget(&self.snapshot_evictions);
-    }
-
-    /// Bytes currently retained by cached spine snapshots.
-    #[must_use]
-    pub fn snapshot_bytes(&self) -> usize {
-        self.inner
-            .lock()
-            .expect("trace store poisoned")
-            .snapshot_bytes
-    }
-
-    /// How many spine snapshots the budget has evicted.
-    #[must_use]
-    pub fn snapshot_evictions(&self) -> u64 {
-        self.snapshot_evictions.load(Ordering::Relaxed)
+        inner.enforce_snapshot_budget(&self.counters.snapshot_evictions);
     }
 
     /// The reference execution for `key`, recorded on first request and
@@ -734,8 +713,8 @@ impl TraceStore {
     /// request* was satisfied (memo, disk, or a fresh recording).
     ///
     /// This is the per-request truth the matrix executor attributes to its
-    /// cells — unlike a before/after diff of the global [`TraceStore::hits`]
-    /// counter, it cannot be skewed by concurrent users of a shared store.
+    /// cells — unlike a before/after diff of the global `hits` counter, it
+    /// cannot be skewed by concurrent users of a shared store.
     ///
     /// # Errors
     ///
@@ -753,7 +732,7 @@ impl TraceStore {
             if let Some(entry) = inner.entries.get(key) {
                 let found = Arc::clone(&entry.reference);
                 inner.touch(key);
-                self.hits.fetch_add(1, Ordering::Relaxed);
+                self.counters.hits.fetch_add(1, Ordering::Relaxed);
                 return Ok((found, TraceFetch::Memory));
             }
             let flight = Arc::clone(inner.in_flight.entry(key.clone()).or_default());
@@ -769,11 +748,11 @@ impl TraceStore {
                 // Reattach the program from the requesting source — by the
                 // key contract it is the program the trace was recorded on.
                 let program = Arc::clone(source.fresh_simulator().shared_program());
-                self.disk_hits.fetch_add(1, Ordering::Relaxed);
+                self.counters.disk_hits.fetch_add(1, Ordering::Relaxed);
                 fetch = TraceFetch::Disk;
                 Ok(Arc::new(persisted.into_recorded(program)))
             } else {
-                self.misses.fetch_add(1, Ordering::Relaxed);
+                self.counters.misses.fetch_add(1, Ordering::Relaxed);
                 fetch = TraceFetch::Recorded;
                 let recorded = {
                     let _span = secbranch_obs::span_with("reference", || {
@@ -788,60 +767,29 @@ impl TraceStore {
             };
             let mut inner = self.inner.lock().expect("trace store poisoned");
             inner.in_flight.remove(key);
-            result.map(|reference| inner.insert(key, reference, &self.evictions))
+            result
+                .map(|reference| inner.insert(key, reference, &self.counters.checkpoint_evictions))
         });
         let reference = result.clone()?;
         if fetch == TraceFetch::Memory {
             // Served by a concurrent request's load or recording.
             self.inner.lock().expect("trace store poisoned").touch(key);
-            self.hits.fetch_add(1, Ordering::Relaxed);
+            self.counters.hits.fetch_add(1, Ordering::Relaxed);
         }
         Ok((reference, fetch))
     }
 
-    /// Registers the store's counters into an observability
-    /// [`Registry`](secbranch_obs::Registry) (`secbranch_trace_store_*`
-    /// series): the memo hit/miss/disk counters plus checkpoint and
-    /// snapshot retention as gauges.
-    pub fn register_into(&self, registry: &mut secbranch_obs::Registry) {
-        registry.counter("secbranch_trace_store_hits_total", self.hits());
-        registry.counter("secbranch_trace_store_disk_hits_total", self.disk_hits());
-        registry.counter("secbranch_trace_store_misses_total", self.misses());
-        registry.counter(
-            "secbranch_trace_store_checkpoint_evictions_total",
-            self.checkpoint_evictions(),
-        );
-        registry.counter(
-            "secbranch_trace_store_snapshot_evictions_total",
-            self.snapshot_evictions(),
-        );
-        registry.gauge("secbranch_trace_store_entries", self.len() as u64);
-        registry.gauge(
-            "secbranch_trace_store_checkpoint_bytes",
-            self.checkpoint_bytes() as u64,
-        );
-        registry.gauge(
-            "secbranch_trace_store_snapshot_bytes",
-            self.snapshot_bytes() as u64,
-        );
-    }
-
-    /// How many requests were served from the in-memory memo.
+    /// A snapshot of the store's counters, with the retention gauges read
+    /// under one lock hold.
     #[must_use]
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// How many requests were served from the attached backend.
-    #[must_use]
-    pub fn disk_hits(&self) -> u64 {
-        self.disk_hits.load(Ordering::Relaxed)
-    }
-
-    /// How many requests had to record (including failed recordings).
-    #[must_use]
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+    pub fn stats(&self) -> TraceStoreStats {
+        let inner = self.inner.lock().expect("trace store poisoned");
+        TraceStoreStats {
+            entries: inner.entries.len() as u64,
+            checkpoint_bytes: inner.checkpoint_bytes as u64,
+            snapshot_bytes: inner.snapshot_bytes as u64,
+            ..self.counters.snapshot()
+        }
     }
 
     /// Number of distinct traces currently stored.
@@ -914,7 +862,7 @@ mod tests {
             .reference(&key_b, &sim, "max", &[3, 9], 100)
             .expect("records");
         assert_eq!(other.trace.result.return_value, 9);
-        assert_eq!((store.hits(), store.misses()), (1, 2));
+        assert_eq!((store.stats().hits, store.stats().misses), (1, 2));
         assert_eq!(store.len(), 2);
     }
 
@@ -1029,8 +977,8 @@ mod tests {
             .reference_traced(&key, &sim, "max", &[7, 3], 100)
             .expect("loads");
         assert_eq!(fetch, TraceFetch::Disk);
-        assert_eq!(warm.misses(), 0, "nothing recorded");
-        assert_eq!(warm.disk_hits(), 1);
+        assert_eq!(warm.stats().misses, 0, "nothing recorded");
+        assert_eq!(warm.stats().disk_hits, 1);
         assert_eq!(reference.trace.result.return_value, 7);
         assert_eq!(reference.memory_size, 4096);
         // Loaded entries join the memo: the next request is a memory hit.
@@ -1069,7 +1017,7 @@ mod tests {
             .reference(&key_a, &sim, "max", &[7, 3], 100)
             .expect("records");
         assert!(!a.checkpoints.is_empty());
-        let bytes_after_one = store.checkpoint_bytes();
+        let bytes_after_one = store.stats().checkpoint_bytes;
         assert!(bytes_after_one > 0, "checkpoints are accounted");
 
         // Touch A, record B, then set a budget that fits only one entry:
@@ -1081,9 +1029,9 @@ mod tests {
         store
             .reference(&key_a, &sim, "max", &[7, 3], 100)
             .expect("hits");
-        store.set_checkpoint_budget(Some(bytes_after_one));
-        assert!(store.checkpoint_bytes() <= bytes_after_one);
-        assert_eq!(store.checkpoint_evictions(), 1);
+        store.set_checkpoint_budget(Some(bytes_after_one as usize));
+        assert!(store.stats().checkpoint_bytes <= bytes_after_one);
+        assert_eq!(store.stats().checkpoint_evictions, 1);
         assert_eq!(store.len(), 2, "traces always stay");
         let a_now = store
             .reference(&key_a, &sim, "max", &[7, 3], 100)
@@ -1100,7 +1048,7 @@ mod tests {
 
         // A zero budget strips everything, including future recordings.
         store.set_checkpoint_budget(Some(0));
-        assert_eq!(store.checkpoint_bytes(), 0);
+        assert_eq!(store.stats().checkpoint_bytes, 0);
     }
 
     #[test]
@@ -1123,7 +1071,7 @@ mod tests {
         store.cache_spine_snapshot(&key, 1, snap(&mut sim));
         store.cache_spine_snapshot(&key, 9, snap(&mut sim));
         store.cache_spine_snapshot(&other, 1, snap(&mut sim));
-        let bytes = store.snapshot_bytes();
+        let bytes = store.stats().snapshot_bytes;
         assert!(bytes > 0, "snapshots are accounted");
         let got = store.spine_snapshot(&key, 1).expect("cached");
         assert_eq!(got.steps_done, 1);
@@ -1131,16 +1079,20 @@ mod tests {
 
         // A budget fitting two entries evicts the least recently used —
         // (key, 9), since (key, 1) was just re-read.
-        let per_entry = bytes / 3;
+        let per_entry = bytes as usize / 3;
         store.set_snapshot_budget(Some(2 * per_entry + 1));
-        assert_eq!(store.snapshot_evictions(), 1);
+        assert_eq!(store.stats().snapshot_evictions, 1);
         assert!(store.spine_snapshot(&key, 9).is_none(), "LRU evicted");
         assert!(store.spine_snapshot(&key, 1).is_some());
         assert!(store.spine_snapshot(&other, 1).is_some());
 
         // A snapshot larger than the whole budget is not cached at all.
         store.set_snapshot_budget(Some(1));
-        assert_eq!(store.snapshot_bytes(), 0, "budget drop evicts the rest");
+        assert_eq!(
+            store.stats().snapshot_bytes,
+            0,
+            "budget drop evicts the rest"
+        );
         store.cache_spine_snapshot(&key, 5, snap(&mut sim));
         assert!(store.spine_snapshot(&key, 5).is_none());
     }
@@ -1196,8 +1148,12 @@ mod tests {
                 .collect();
             workers.into_iter().map(|w| w.join().unwrap()).collect()
         });
-        assert_eq!(store.misses(), 1, "one recording for one key");
-        assert_eq!(store.hits(), THREADS as u64 - 1, "the others waited for it");
+        assert_eq!(store.stats().misses, 1, "one recording for one key");
+        assert_eq!(
+            store.stats().hits,
+            THREADS as u64 - 1,
+            "the others waited for it"
+        );
         assert_eq!(backend.trace_writes.load(Ordering::Relaxed), 1);
         let recorded = fetched
             .iter()
@@ -1228,11 +1184,11 @@ mod tests {
                 });
             }
         });
-        assert_eq!(store.misses(), 1, "waiters share the failed attempt");
+        assert_eq!(store.stats().misses, 1, "waiters share the failed attempt");
         assert!(store.is_empty(), "no entry for the failure");
         let sim = max_simulator();
         assert!(store.reference(&key, &sim, "nope", &[], 100).is_err());
-        assert_eq!(store.misses(), 2, "a later request records again");
+        assert_eq!(store.stats().misses, 2, "a later request records again");
     }
 
     #[test]
@@ -1241,7 +1197,7 @@ mod tests {
         let sim = max_simulator();
         let key = TraceKey::new("art", "nope", &[]);
         assert!(store.reference(&key, &sim, "nope", &[], 100).is_err());
-        assert_eq!(store.misses(), 1, "the failed attempt still recorded");
+        assert_eq!(store.stats().misses, 1, "the failed attempt still recorded");
         assert!(store.is_empty(), "no entry for the failure");
         // The same key succeeds once the recording can.
         let key_ok = TraceKey::new("art", "max", &[1, 2]);

@@ -81,36 +81,6 @@ impl MatrixStats {
     pub fn compute_histogram(&self) -> secbranch_obs::HistogramSnapshot {
         secbranch_obs::HistogramSnapshot::from_samples(&self.cell_compute_micros)
     }
-
-    /// Registers this run's counters and the per-cell compute histogram
-    /// under the `secbranch_matrix_*` prefix. Derived observability data
-    /// only — never part of reports, fingerprints, or persistence.
-    pub fn register_into(&self, registry: &mut secbranch_obs::Registry) {
-        registry.gauge("secbranch_matrix_threads", self.threads as u64);
-        registry.counter("secbranch_matrix_trace_hits_total", self.trace_hits);
-        registry.counter(
-            "secbranch_matrix_trace_disk_hits_total",
-            self.trace_disk_hits,
-        );
-        registry.counter("secbranch_matrix_trace_misses_total", self.trace_misses);
-        registry.counter("secbranch_matrix_cell_hits_total", self.cell_hits);
-        registry.counter("secbranch_matrix_cell_misses_total", self.cell_misses);
-        registry.counter("secbranch_matrix_wall_micros_total", self.total_wall_micros);
-        registry.counter(
-            "secbranch_matrix_snapshot_restores_total",
-            self.snapshot_restores,
-        );
-        registry.counter(
-            "secbranch_matrix_suffix_steps_saved_total",
-            self.suffix_steps_saved,
-        );
-        registry.counter(
-            "secbranch_matrix_decoded_programs_total",
-            self.decoded_programs,
-        );
-        registry.counter("secbranch_matrix_decode_micros_total", self.decode_micros);
-        registry.histogram("secbranch_cell_compute_micros", &self.compute_histogram());
-    }
 }
 
 secbranch_obs::impl_to_json! { MatrixStats |s|

@@ -420,23 +420,10 @@ impl Session {
                 }
             }
         }
-        stats.store_checkpoint_bytes = self.traces.checkpoint_bytes() as u64;
-        stats.store_checkpoint_evictions = self.traces.checkpoint_evictions();
-        // Decode-cost accounting: each artifact's program decodes into
-        // micro-ops at most once (cached in the `Arc<Program>` all workers
-        // share); cells served entirely from a warm store never decode.
-        let mut decoded_seen = HashSet::new();
-        for artifact in &artifacts {
-            let program = &artifact.compiled().program;
-            if !decoded_seen.insert(Arc::as_ptr(program)) {
-                continue;
-            }
-            if let Some((uops, micros)) = program.decode_cost() {
-                stats.decoded_programs += 1;
-                stats.decoded_uops += uops;
-                stats.decode_micros += micros;
-            }
-        }
+        let traces = self.traces.stats();
+        stats.store_checkpoint_bytes = traces.checkpoint_bytes;
+        stats.store_checkpoint_evictions = traces.checkpoint_evictions;
+        add_decode_costs(&mut stats, &artifacts);
         Ok(SecurityReport {
             workloads: workload_names,
             pipelines: labels,
@@ -476,7 +463,7 @@ impl Session {
             ..MatrixStats::default()
         };
         let mut cells = Vec::with_capacity(workloads.len() * pipelines.len() * models.len());
-        let mut decoded_seen = HashSet::new();
+        let mut artifacts = Vec::with_capacity(workloads.len() * pipelines.len());
         for (workload, workload_name) in workloads.iter().zip(&workload_names) {
             for (pipeline, label) in pipelines.iter().zip(&labels) {
                 let artifact = self
@@ -498,16 +485,10 @@ impl Session {
                         report,
                     });
                 }
-                let program = &artifact.compiled().program;
-                if decoded_seen.insert(Arc::as_ptr(program)) {
-                    if let Some((uops, micros)) = program.decode_cost() {
-                        stats.decoded_programs += 1;
-                        stats.decoded_uops += uops;
-                        stats.decode_micros += micros;
-                    }
-                }
+                artifacts.push(artifact);
             }
         }
+        add_decode_costs(&mut stats, &artifacts);
         stats.total_wall_micros = started.elapsed().as_micros() as u64;
         Ok(SecurityReport {
             workloads: workload_names,
@@ -516,6 +497,25 @@ impl Session {
             cells,
             stats,
         })
+    }
+}
+
+/// Adds the decode cost of each distinct program among `artifacts` to
+/// `stats`. A program decodes into micro-ops at most once (cached in the
+/// `Arc<Program>` every worker shares), and one whose cells were all served
+/// from a warm store has not decoded at all.
+fn add_decode_costs(stats: &mut MatrixStats, artifacts: &[Artifact]) {
+    let mut seen = HashSet::new();
+    for artifact in artifacts {
+        let program = &artifact.compiled().program;
+        if !seen.insert(Arc::as_ptr(program)) {
+            continue;
+        }
+        if let Some((uops, micros)) = program.decode_cost() {
+            stats.decoded_programs += 1;
+            stats.decoded_uops += uops;
+            stats.decode_micros += micros;
+        }
     }
 }
 

@@ -34,7 +34,7 @@
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::io;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -49,8 +49,9 @@ use secbranch::{MatrixStats, Pipeline, SecurityCell, SecurityReport, Session, Wo
 use crate::catalog;
 use crate::protocol::{
     decode_grid_request, encode_cell, encode_done, encode_reject, read_frame, write_frame,
-    CellFrame, DoneFrame, GridRequest, RejectFrame, Served, WireError, PROTOCOL_VERSION, REQ_GRID,
-    REQ_SHUTDOWN, REQ_STATS, RESP_CELL, RESP_DONE, RESP_ERROR, RESP_REJECT, RESP_STATS,
+    CellFrame, DaemonCounters, DoneFrame, GridRequest, RejectFrame, Served, WireError,
+    PROTOCOL_VERSION, REQ_GRID, REQ_SHUTDOWN, REQ_STATS, RESP_CELL, RESP_DONE, RESP_ERROR,
+    RESP_REJECT, RESP_STATS,
 };
 use crate::transport::{self, Listener, Stream};
 
@@ -121,18 +122,7 @@ struct Shared {
     inflight: Mutex<HashMap<CellKey, Vec<Waiter>>>,
     shutdown: AtomicBool,
     addr: String,
-    requests: AtomicU64,
-    cells_requested: AtomicU64,
-    warm_cells: AtomicU64,
-    computed_cells: AtomicU64,
-    coalesced_cells: AtomicU64,
-    recordings: AtomicU64,
-    request_errors: AtomicU64,
-    version_rejects: AtomicU64,
-    snapshot_restores: AtomicU64,
-    suffix_steps_saved: AtomicU64,
-    decoded_programs: AtomicU64,
-    decode_micros: AtomicU64,
+    counters: DaemonCounters,
     /// Program identities (`Arc` data pointers of the daemon's build-cached
     /// programs) whose decode cost is already accounted, so re-runs of an
     /// artifact never double-count the one decode it paid.
@@ -194,18 +184,7 @@ impl GridDaemon {
                 inflight: Mutex::new(HashMap::new()),
                 shutdown: AtomicBool::new(false),
                 addr,
-                requests: AtomicU64::new(0),
-                cells_requested: AtomicU64::new(0),
-                warm_cells: AtomicU64::new(0),
-                computed_cells: AtomicU64::new(0),
-                coalesced_cells: AtomicU64::new(0),
-                recordings: AtomicU64::new(0),
-                request_errors: AtomicU64::new(0),
-                version_rejects: AtomicU64::new(0),
-                snapshot_restores: AtomicU64::new(0),
-                suffix_steps_saved: AtomicU64::new(0),
-                decoded_programs: AtomicU64::new(0),
-                decode_micros: AtomicU64::new(0),
+                counters: DaemonCounters::default(),
                 decode_seen: Mutex::new(HashSet::new()),
                 model_micros: Mutex::new(BTreeMap::new()),
             }),
@@ -270,7 +249,10 @@ fn handle_connection(shared: &Arc<Shared>, mut stream: Stream) {
                 }
             }
             Err(WireError::VersionMismatch { found, expected }) => {
-                shared.version_rejects.fetch_add(1, Ordering::Relaxed);
+                shared
+                    .counters
+                    .version_rejects
+                    .fetch_add(1, Ordering::Relaxed);
                 let _ = write_frame(
                     &mut stream,
                     RESP_REJECT,
@@ -410,10 +392,11 @@ fn handle_grid(shared: &Arc<Shared>, stream: &mut Stream, payload: &[u8]) -> io:
         Ok(plan) => plan,
         Err(message) => return refuse(shared, stream, &message),
     };
-    shared.requests.fetch_add(1, Ordering::Relaxed);
+    let counters = &shared.counters;
+    counters.requests.fetch_add(1, Ordering::Relaxed);
 
     let total = (plan.workloads.len() * plan.pipelines.len() * plan.models.len()) as u32;
-    shared
+    counters
         .cells_requested
         .fetch_add(u64::from(total), Ordering::Relaxed);
     let (tx, rx) = mpsc::channel::<CellOutcome>();
@@ -453,7 +436,7 @@ fn handle_grid(shared: &Arc<Shared>, stream: &mut Stream, payload: &[u8]) -> io:
                     });
                     drop(inflight);
                     roles.push(Served::Coalesced);
-                    shared.coalesced_cells.fetch_add(1, Ordering::Relaxed);
+                    counters.coalesced_cells.fetch_add(1, Ordering::Relaxed);
                     pending += 1;
                 } else if let Some(report) = shared
                     .grid
@@ -463,7 +446,7 @@ fn handle_grid(shared: &Arc<Shared>, stream: &mut Stream, payload: &[u8]) -> io:
                 {
                     drop(inflight);
                     roles.push(Served::StoreWarm);
-                    shared.warm_cells.fetch_add(1, Ordering::Relaxed);
+                    counters.warm_cells.fetch_add(1, Ordering::Relaxed);
                     write_frame(
                         stream,
                         RESP_CELL,
@@ -630,8 +613,8 @@ fn handle_grid(shared: &Arc<Shared>, stream: &mut Stream, payload: &[u8]) -> io:
             // unmarked so the request that eventually decodes it counts it.
             if let Some((_, micros)) = program.decode_cost() {
                 seen.insert(identity);
-                shared.decoded_programs.fetch_add(1, Ordering::Relaxed);
-                shared.decode_micros.fetch_add(micros, Ordering::Relaxed);
+                counters.decoded_programs.fetch_add(1, Ordering::Relaxed);
+                counters.decode_micros.fetch_add(micros, Ordering::Relaxed);
             }
         }
     }
@@ -649,7 +632,6 @@ fn handle_grid(shared: &Arc<Shared>, stream: &mut Stream, payload: &[u8]) -> io:
             Served::Coalesced => coalesced += 1,
         }
     }
-    let pool_stats = shared.pool.stats();
     let report = SecurityReport {
         workloads: plan.workloads.iter().map(|w| w.name.clone()).collect(),
         pipelines: plan
@@ -671,15 +653,9 @@ fn handle_grid(shared: &Arc<Shared>, stream: &mut Stream, payload: &[u8]) -> io:
                 }
             })
             .collect(),
-        stats: MatrixStats {
-            threads: pool_stats.workers,
-            trace_misses: u64::from(recordings),
-            cell_hits: u64::from(warm + coalesced),
-            cell_misses: u64::from(computed),
-            total_wall_micros: wall_micros,
-            cell_compute_micros: compute_micros,
-            ..MatrixStats::default()
-        },
+        // Never read: the report only goes out through `to_json`, which
+        // leaves the stats out.
+        stats: MatrixStats::default(),
     };
     write_frame(
         stream,
@@ -720,7 +696,10 @@ fn deadline_message(request: &GridRequest) -> String {
 
 /// Answers a request-level failure and keeps the connection.
 fn refuse(shared: &Shared, stream: &mut Stream, message: &str) -> io::Result<()> {
-    shared.request_errors.fetch_add(1, Ordering::Relaxed);
+    shared
+        .counters
+        .request_errors
+        .fetch_add(1, Ordering::Relaxed);
     write_frame(stream, RESP_ERROR, message.as_bytes())
 }
 
@@ -739,21 +718,22 @@ fn complete_cell(
         .expect("inflight poisoned")
         .remove(key)
         .unwrap_or_default();
+    let counters = &shared.counters;
     let outcome: Result<Delivered, String> = match result {
         Ok(cell) => {
             if cell.cell_hit {
-                shared.warm_cells.fetch_add(1, Ordering::Relaxed);
+                counters.warm_cells.fetch_add(1, Ordering::Relaxed);
             } else {
-                shared.computed_cells.fetch_add(1, Ordering::Relaxed);
+                counters.computed_cells.fetch_add(1, Ordering::Relaxed);
             }
             let recorded = cell.trace_fetch == Some(TraceFetch::Recorded);
             if recorded {
-                shared.recordings.fetch_add(1, Ordering::Relaxed);
+                counters.recordings.fetch_add(1, Ordering::Relaxed);
             }
-            shared
+            counters
                 .snapshot_restores
                 .fetch_add(cell.snapshot_restores, Ordering::Relaxed);
-            shared
+            counters
                 .suffix_steps_saved
                 .fetch_add(cell.suffix_steps_saved, Ordering::Relaxed);
             if !cell.cell_hit {
@@ -815,26 +795,9 @@ fn registry(shared: &Shared) -> Registry {
         "secbranch_gridd_protocol_version",
         u64::from(PROTOCOL_VERSION),
     );
-    // The daemon's own counters, each exported as `secbranch_gridd_<name>_total`.
-    for (name, counter) in [
-        ("requests", &shared.requests),
-        ("cells_requested", &shared.cells_requested),
-        ("warm_cells", &shared.warm_cells),
-        ("computed_cells", &shared.computed_cells),
-        ("coalesced_cells", &shared.coalesced_cells),
-        ("recordings", &shared.recordings),
-        ("request_errors", &shared.request_errors),
-        ("version_rejects", &shared.version_rejects),
-        ("snapshot_restores", &shared.snapshot_restores),
-        ("suffix_steps_saved", &shared.suffix_steps_saved),
-        ("decoded_programs", &shared.decoded_programs),
-        ("decode_micros", &shared.decode_micros),
-    ] {
-        let value = counter.load(Ordering::Relaxed);
-        registry.counter(&format!("secbranch_gridd_{name}_total"), value);
-    }
+    shared.counters.snapshot().register_into(&mut registry);
     shared.pool.stats().register_into(&mut registry);
-    shared.pool.store().register_into(&mut registry);
+    shared.pool.store().stats().register_into(&mut registry);
     if let Some(grid) = &shared.grid {
         grid.stats().register_into(&mut registry);
     }

@@ -72,6 +72,6 @@ mod transport;
 pub use client::{ClientError, GridClient};
 pub use daemon::{DaemonConfig, GridDaemon};
 pub use protocol::{
-    CellFrame, DoneFrame, GridRequest, RejectFrame, Served, StatsSnapshot, WireError,
+    CellFrame, DaemonStats, DoneFrame, GridRequest, RejectFrame, Served, StatsSnapshot, WireError,
     PROTOCOL_VERSION,
 };

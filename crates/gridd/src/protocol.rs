@@ -31,7 +31,8 @@
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
 
-use secbranch_campaign::CampaignReport;
+use secbranch::obs::metrics::series_value;
+use secbranch_campaign::{CampaignReport, PoolStats, TraceStoreStats};
 use secbranch_store::format::{crc32, Reader, RecordError, Writer};
 use secbranch_store::StoreStats;
 
@@ -501,119 +502,69 @@ pub fn decode_reject(payload: &[u8]) -> Result<RejectFrame, RecordError> {
 
 // --- observability --------------------------------------------------------
 
-/// Where a typed field of a view lives in that view.
-type Field<T> = fn(&mut T) -> &mut u64;
+secbranch::obs::counters! {
+    /// The daemon's own request, cell and executor counters.
+    pub struct DaemonStats(DaemonCounters) {
+        /// Grid requests admitted.
+        requests: counter("secbranch_gridd_requests_total"),
+        /// Cells requested across all grid requests.
+        cells_requested: counter("secbranch_gridd_cells_requested_total"),
+        /// Cells served from the grid store without simulation.
+        warm_cells: counter("secbranch_gridd_warm_cells_total"),
+        /// Cells computed on the worker pool.
+        computed_cells: counter("secbranch_gridd_computed_cells_total"),
+        /// Cells coalesced onto an identical in-flight computation
+        /// (single-flight).
+        coalesced_cells: counter("secbranch_gridd_coalesced_cells_total"),
+        /// Reference traces recorded by the daemon (lifetime).
+        recordings: counter("secbranch_gridd_recordings_total"),
+        /// Requests refused or failed (validation, budgets, simulation
+        /// errors, deadlines).
+        request_errors: counter("secbranch_gridd_request_errors_total"),
+        /// Connections rejected for speaking a foreign protocol version.
+        version_rejects: counter("secbranch_gridd_version_rejects_total"),
+        /// Spine-snapshot restores across all computed cells.
+        snapshot_restores: counter("secbranch_gridd_snapshot_restores_total"),
+        /// Reference-suffix steps the differential executors avoided
+        /// executing.
+        suffix_steps_saved: counter("secbranch_gridd_suffix_steps_saved_total"),
+        /// Distinct programs decoded into micro-ops by the daemon's
+        /// executors.
+        decoded_programs: counter("secbranch_gridd_decoded_programs_total"),
+        /// Wall-clock microseconds spent in those decodes.
+        decode_micros: counter("secbranch_gridd_decode_micros_total"),
+    }
+}
 
-/// The typed fields of [`StatsSnapshot`] and the series each one reads.
-#[rustfmt::skip]
-const SNAPSHOT_SERIES: [(&str, Field<StatsSnapshot>); 24] = [
-    ("secbranch_gridd_requests_total", |s| &mut s.requests),
-    ("secbranch_gridd_cells_requested_total", |s| &mut s.cells_requested),
-    ("secbranch_gridd_warm_cells_total", |s| &mut s.warm_cells),
-    ("secbranch_gridd_computed_cells_total", |s| &mut s.computed_cells),
-    ("secbranch_gridd_coalesced_cells_total", |s| &mut s.coalesced_cells),
-    ("secbranch_gridd_recordings_total", |s| &mut s.recordings),
-    ("secbranch_gridd_request_errors_total", |s| &mut s.request_errors),
-    ("secbranch_gridd_version_rejects_total", |s| &mut s.version_rejects),
-    ("secbranch_pool_queued", |s| &mut s.queue_depth),
-    ("secbranch_pool_in_flight", |s| &mut s.in_flight),
-    ("secbranch_pool_workers", |s| &mut s.workers),
-    ("secbranch_pool_capacity", |s| &mut s.queue_capacity),
-    ("secbranch_pool_submitted_total", |s| &mut s.pool_submitted),
-    ("secbranch_pool_completed_total", |s| &mut s.pool_completed),
-    ("secbranch_pool_errored_total", |s| &mut s.pool_errored),
-    ("secbranch_pool_expired_total", |s| &mut s.pool_expired),
-    ("secbranch_pool_compute_micros_total", |s| &mut s.pool_compute_micros),
-    ("secbranch_trace_store_hits_total", |s| &mut s.trace_hits),
-    ("secbranch_trace_store_disk_hits_total", |s| &mut s.trace_disk_hits),
-    ("secbranch_trace_store_misses_total", |s| &mut s.trace_misses),
-    ("secbranch_gridd_decoded_programs_total", |s| &mut s.decoded_programs),
-    ("secbranch_gridd_decode_micros_total", |s| &mut s.decode_micros),
-    ("secbranch_gridd_snapshot_restores_total", |s| &mut s.snapshot_restores),
-    ("secbranch_gridd_suffix_steps_saved_total", |s| &mut s.suffix_steps_saved),
-];
-
-/// The persistent store's counters and the series each one reads.
-#[rustfmt::skip]
-const STORE_SERIES: [(&str, Field<StoreStats>); 9] = [
-    ("secbranch_store_trace_hits_total", |s| &mut s.trace_hits),
-    ("secbranch_store_trace_misses_total", |s| &mut s.trace_misses),
-    ("secbranch_store_cell_hits_total", |s| &mut s.cell_hits),
-    ("secbranch_store_cell_misses_total", |s| &mut s.cell_misses),
-    ("secbranch_store_writes_total", |s| &mut s.writes),
-    ("secbranch_store_write_skips_total", |s| &mut s.write_skips),
-    ("secbranch_store_write_errors_total", |s| &mut s.write_errors),
-    ("secbranch_store_corrupt_dropped_total", |s| &mut s.corrupt_dropped),
-    ("secbranch_store_migrated_total", |s| &mut s.migrated),
-];
-
-/// A typed view of the daemon's statistics: lifetime request/cell
-/// counters, the job queue, the shared trace store, the executor counters,
-/// and the persistent store's own counters when one is attached. Built
+/// A typed view of the daemon's statistics: its own counters (also
+/// reachable directly, through `Deref`), the job queue, the shared trace
+/// store, and the persistent store's counters when one is attached. Built
 /// from the parsed `STATS` exposition by [`StatsSnapshot::from_series`],
-/// which also keeps the whole series map (per-model histograms and every
-/// series the typed fields do not name) in [`StatsSnapshot::series`].
+/// which also keeps the whole series map (per-model histograms included)
+/// in [`StatsSnapshot::series`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StatsSnapshot {
     /// The daemon's protocol version.
     pub protocol_version: u32,
-    /// Grid requests admitted.
-    pub requests: u64,
-    /// Cells requested across all grid requests.
-    pub cells_requested: u64,
-    /// Cells served from the grid store without simulation.
-    pub warm_cells: u64,
-    /// Cells computed on the worker pool.
-    pub computed_cells: u64,
-    /// Cells coalesced onto an identical in-flight computation
-    /// (single-flight).
-    pub coalesced_cells: u64,
-    /// Reference traces recorded by the daemon (lifetime).
-    pub recordings: u64,
-    /// Requests refused or failed (validation, budgets, simulation
-    /// errors, deadlines).
-    pub request_errors: u64,
-    /// Connections rejected for speaking a foreign protocol version.
-    pub version_rejects: u64,
-    /// Jobs currently waiting in the bounded queue.
-    pub queue_depth: u64,
-    /// Jobs currently executing on workers.
-    pub in_flight: u64,
-    /// Worker threads of the pool.
-    pub workers: u64,
-    /// Capacity of the bounded job queue.
-    pub queue_capacity: u64,
-    /// Jobs ever admitted to the pool.
-    pub pool_submitted: u64,
-    /// Jobs completed successfully.
-    pub pool_completed: u64,
-    /// Jobs whose fault-free reference run failed.
-    pub pool_errored: u64,
-    /// Jobs dropped unexecuted because the request deadline passed while
-    /// they were still queued.
-    pub pool_expired: u64,
-    /// Injection compute time summed over all completed cells, in µs.
-    pub pool_compute_micros: u64,
-    /// Reference traces served from the in-memory trace store.
-    pub trace_hits: u64,
-    /// Reference traces loaded from the persistent store.
-    pub trace_disk_hits: u64,
-    /// Reference traces that had to be recorded.
-    pub trace_misses: u64,
-    /// Distinct programs decoded into micro-ops by the daemon's executors.
-    pub decoded_programs: u64,
-    /// Wall-clock microseconds spent in those decodes.
-    pub decode_micros: u64,
-    /// Spine-snapshot restores across all computed cells.
-    pub snapshot_restores: u64,
-    /// Reference-suffix steps the differential executors avoided
-    /// executing.
-    pub suffix_steps_saved: u64,
+    /// The daemon's own request, cell and executor counters.
+    pub daemon: DaemonStats,
+    /// The worker pool's queue and job counters.
+    pub pool: PoolStats,
+    /// The shared in-memory trace store's counters.
+    pub traces: TraceStoreStats,
     /// The attached grid store's runtime counters (`None` when the daemon
     /// runs without persistence).
     pub store: Option<StoreStats>,
     /// Every series of the exposition, keyed as rendered.
     pub series: BTreeMap<String, u64>,
+}
+
+impl std::ops::Deref for StatsSnapshot {
+    type Target = DaemonStats;
+
+    fn deref(&self) -> &DaemonStats {
+        &self.daemon
+    }
 }
 
 impl StatsSnapshot {
@@ -625,35 +576,65 @@ impl StatsSnapshot {
     /// Names the first series a typed field needs that the exposition
     /// lacks — a missing counter is an error, never a silent zero.
     pub fn from_series(series: BTreeMap<String, u64>) -> Result<StatsSnapshot, String> {
-        let get = |name: &str| {
-            series
-                .get(name)
-                .copied()
-                .ok_or_else(|| format!("the statistics lack the series {name}"))
-        };
-        let mut snapshot = StatsSnapshot {
-            protocol_version: u32::try_from(get("secbranch_gridd_protocol_version")?)
+        let version = series_value(&series, "secbranch_gridd_protocol_version")?;
+        let has_store = series.keys().any(|key| key.starts_with("secbranch_store_"));
+        Ok(StatsSnapshot {
+            protocol_version: u32::try_from(version)
                 .map_err(|_| "the protocol version overflows u32".to_string())?,
-            ..StatsSnapshot::default()
-        };
-        for (name, field) in SNAPSHOT_SERIES {
-            *field(&mut snapshot) = get(name)?;
-        }
-        if series.keys().any(|key| key.starts_with("secbranch_store_")) {
-            let mut store = StoreStats::default();
-            for (name, field) in STORE_SERIES {
-                *field(&mut store) = get(name)?;
-            }
-            snapshot.store = Some(store);
-        }
-        snapshot.series = series;
-        Ok(snapshot)
+            daemon: DaemonStats::from_series(&series)?,
+            pool: PoolStats::from_series(&series)?,
+            traces: TraceStoreStats::from_series(&series)?,
+            store: has_store
+                .then(|| StoreStats::from_series(&series))
+                .transpose()?,
+            series,
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use secbranch::obs::{parse_prometheus, Registry};
+    use std::collections::BTreeSet;
+
+    /// The series `register` puts into a fresh registry, read back from
+    /// its Prometheus rendering.
+    fn exposed(register: impl FnOnce(&mut Registry)) -> BTreeMap<String, u64> {
+        let mut registry = Registry::new();
+        register(&mut registry);
+        parse_prometheus(&registry.render_prometheus()).expect("parses")
+    }
+
+    /// A value of the counter set `$set` whose fields hold distinct values
+    /// counting up from `$first`, in the order of their series names.
+    macro_rules! distinct {
+        ($set:ty, $first:expr) => {{
+            let names = exposed(|registry| <$set>::default().register_into(registry));
+            let values = names.keys().cloned().zip($first..).collect();
+            <$set>::from_series(&values).expect("every series present")
+        }};
+    }
+
+    /// Distinct values per field of `$set` survive `register_into`, the
+    /// rendering, `parse_prometheus` and `from_series` unchanged, one
+    /// series per field; dropping any one series is an error naming it.
+    macro_rules! check_counter_set {
+        ($set:ty, $first:expr) => {{
+            let stats: $set = distinct!($set, $first);
+            let series = exposed(|registry| stats.register_into(registry));
+            assert_eq!(<$set>::from_series(&series), Ok(stats));
+            let values: BTreeSet<u64> = series.values().copied().collect();
+            let fields = stats.to_json().matches(':').count();
+            assert_eq!((series.len(), values.len()), (fields, fields));
+            for name in series.keys() {
+                let mut lacking = series.clone();
+                lacking.remove(name);
+                let error = <$set>::from_series(&lacking).expect_err(name);
+                assert!(error.contains(name.as_str()), "{error}");
+            }
+        }};
+    }
 
     fn sample_request() -> GridRequest {
         GridRequest {
@@ -756,18 +737,30 @@ mod tests {
         );
 
         // A statistics payload is a rendered registry; the typed view reads
-        // every field from its own series.
-        let text = full_registry().render_prometheus();
-        let series = secbranch::obs::parse_prometheus(&text).expect("parses");
-        let mut stats = StatsSnapshot::from_series(series.clone()).expect("complete");
+        // every counter set back from its own series.
+        let (daemon, pool, traces, store) = (
+            distinct!(DaemonStats, 100),
+            distinct!(PoolStats, 200),
+            distinct!(TraceStoreStats, 300),
+            distinct!(StoreStats, 400),
+        );
+        let series = exposed(|registry| {
+            registry.gauge(
+                "secbranch_gridd_protocol_version",
+                u64::from(PROTOCOL_VERSION),
+            );
+            daemon.register_into(registry);
+            pool.register_into(registry);
+            traces.register_into(registry);
+            store.register_into(registry);
+        });
+        let stats = StatsSnapshot::from_series(series.clone()).expect("complete");
         assert_eq!(stats.protocol_version, PROTOCOL_VERSION);
-        for (index, (name, field)) in SNAPSHOT_SERIES.into_iter().enumerate() {
-            assert_eq!(*field(&mut stats), 100 + index as u64, "{name}");
-        }
-        let mut store = stats.store.expect("store series present");
-        for (index, (name, field)) in STORE_SERIES.into_iter().enumerate() {
-            assert_eq!(*field(&mut store), 200 + index as u64, "{name}");
-        }
+        assert_eq!(stats.daemon, daemon);
+        assert_eq!(stats.requests, daemon.requests, "the view derefs to it");
+        assert_eq!(stats.pool, pool);
+        assert_eq!(stats.traces, traces);
+        assert_eq!(stats.store, Some(store));
         assert_eq!(stats.series, series, "the view keeps every series");
 
         // Without any store series the daemon runs without persistence.
@@ -781,35 +774,31 @@ mod tests {
         );
     }
 
-    /// A registry holding every series the typed view reads, each with a
-    /// distinct value.
-    fn full_registry() -> secbranch::obs::Registry {
-        let mut registry = secbranch::obs::Registry::new();
-        registry.gauge(
-            "secbranch_gridd_protocol_version",
-            u64::from(PROTOCOL_VERSION),
-        );
-        for (index, (name, _)) in SNAPSHOT_SERIES.into_iter().enumerate() {
-            registry.counter(name, 100 + index as u64);
-        }
-        for (index, (name, _)) in STORE_SERIES.into_iter().enumerate() {
-            registry.counter(name, 200 + index as u64);
-        }
-        registry
+    #[test]
+    fn counter_sets_round_trip_through_the_exposition() {
+        check_counter_set!(DaemonStats, 100);
+        check_counter_set!(PoolStats, 200);
+        check_counter_set!(TraceStoreStats, 300);
+        check_counter_set!(StoreStats, 400);
     }
 
     #[test]
     fn stats_view_refuses_a_missing_series() {
-        let text = full_registry().render_prometheus();
-        let series = secbranch::obs::parse_prometheus(&text).expect("parses");
-        let names = std::iter::once("secbranch_gridd_protocol_version")
-            .chain(SNAPSHOT_SERIES.into_iter().map(|(name, _)| name))
-            .chain(STORE_SERIES.into_iter().map(|(name, _)| name));
-        for name in names {
+        let series = exposed(|registry| {
+            registry.gauge(
+                "secbranch_gridd_protocol_version",
+                u64::from(PROTOCOL_VERSION),
+            );
+            DaemonStats::default().register_into(registry);
+            PoolStats::default().register_into(registry);
+            TraceStoreStats::default().register_into(registry);
+            StoreStats::default().register_into(registry);
+        });
+        for name in series.keys() {
             let mut lacking = series.clone();
             lacking.remove(name);
             let error = StatsSnapshot::from_series(lacking).expect_err(name);
-            assert!(error.contains(name), "{error}");
+            assert!(error.contains(name.as_str()), "{error}");
         }
     }
 

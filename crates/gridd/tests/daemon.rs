@@ -441,6 +441,34 @@ fn unix_socket_transport_serves_and_cleans_up() {
     assert!(!socket.exists(), "socket file is removed on shutdown");
 }
 
+#[test]
+fn cold_grid_work_counters_match_a_local_run() {
+    // The executor's work counters measure the code, not the path: a cold
+    // grid served by the daemon restores as many spine snapshots and skips
+    // as many reference-suffix steps as the same grid run locally.
+    let store = TempDir::new("work-counters");
+    let daemon = RunningDaemon::start(DaemonConfig {
+        store_dir: Some(store.0.clone()),
+        ..DaemonConfig::default()
+    });
+    let grid = request(
+        &["integer_compare", "password_check"],
+        &["unprotected", "prototype"],
+        &["skip", "double-skip", "register-flip", "branch-invert"],
+        100,
+    );
+    let done = daemon
+        .client()
+        .request_grid(&grid, |_| {})
+        .expect("cold grid serves");
+    assert_eq!(done.computed_cells, 16);
+    let stats = daemon.stop();
+    let local = local_report(&grid).stats;
+    assert!(local.snapshot_restores > 0 && local.suffix_steps_saved > 0);
+    assert_eq!(stats.snapshot_restores, local.snapshot_restores);
+    assert_eq!(stats.suffix_steps_saved, local.suffix_steps_saved);
+}
+
 /// The `STATS` exposition of a storeful one-worker daemon after one fixed
 /// cold grid, line by line: every `# TYPE` line, every series name in
 /// rendering order, and every value except the timings (the compute and

@@ -26,13 +26,14 @@
 //!   [`chrome_trace_json`] exports drained events as Chrome trace-event
 //!   JSON loadable in `chrome://tracing` or Perfetto.
 //! * **[`mod@metrics`]** — a metrics registry ([`Registry`]: counters,
-//!   gauges, fixed-bucket latency [`Histogram`]s) that the per-layer stat
-//!   structs (`MatrixStats`, `PoolStats`, `StoreStats`, daemon counters)
-//!   register into, plus a deterministic Prometheus-style text renderer
-//!   ([`Registry::render_prometheus`]) with its total inverse
-//!   ([`parse_prometheus`]: exposition text to a sorted series map).
-//!   Histogram snapshots merge by plain addition, so merging is
-//!   associative across shards (test-enforced).
+//!   gauges, fixed-bucket latency [`Histogram`]s), a deterministic
+//!   Prometheus-style text renderer ([`Registry::render_prometheus`]) with
+//!   its total inverse ([`parse_prometheus`]: exposition text to a sorted
+//!   series map), and [`counters!`], which declares a runtime counter set
+//!   once (`StoreStats`, `PoolStats`, `TraceStoreStats`, the daemon's
+//!   `DaemonStats`) and derives its atomics, JSON, registration and
+//!   parse-back from that declaration. Histogram snapshots merge by plain
+//!   addition, so merging is associative across shards (test-enforced).
 //! * **[`mod@json`]** — the workspace's one JSON writer (the offline build
 //!   has no serde). Reports, stats, traces and the binaries' summaries all
 //!   serialise through it: [`json::ToJson`] values append into one buffer,

@@ -1,10 +1,12 @@
 //! The metrics registry: counters, gauges, fixed-bucket latency histograms,
 //! and a deterministic Prometheus-style text renderer.
 //!
-//! The per-layer stat structs (`MatrixStats`, `PoolStats`, `StoreStats`,
-//! the daemon's counters) each implement a `register_into(&mut Registry)`
-//! that maps their fields onto this one schema; exporters then render the
-//! registry instead of every layer hand-rolling its own aggregation.
+//! The runtime counter sets (`StoreStats`, `PoolStats`, `TraceStoreStats`,
+//! the daemon's `DaemonStats`) are each declared once with
+//! [`crate::counters!`], which derives the set's atomics, JSON,
+//! `register_into(&mut Registry)` and `from_series` from that one
+//! declaration; exporters then render the registry instead of every layer
+//! hand-rolling its own aggregation.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -339,6 +341,115 @@ impl HistogramSnapshot {
         }
         (below == snapshot.count).then_some(snapshot)
     }
+}
+
+/// Declares a set of runtime counters once and derives everything else
+/// from that declaration:
+///
+/// * the plain snapshot struct (`Copy + Default + Eq`, one `pub u64` field
+///   per entry, with the entry's doc);
+/// * its `AtomicU64` twin, whose `snapshot()` loads every field (relaxed);
+/// * `ToJson` and `to_json`, the fields in declared order, through
+///   [`crate::impl_to_json!`];
+/// * `register_into(&mut Registry)`, each field under its series name;
+/// * `from_series(&BTreeMap<String, u64>)`, the inverse over a
+///   [`parse_prometheus`] map, where a missing series is an error naming
+///   it.
+///
+/// Each entry reads `field: kind("series_name")`, `kind` being the
+/// [`Registry`] method the field registers with: `counter` or `gauge`.
+///
+/// ```
+/// secbranch_obs::counters! {
+///     /// A cache's counters.
+///     pub struct CacheStats(CacheCounters) {
+///         /// Lookups served from the cache.
+///         hits: counter("cache_hits_total"),
+///         /// Entries held right now.
+///         entries: gauge("cache_entries"),
+///     }
+/// }
+///
+/// let live = CacheCounters::default();
+/// live.hits.fetch_add(2, std::sync::atomic::Ordering::Relaxed);
+/// let stats = CacheStats { entries: 5, ..live.snapshot() };
+/// assert_eq!(stats.to_json(), r#"{"hits":2,"entries":5}"#);
+///
+/// let mut registry = secbranch_obs::Registry::new();
+/// stats.register_into(&mut registry);
+/// let text = registry.render_prometheus();
+/// assert!(text.contains("# TYPE cache_entries gauge\ncache_entries 5\n"));
+/// let series = secbranch_obs::parse_prometheus(&text).unwrap();
+/// assert_eq!(CacheStats::from_series(&series), Ok(stats));
+/// ```
+#[macro_export]
+macro_rules! counters {
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident($atomic:ident) {
+            $($(#[$field_meta:meta])* $field:ident: $kind:ident($series:literal)),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        $vis struct $name {
+            $($(#[$field_meta])* pub $field: u64,)*
+        }
+
+        #[doc = concat!("The live counters a [`", stringify!($name), "`] snapshots.")]
+        #[derive(Debug, Default)]
+        $vis struct $atomic {
+            $($(#[$field_meta])* pub $field: ::std::sync::atomic::AtomicU64,)*
+        }
+
+        impl $atomic {
+            /// A point-in-time copy of every counter.
+            #[must_use]
+            pub fn snapshot(&self) -> $name {
+                $name {
+                    $($field: self.$field.load(::std::sync::atomic::Ordering::Relaxed),)*
+                }
+            }
+        }
+
+        $crate::impl_to_json! { $name |s| $($field),* }
+
+        impl $name {
+            /// Registers every field into `registry` under its series name.
+            /// Derived observability data only — never part of reports,
+            /// fingerprints or persistence.
+            pub fn register_into(&self, registry: &mut $crate::Registry) {
+                $(registry.$kind($series, self.$field);)*
+            }
+
+            /// Reads every field back from an exposition parsed by
+            /// `secbranch_obs::parse_prometheus`.
+            ///
+            /// # Errors
+            ///
+            /// Names the first series the set needs that `series` lacks — a
+            /// missing counter is an error, never a silent zero.
+            pub fn from_series(
+                series: &::std::collections::BTreeMap<String, u64>,
+            ) -> Result<Self, String> {
+                Ok($name {
+                    $($field: $crate::metrics::series_value(series, $series)?,)*
+                })
+            }
+        }
+    };
+}
+
+/// The value of series `name` in a parsed exposition.
+///
+/// # Errors
+///
+/// Names the series when `series` lacks it.
+pub fn series_value(series: &BTreeMap<String, u64>, name: &str) -> Result<u64, String> {
+    series
+        .get(name)
+        .copied()
+        .ok_or_else(|| format!("the statistics lack the series {name}"))
 }
 
 /// Parses a Prometheus text exposition, as [`Registry::render_prometheus`]

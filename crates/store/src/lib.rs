@@ -130,56 +130,32 @@ impl From<io::Error> for StoreError {
     }
 }
 
-/// A point-in-time snapshot of a store's runtime counters (everything this
-/// process observed since [`GridStore::open`]; the on-disk totals come from
-/// [`GridStore::scan`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StoreStats {
-    /// Trace loads served from disk.
-    pub trace_hits: u64,
-    /// Trace loads that found nothing (or nothing intact).
-    pub trace_misses: u64,
-    /// Cell loads served from disk.
-    pub cell_hits: u64,
-    /// Cell loads that found nothing (or nothing intact).
-    pub cell_misses: u64,
-    /// Records written (published by rename).
-    pub writes: u64,
-    /// Writes skipped because an intact record already existed.
-    pub write_skips: u64,
-    /// Writes that failed on I/O (best-effort: callers keep going).
-    pub write_errors: u64,
-    /// Record files dropped as damaged (bad magic/CRC/truncation/foreign
-    /// version/key collision) during loads.
-    pub corrupt_dropped: u64,
-    /// Flat-layout (PR 5) record files moved into their shard subdirectory
-    /// on first touch.
-    pub migrated: u64,
-}
-
-impl StoreStats {
-    /// Registers the counters into an observability [`secbranch_obs::Registry`]
-    /// (`secbranch_store_*` series) — the daemon's `METRICS` exposition
-    /// and any other exporter read them through this one schema.
-    pub fn register_into(&self, registry: &mut secbranch_obs::Registry) {
-        registry.counter("secbranch_store_trace_hits_total", self.trace_hits);
-        registry.counter("secbranch_store_trace_misses_total", self.trace_misses);
-        registry.counter("secbranch_store_cell_hits_total", self.cell_hits);
-        registry.counter("secbranch_store_cell_misses_total", self.cell_misses);
-        registry.counter("secbranch_store_writes_total", self.writes);
-        registry.counter("secbranch_store_write_skips_total", self.write_skips);
-        registry.counter("secbranch_store_write_errors_total", self.write_errors);
-        registry.counter(
-            "secbranch_store_corrupt_dropped_total",
-            self.corrupt_dropped,
-        );
-        registry.counter("secbranch_store_migrated_total", self.migrated);
+secbranch_obs::counters! {
+    /// A point-in-time snapshot of a store's runtime counters (everything
+    /// this process observed since [`GridStore::open`]; the on-disk totals
+    /// come from [`GridStore::scan`]).
+    pub struct StoreStats(StoreCounters) {
+        /// Trace loads served from disk.
+        trace_hits: counter("secbranch_store_trace_hits_total"),
+        /// Trace loads that found nothing (or nothing intact).
+        trace_misses: counter("secbranch_store_trace_misses_total"),
+        /// Cell loads served from disk.
+        cell_hits: counter("secbranch_store_cell_hits_total"),
+        /// Cell loads that found nothing (or nothing intact).
+        cell_misses: counter("secbranch_store_cell_misses_total"),
+        /// Records written (published by rename).
+        writes: counter("secbranch_store_writes_total"),
+        /// Writes skipped because an intact record already existed.
+        write_skips: counter("secbranch_store_write_skips_total"),
+        /// Writes that failed on I/O (best-effort: callers keep going).
+        write_errors: counter("secbranch_store_write_errors_total"),
+        /// Record files dropped as damaged (bad magic/CRC/truncation/foreign
+        /// version/key collision) during loads.
+        corrupt_dropped: counter("secbranch_store_corrupt_dropped_total"),
+        /// Flat-layout (PR 5) record files moved into their shard
+        /// subdirectory on first touch.
+        migrated: counter("secbranch_store_migrated_total"),
     }
-}
-
-secbranch_obs::impl_to_json! { StoreStats |s|
-    trace_hits, trace_misses, cell_hits, cell_misses, writes, write_skips, write_errors,
-    corrupt_dropped, migrated,
 }
 
 /// What [`GridStore::scan`] found on disk: a full-directory validation
@@ -255,15 +231,7 @@ secbranch_obs::impl_to_json! { EvictReport |e| examined, evicted, reclaimed_byte
 #[derive(Debug)]
 pub struct GridStore {
     root: PathBuf,
-    trace_hits: AtomicU64,
-    trace_misses: AtomicU64,
-    cell_hits: AtomicU64,
-    cell_misses: AtomicU64,
-    writes: AtomicU64,
-    write_skips: AtomicU64,
-    write_errors: AtomicU64,
-    corrupt_dropped: AtomicU64,
-    migrated: AtomicU64,
+    counters: StoreCounters,
 }
 
 impl GridStore {
@@ -288,15 +256,7 @@ impl GridStore {
         sweep_stale_staging(&root.join("tmp"));
         let store = GridStore {
             root,
-            trace_hits: AtomicU64::new(0),
-            trace_misses: AtomicU64::new(0),
-            cell_hits: AtomicU64::new(0),
-            cell_misses: AtomicU64::new(0),
-            writes: AtomicU64::new(0),
-            write_skips: AtomicU64::new(0),
-            write_errors: AtomicU64::new(0),
-            corrupt_dropped: AtomicU64::new(0),
-            migrated: AtomicU64::new(0),
+            counters: StoreCounters::default(),
         };
         store.check_manifest()?;
         Ok(store)
@@ -340,17 +300,7 @@ impl GridStore {
     /// A snapshot of this process's runtime counters.
     #[must_use]
     pub fn stats(&self) -> StoreStats {
-        StoreStats {
-            trace_hits: self.trace_hits.load(Ordering::Relaxed),
-            trace_misses: self.trace_misses.load(Ordering::Relaxed),
-            cell_hits: self.cell_hits.load(Ordering::Relaxed),
-            cell_misses: self.cell_misses.load(Ordering::Relaxed),
-            writes: self.writes.load(Ordering::Relaxed),
-            write_skips: self.write_skips.load(Ordering::Relaxed),
-            write_errors: self.write_errors.load(Ordering::Relaxed),
-            corrupt_dropped: self.corrupt_dropped.load(Ordering::Relaxed),
-            migrated: self.migrated.load(Ordering::Relaxed),
-        }
+        self.counters.snapshot()
     }
 
     /// The sharded path of a record: `<family>/<hh>/<hash16>.rec`, where
@@ -375,7 +325,7 @@ impl GridStore {
                 // Losing the rename race to a concurrent migrator is fine:
                 // the winner put the identical record in place.
                 if fs::rename(&flat, &sharded).is_ok() {
-                    self.migrated.fetch_add(1, Ordering::Relaxed);
+                    self.counters.migrated.fetch_add(1, Ordering::Relaxed);
                 }
             }
         }
@@ -413,7 +363,7 @@ impl GridStore {
     fn put_record(&self, path: &Path, kind: u8, payload: &[u8]) {
         if let Ok(existing) = fs::read(path) {
             if parse_record(&existing, kind).is_ok() {
-                self.write_skips.fetch_add(1, Ordering::Relaxed);
+                self.counters.write_skips.fetch_add(1, Ordering::Relaxed);
                 return;
             }
         }
@@ -423,10 +373,10 @@ impl GridStore {
         }
         match self.publish(path, &frame_record(kind, payload)) {
             Ok(()) => {
-                self.writes.fetch_add(1, Ordering::Relaxed);
+                self.counters.writes.fetch_add(1, Ordering::Relaxed);
             }
             Err(_) => {
-                self.write_errors.fetch_add(1, Ordering::Relaxed);
+                self.counters.write_errors.fetch_add(1, Ordering::Relaxed);
             }
         }
     }
@@ -438,14 +388,18 @@ impl GridStore {
             Ok(bytes) => bytes,
             Err(e) if e.kind() == io::ErrorKind::NotFound => return None,
             Err(_) => {
-                self.corrupt_dropped.fetch_add(1, Ordering::Relaxed);
+                self.counters
+                    .corrupt_dropped
+                    .fetch_add(1, Ordering::Relaxed);
                 return None;
             }
         };
         match parse_record(&bytes, kind) {
             Ok(payload) => Some(payload.to_vec()),
             Err(RecordError::Corrupt | RecordError::Version(_)) => {
-                self.corrupt_dropped.fetch_add(1, Ordering::Relaxed);
+                self.counters
+                    .corrupt_dropped
+                    .fetch_add(1, Ordering::Relaxed);
                 None
             }
         }
@@ -460,7 +414,9 @@ impl GridStore {
             let (stored_key, persisted) = match codec::decode_trace_payload(&payload) {
                 Ok(decoded) => decoded,
                 Err(_) => {
-                    self.corrupt_dropped.fetch_add(1, Ordering::Relaxed);
+                    self.counters
+                        .corrupt_dropped
+                        .fetch_add(1, Ordering::Relaxed);
                     return None;
                 }
             };
@@ -470,8 +426,8 @@ impl GridStore {
         };
         let result = fetch();
         match &result {
-            Some(_) => self.trace_hits.fetch_add(1, Ordering::Relaxed),
-            None => self.trace_misses.fetch_add(1, Ordering::Relaxed),
+            Some(_) => self.counters.trace_hits.fetch_add(1, Ordering::Relaxed),
+            None => self.counters.trace_misses.fetch_add(1, Ordering::Relaxed),
         };
         result
     }
@@ -494,7 +450,9 @@ impl GridStore {
             let (stored_key, report) = match codec::decode_cell_payload(&payload) {
                 Ok(decoded) => decoded,
                 Err(_) => {
-                    self.corrupt_dropped.fetch_add(1, Ordering::Relaxed);
+                    self.counters
+                        .corrupt_dropped
+                        .fetch_add(1, Ordering::Relaxed);
                     return None;
                 }
             };
@@ -502,8 +460,8 @@ impl GridStore {
         };
         let result = fetch();
         match &result {
-            Some(_) => self.cell_hits.fetch_add(1, Ordering::Relaxed),
-            None => self.cell_misses.fetch_add(1, Ordering::Relaxed),
+            Some(_) => self.counters.cell_hits.fetch_add(1, Ordering::Relaxed),
+            None => self.counters.cell_misses.fetch_add(1, Ordering::Relaxed),
         };
         result
     }

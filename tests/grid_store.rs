@@ -131,7 +131,7 @@ fn security_report_is_byte_identical_disabled_cold_and_warm() {
     assert_eq!(warm.stats.cell_misses, 0, "zero simulation");
     assert_eq!(warm.stats.trace_misses, 0, "zero new reference traces");
     assert_eq!(
-        warm_session.trace_store().misses(),
+        warm_session.trace_store().stats().misses,
         0,
         "the warm session never recorded"
     );
@@ -183,7 +183,7 @@ fn traces_warm_start_from_disk_when_cells_are_absent() {
         "every reference loaded from disk"
     );
     assert_eq!(warm.stats.trace_misses, 0, "zero new recordings");
-    assert_eq!(warm_session.trace_store().disk_hits(), artifact_count);
+    assert_eq!(warm_session.trace_store().stats().disk_hits, artifact_count);
 }
 
 /// The in-memory checkpoint byte budget is output-invariant: a session

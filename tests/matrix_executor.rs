@@ -167,8 +167,8 @@ fn trace_store_records_each_artifact_reference_exactly_once() {
     // 2 workloads × 3 pipelines = 6 distinct artifacts; 3 models each.
     assert_eq!(report.stats.trace_misses, 6, "one recording per artifact");
     assert_eq!(report.stats.trace_hits, 12, "the other models reuse it");
-    assert_eq!(session.trace_store().misses(), 6);
-    assert_eq!(session.trace_store().hits(), 12);
+    assert_eq!(session.trace_store().stats().misses, 6);
+    assert_eq!(session.trace_store().stats().hits, 12);
     assert_eq!(session.trace_store().len(), 6);
     assert_eq!(report.stats.cell_compute_micros.len(), 18);
 
@@ -178,7 +178,11 @@ fn trace_store_records_each_artifact_reference_exactly_once() {
         .expect("matrix runs");
     assert_eq!(again.stats.trace_misses, 0);
     assert_eq!(again.stats.trace_hits, 18);
-    assert_eq!(session.trace_store().misses(), 6, "nothing re-recorded");
+    assert_eq!(
+        session.trace_store().stats().misses,
+        6,
+        "nothing re-recorded"
+    );
     assert_eq!(again, report, "memoised matrix is identical");
 }
 
