@@ -152,7 +152,7 @@ secbranch_obs::counters! {
         /// Record files dropped as damaged (bad magic/CRC/truncation/foreign
         /// version/key collision) during loads.
         corrupt_dropped: counter("secbranch_store_corrupt_dropped_total"),
-        /// Flat-layout (PR 5) record files moved into their shard
+        /// Record files of the older flat layout moved into their shard
         /// subdirectory on first touch.
         migrated: counter("secbranch_store_migrated_total"),
     }
