@@ -67,7 +67,8 @@ pub struct CellRequest {
     /// persistent cell cache for this job
     /// ([`MatrixExecutor::with_cell_cache_ignored`]): the cell executes its
     /// fault space from scratch and is written back as usual. Used by
-    /// cold-path benchmarks against a pre-populated store.
+    /// cold-path benchmarks against a pre-populated store, and by callers
+    /// that have already probed the store for this cell themselves.
     pub cold: bool,
 }
 

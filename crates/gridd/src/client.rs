@@ -3,14 +3,16 @@
 //! One client holds one connection and issues one request at a time (the
 //! protocol interleaves nothing on a single connection); concurrency comes
 //! from connecting more clients. [`GridClient::request_grid`] surfaces
-//! every streamed cell through a callback as it arrives, then returns the
-//! completion frame — the full report a warm daemon assembled without any
-//! simulation, byte-identical to a local run of the same grid.
+//! every streamed cell through a callback as it arrives, places it by its
+//! index, and on completion assembles the full report from the cells —
+//! byte-identical to a local run of the same grid. The daemon sends each
+//! report once, in its cell frame, and never renders the report itself.
 
 use std::io;
 use std::time::Duration;
 
 use secbranch::obs::parse_prometheus;
+use secbranch::{MatrixStats, SecurityCell, SecurityReport};
 
 use crate::protocol::{
     decode_cell, decode_done, decode_reject, encode_grid_request, read_frame, write_frame,
@@ -124,30 +126,80 @@ impl GridClient {
     /// Sends `request` and blocks until completion, invoking `on_cell` for
     /// every streamed cell in arrival order (warm cells first, cold cells
     /// in completion order — not canonical order; use
-    /// [`CellFrame::cell_index`] to place them).
+    /// [`CellFrame::cell_index`] to place them). The returned frame's
+    /// `report_json` is the report assembled from those cells.
     ///
     /// # Errors
     ///
     /// [`ClientError::Server`] when the daemon refuses or fails the
     /// request, [`ClientError::Rejected`] on a protocol-version mismatch,
-    /// otherwise transport/protocol failures.
+    /// [`ClientError::Protocol`] when the cells do not make up the
+    /// request's grid (a missing, repeated or out-of-range index, or a
+    /// grid size other than the request's), otherwise transport/protocol
+    /// failures.
     pub fn request_grid(
         &mut self,
         request: &GridRequest,
         mut on_cell: impl FnMut(&CellFrame),
     ) -> Result<DoneFrame, ClientError> {
+        let total = request
+            .workloads
+            .len()
+            .checked_mul(request.variants.len())
+            .and_then(|n| n.checked_mul(request.models.len()))
+            .ok_or_else(|| protocol("the request's grid size overflows"))?;
         write_frame(&mut self.stream, REQ_GRID, &encode_grid_request(request))?;
+        // Allocated on the first cell, once the daemon has taken the
+        // request.
+        let mut slots: Vec<Option<SecurityCell>> = Vec::new();
+        let mut received = 0;
         loop {
             let frame = read_frame(&mut self.stream)?;
             match frame.kind {
                 RESP_CELL => {
-                    let cell = decode_cell(&frame.payload)
-                        .map_err(|_| ClientError::Protocol("bad cell frame".to_string()))?;
+                    let cell =
+                        decode_cell(&frame.payload).map_err(|_| protocol("bad cell frame"))?;
+                    if cell.total_cells as usize != total {
+                        return Err(protocol(format!(
+                            "a cell of a {}-cell grid, but the request spans {total}",
+                            cell.total_cells
+                        )));
+                    }
+                    slots.resize_with(total, || None);
+                    let slot = match slots.get_mut(cell.cell_index as usize) {
+                        Some(slot @ None) => slot,
+                        Some(Some(_)) => {
+                            return Err(protocol(format!("cell {} arrived twice", cell.cell_index)))
+                        }
+                        None => {
+                            return Err(protocol(format!(
+                                "cell index {} is outside the {total}-cell grid",
+                                cell.cell_index
+                            )))
+                        }
+                    };
                     on_cell(&cell);
+                    *slot = Some(SecurityCell {
+                        workload: cell.workload,
+                        pipeline: cell.pipeline,
+                        model: cell.model,
+                        report: cell.report,
+                    });
+                    received += 1;
                 }
                 RESP_DONE => {
-                    return decode_done(&frame.payload)
-                        .map_err(|_| ClientError::Protocol("bad completion frame".to_string()));
+                    let mut done = decode_done(&frame.payload)
+                        .map_err(|_| protocol("bad completion frame"))?;
+                    if total == 0 || done.cells as usize != total || received != total {
+                        return Err(protocol(format!(
+                            "completion of a {}-cell grid after {received} of the request's \
+                             {total} cells",
+                            done.cells
+                        )));
+                    }
+                    done.report_json =
+                        assemble(request, slots.into_iter().flatten().collect()).to_json();
+                    return Ok(done);
                 }
                 kind => return Err(unexpected(kind, &frame.payload)),
             }
@@ -194,6 +246,36 @@ impl GridClient {
             kind => Err(unexpected(kind, &frame.payload)),
         }
     }
+}
+
+/// The canonical report of a grid from all its cells, in canonical
+/// (workload-major, pipeline-then-model) order: the axis labels are read
+/// off the cells by stride, so they are the resolved labels a local run
+/// prints, not the request's spellings. Every axis of `request` is
+/// non-empty and `cells` spans all of them.
+fn assemble(request: &GridRequest, cells: Vec<SecurityCell>) -> SecurityReport {
+    let models = request.models.len();
+    let per_workload = request.variants.len() * models;
+    SecurityReport {
+        workloads: cells
+            .iter()
+            .step_by(per_workload)
+            .map(|c| c.workload.clone())
+            .collect(),
+        pipelines: cells[..per_workload]
+            .iter()
+            .step_by(models)
+            .map(|c| c.pipeline.clone())
+            .collect(),
+        models: cells[..models].iter().map(|c| c.model.clone()).collect(),
+        cells,
+        // Never read: `to_json` leaves the stats out.
+        stats: MatrixStats::default(),
+    }
+}
+
+fn protocol(message: impl Into<String>) -> ClientError {
+    ClientError::Protocol(message.into())
 }
 
 /// Parses an exposition into the typed statistics view.

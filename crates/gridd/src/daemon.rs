@@ -6,15 +6,17 @@
 //! admission takes exactly one of three paths, decided under one lock so
 //! the paths cannot race each other:
 //!
-//! 1. **warm** — the persistent store already holds the cell: it streams
-//!    to the client immediately, with zero simulation;
+//! 1. **warm** — the persistent store already holds the cell: its stored
+//!    report bytes stream to the client immediately, with zero simulation
+//!    and without being decoded;
 //! 2. **coalesced** — an identical cell (same artifact fingerprint, model
 //!    fingerprint, entry, arguments) is already in flight for another
 //!    request: this request subscribes to that computation instead of
 //!    submitting its own (single-flight);
 //! 3. **cold** — the cell is submitted to the pool at the request's
-//!    priority; on completion the result fans out to every subscriber and
-//!    the in-flight entry is removed.
+//!    priority, with the pool's own store probe switched off (admission
+//!    just missed); on completion the result, encoded once, fans out to
+//!    every subscriber and the in-flight entry is removed.
 //!
 //! The ordering makes "each cold cell is computed exactly once" strict for
 //! one daemon over one store: the executor writes a computed cell back to
@@ -22,6 +24,10 @@
 //! removes the in-flight entry *before* any later admission can probe the
 //! store — so a cell is either in flight (subsequent requests coalesce) or
 //! persisted (they hit the store), never neither.
+//!
+//! The daemon never assembles or renders the grid's report: each cell's
+//! report travels once, in its cell frame, and the completion frame
+//! carries only counts. The client builds the report from the cells.
 //!
 //! Degradation is per-request, never daemon-wide: malformed or oversized
 //! requests, unknown catalog names, failing builds and blown deadlines
@@ -39,17 +45,17 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use secbranch::campaign::{
-    CampaignReport, CellKey, CellRequest, ExecutorPool, FaultModel, GridBackend, MatrixCellResult,
-    OwnedModule, PoolError, SimulatorSource, TraceFetch, TraceKey, TraceStore,
+    CellKey, CellRequest, ExecutorPool, FaultModel, GridBackend, MatrixCellResult, OwnedModule,
+    PoolError, SimulatorSource, TraceFetch, TraceKey, TraceStore,
 };
 use secbranch::obs::{Histogram, Registry};
-use secbranch::store::GridStore;
-use secbranch::{MatrixStats, Pipeline, SecurityCell, SecurityReport, Session, Workload};
+use secbranch::store::{codec::encode_report, GridStore};
+use secbranch::{Pipeline, Session, Workload};
 
 use crate::catalog;
 use crate::protocol::{
-    decode_grid_request, encode_cell, encode_done, encode_reject, read_frame, write_frame,
-    CellFrame, DaemonCounters, DoneFrame, GridRequest, RejectFrame, Served, WireError,
+    decode_grid_request, encode_cell_bytes, encode_done, encode_reject, read_frame, write_frame,
+    CellHead, DaemonCounters, DoneFrame, GridRequest, RejectFrame, Served, WireError,
     PROTOCOL_VERSION, REQ_GRID, REQ_SHUTDOWN, REQ_STATS, RESP_CELL, RESP_DONE, RESP_ERROR,
     RESP_REJECT, RESP_STATS,
 };
@@ -95,13 +101,12 @@ impl Default for DaemonConfig {
 /// What a completed cold cell fans out to its subscribers.
 #[derive(Clone)]
 struct Delivered {
-    report: CampaignReport,
+    /// The report as `encode_report` writes it, encoded once for every
+    /// subscriber.
+    report: Arc<[u8]>,
     compute_micros: u64,
     /// The executor had to record the reference trace.
     recorded: bool,
-    /// The executor found the cell in the store after all (a race with an
-    /// external writer; never another request of this daemon).
-    cell_hit: bool,
 }
 
 type CellOutcome = (u32, Result<Delivered, String>);
@@ -376,7 +381,7 @@ fn plan_request(shared: &Shared, request: &GridRequest) -> Result<Plan, String> 
 
 /// Serves one grid request end to end: admission (warm cells stream
 /// immediately), the drain loop (cold and coalesced cells stream in
-/// completion order), then the assembled report.
+/// completion order), then the completion counts.
 ///
 /// `Ok` means the connection is still usable — request-level failures
 /// answer with an error frame and return `Ok`. `Err` is a transport
@@ -401,8 +406,6 @@ fn handle_grid(shared: &Arc<Shared>, stream: &mut Stream, payload: &[u8]) -> io:
         .fetch_add(u64::from(total), Ordering::Relaxed);
     let (tx, rx) = mpsc::channel::<CellOutcome>();
     let mut roles: Vec<Served> = Vec::with_capacity(total as usize);
-    let mut reports: Vec<Option<CampaignReport>> = vec![None; total as usize];
-    let mut compute_micros: Vec<u64> = vec![0; total as usize];
     let mut pending = 0u32;
     let mut admission_failure: Option<String> = None;
     // The request's deadline governs both sides of a cold cell: the pool
@@ -442,26 +445,21 @@ fn handle_grid(shared: &Arc<Shared>, stream: &mut Stream, payload: &[u8]) -> io:
                     .grid
                     .as_deref()
                     .filter(|_| !request.cold)
-                    .and_then(|grid| grid.load_cell(&cell_key))
+                    .and_then(|grid| grid.get_cell_bytes(&cell_key))
                 {
                     drop(inflight);
                     roles.push(Served::StoreWarm);
                     counters.warm_cells.fetch_add(1, Ordering::Relaxed);
-                    write_frame(
-                        stream,
-                        RESP_CELL,
-                        &encode_cell(&CellFrame {
-                            cell_index: index,
-                            total_cells: total,
-                            served: Served::StoreWarm,
-                            workload: workload.name.clone(),
-                            pipeline: pipeline.label().to_string(),
-                            model: model.name(),
-                            report: report.clone(),
-                            compute_micros: 0,
-                        }),
-                    )?;
-                    reports[index as usize] = Some(report);
+                    let head = CellHead {
+                        cell_index: index,
+                        total_cells: total,
+                        served: Served::StoreWarm,
+                        workload: &workload.name,
+                        pipeline: pipeline.label(),
+                        model: &model.name(),
+                        compute_micros: 0,
+                    };
+                    write_frame(stream, RESP_CELL, &encode_cell_bytes(&head, &report))?;
                 } else {
                     inflight.insert(
                         cell_key.clone(),
@@ -473,6 +471,9 @@ fn handle_grid(shared: &Arc<Shared>, stream: &mut Stream, payload: &[u8]) -> io:
                     drop(inflight);
                     roles.push(Served::Computed);
                     pending += 1;
+                    // Admission has just missed the store (or was told to
+                    // ignore it), so the pool does not probe it again; the
+                    // computed cell is still written back.
                     let cell_request = CellRequest {
                         source: Arc::clone(source) as Arc<dyn SimulatorSource + Send + Sync>,
                         key: trace_key.clone(),
@@ -481,7 +482,7 @@ fn handle_grid(shared: &Arc<Shared>, stream: &mut Stream, payload: &[u8]) -> io:
                         max_steps: request.max_steps,
                         model: Arc::clone(model),
                         deadline,
-                        cold: request.cold,
+                        cold: true,
                     };
                     let callback_shared = Arc::clone(shared);
                     let callback_key = cell_key.clone();
@@ -554,38 +555,30 @@ fn handle_grid(shared: &Arc<Shared>, stream: &mut Stream, payload: &[u8]) -> io:
         let (index, result) = outcome;
         match result {
             Ok(delivered) => {
-                let role = roles[index as usize];
-                // A submitter whose executor run hit the store after all
-                // (external writer race) did zero simulation: report it
-                // warm, like the admission probe would have.
-                let served = if role == Served::Computed && delivered.cell_hit {
-                    Served::StoreWarm
-                } else {
-                    role
-                };
-                roles[index as usize] = served;
-                if served == Served::Computed {
-                    compute_micros[index as usize] = delivered.compute_micros;
-                    if delivered.recorded {
-                        recordings += 1;
-                    }
+                let served = roles[index as usize];
+                let computed = served == Served::Computed;
+                if computed && delivered.recorded {
+                    recordings += 1;
                 }
                 let (workload, pipeline, model) = cell_labels(&plan, index);
+                let head = CellHead {
+                    cell_index: index,
+                    total_cells: total,
+                    served,
+                    workload: &workload.name,
+                    pipeline: pipeline.label(),
+                    model: &model.name(),
+                    compute_micros: if computed {
+                        delivered.compute_micros
+                    } else {
+                        0
+                    },
+                };
                 write_frame(
                     stream,
                     RESP_CELL,
-                    &encode_cell(&CellFrame {
-                        cell_index: index,
-                        total_cells: total,
-                        served,
-                        workload,
-                        pipeline,
-                        model,
-                        report: delivered.report.clone(),
-                        compute_micros: compute_micros[index as usize],
-                    }),
+                    &encode_cell_bytes(&head, &delivered.report),
                 )?;
-                reports[index as usize] = Some(delivered.report);
             }
             Err(message) => {
                 failure = Some(message);
@@ -619,71 +612,31 @@ fn handle_grid(shared: &Arc<Shared>, stream: &mut Stream, payload: &[u8]) -> io:
         }
     }
 
-    // Assemble the canonical report — identical in shape (and bytes) to a
-    // local `Session::security_matrix_with` over the same grid.
     let wall_micros = started.elapsed().as_micros() as u64;
-    let mut warm = 0u32;
-    let mut computed = 0u32;
-    let mut coalesced = 0u32;
-    for role in &roles {
-        match role {
-            Served::StoreWarm => warm += 1,
-            Served::Computed => computed += 1,
-            Served::Coalesced => coalesced += 1,
-        }
-    }
-    let report = SecurityReport {
-        workloads: plan.workloads.iter().map(|w| w.name.clone()).collect(),
-        pipelines: plan
-            .pipelines
-            .iter()
-            .map(|p| p.label().to_string())
-            .collect(),
-        models: plan.models.iter().map(|m| m.name()).collect(),
-        cells: reports
-            .into_iter()
-            .enumerate()
-            .map(|(index, report)| {
-                let (workload, pipeline, model) = cell_labels(&plan, index as u32);
-                SecurityCell {
-                    workload,
-                    pipeline,
-                    model,
-                    report: report.expect("all cells delivered"),
-                }
-            })
-            .collect(),
-        // Never read: the report only goes out through `to_json`, which
-        // leaves the stats out.
-        stats: MatrixStats::default(),
-    };
+    let count = |served: Served| roles.iter().filter(|&&role| role == served).count() as u32;
     write_frame(
         stream,
         RESP_DONE,
         &encode_done(&DoneFrame {
-            report_json: report.to_json(),
+            report_json: String::new(),
             cells: total,
-            warm_cells: warm,
-            computed_cells: computed,
-            coalesced_cells: coalesced,
+            warm_cells: count(Served::StoreWarm),
+            computed_cells: count(Served::Computed),
+            coalesced_cells: count(Served::Coalesced),
             recordings,
             wall_micros,
         }),
     )
 }
 
-/// The canonical labels of cell `index` (workload-major,
-/// pipeline-then-model order).
-fn cell_labels(plan: &Plan, index: u32) -> (String, String, String) {
+/// The axes of cell `index` (workload-major, pipeline-then-model order).
+fn cell_labels(plan: &Plan, index: u32) -> (&Workload, &Pipeline, &dyn FaultModel) {
     let index = index as usize;
     let per_workload = plan.pipelines.len() * plan.models.len();
-    let workload = &plan.workloads[index / per_workload];
-    let pipeline = &plan.pipelines[(index % per_workload) / plan.models.len()];
-    let model = &plan.models[index % plan.models.len()];
     (
-        workload.name.clone(),
-        pipeline.label().to_string(),
-        model.name(),
+        &plan.workloads[index / per_workload],
+        &plan.pipelines[(index % per_workload) / plan.models.len()],
+        &*plan.models[index % plan.models.len()],
     )
 }
 
@@ -721,11 +674,7 @@ fn complete_cell(
     let counters = &shared.counters;
     let outcome: Result<Delivered, String> = match result {
         Ok(cell) => {
-            if cell.cell_hit {
-                counters.warm_cells.fetch_add(1, Ordering::Relaxed);
-            } else {
-                counters.computed_cells.fetch_add(1, Ordering::Relaxed);
-            }
+            counters.computed_cells.fetch_add(1, Ordering::Relaxed);
             let recorded = cell.trace_fetch == Some(TraceFetch::Recorded);
             if recorded {
                 counters.recordings.fetch_add(1, Ordering::Relaxed);
@@ -736,17 +685,15 @@ fn complete_cell(
             counters
                 .suffix_steps_saved
                 .fetch_add(cell.suffix_steps_saved, Ordering::Relaxed);
-            if !cell.cell_hit {
-                shared
-                    .model_micros
-                    .lock()
-                    .expect("model_micros poisoned")
-                    .entry(model_name.to_string())
-                    .or_insert_with(|| Arc::new(Histogram::new()))
-                    .observe(cell.compute_micros);
-            }
+            shared
+                .model_micros
+                .lock()
+                .expect("model_micros poisoned")
+                .entry(model_name.to_string())
+                .or_insert_with(|| Arc::new(Histogram::new()))
+                .observe(cell.compute_micros);
             let slow_after = shared.config.slow_cell_micros;
-            if slow_after > 0 && !cell.cell_hit && cell.compute_micros >= slow_after {
+            if slow_after > 0 && cell.compute_micros >= slow_after {
                 let trace_source = match cell.trace_fetch {
                     Some(TraceFetch::Memory) => "memory",
                     Some(TraceFetch::Disk) => "disk",
@@ -766,10 +713,9 @@ fn complete_cell(
                 );
             }
             Ok(Delivered {
-                report: cell.report,
+                report: encode_report(&cell.report).into(),
                 compute_micros: cell.compute_micros,
                 recorded,
-                cell_hit: cell.cell_hit,
             })
         }
         // `Display` for `PoolError` already distinguishes a failing

@@ -26,7 +26,7 @@
 //!   the daemon keeps serving — and because results are content-addressed,
 //!   retrying any failed request is idempotent.
 //!
-//! The daemon speaks exactly one [`PROTOCOL_VERSION`] (v4). Its statistics
+//! The daemon speaks exactly one [`PROTOCOL_VERSION`] (v5). Its statistics
 //! have one schema and one serialised form: a `STATS` request (and the
 //! reply to `SHUTDOWN`) returns the daemon's metrics registry as
 //! Prometheus text. [`GridClient::metrics`] hands out that text,

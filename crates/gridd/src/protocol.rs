@@ -44,16 +44,18 @@ pub const MAGIC: [u8; 4] = *b"SBGD";
 /// versions instead of misparsing them. v2 added [`GridRequest::cold`];
 /// v3 added a metrics frame and four executor counters to the binary
 /// statistics payload; v4 replaced that payload with the metrics
-/// registry's Prometheus text and made it the only statistics frame.
-pub const PROTOCOL_VERSION: u32 = 4;
+/// registry's Prometheus text and made it the only statistics frame; v5
+/// sends a warm cell as its stored report bytes, and DONE carries only
+/// counts (the client assembles the report from the cells).
+pub const PROTOCOL_VERSION: u32 = 5;
 
 /// Upper bound on a frame payload; a corrupted or hostile length prefix
 /// fails the read instead of triggering a giant allocation.
 pub const MAX_FRAME: u64 = 64 << 20;
 
 /// Most payload bytes [`read_frame`] allocates ahead of their arrival.
-/// Big enough that a full grid's DONE report (about 1 MiB) is read in one
-/// chunk.
+/// Every frame the daemon sends is far smaller (a cell frame holds one
+/// report, about 10 KiB; DONE is 28 bytes), so each is read in one chunk.
 const READ_CHUNK: usize = 2 << 20;
 
 /// Size of the fixed frame header preceding the payload.
@@ -329,6 +331,10 @@ impl Served {
 /// One finished cell, streamed to the client the moment it is available
 /// (warm cells flush during request admission, cold cells in completion
 /// order; `cell_index` restores the canonical order client-side).
+///
+/// On the wire the report comes last, as the bytes
+/// `secbranch_store::codec::encode_report` writes — for a warm cell, the
+/// bytes its store record holds after the key, copied without decoding.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellFrame {
     /// Position of this cell in the canonical (workload-major,
@@ -351,19 +357,66 @@ pub struct CellFrame {
     pub compute_micros: u64,
 }
 
+impl CellFrame {
+    /// Every field but the report.
+    #[must_use]
+    pub fn head(&self) -> CellHead<'_> {
+        CellHead {
+            cell_index: self.cell_index,
+            total_cells: self.total_cells,
+            served: self.served,
+            workload: &self.workload,
+            pipeline: &self.pipeline,
+            model: &self.model,
+            compute_micros: self.compute_micros,
+        }
+    }
+}
+
+/// The fields of a [`CellFrame`] that precede its report on the wire.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CellHead<'a> {
+    /// See [`CellFrame::cell_index`].
+    pub cell_index: u32,
+    /// See [`CellFrame::total_cells`].
+    pub total_cells: u32,
+    /// See [`CellFrame::served`].
+    pub served: Served,
+    /// See [`CellFrame::workload`].
+    pub workload: &'a str,
+    /// See [`CellFrame::pipeline`].
+    pub pipeline: &'a str,
+    /// See [`CellFrame::model`].
+    pub model: &'a str,
+    /// See [`CellFrame::compute_micros`].
+    pub compute_micros: u64,
+}
+
+/// Encodes a [`CellFrame`] payload from its head and its report's encoded
+/// bytes (`secbranch_store::codec::encode_report`, or a warm cell's bytes
+/// from `GridStore::get_cell_bytes`), which are copied as they are.
+#[must_use]
+pub fn encode_cell_bytes(head: &CellHead<'_>, report: &[u8]) -> Vec<u8> {
+    let mut w = Writer::new();
+    w.u32(head.cell_index);
+    w.u32(head.total_cells);
+    w.u8(head.served.tag());
+    w.str(head.workload);
+    w.str(head.pipeline);
+    w.str(head.model);
+    w.u64(head.compute_micros);
+    let mut payload = w.into_bytes();
+    payload.extend_from_slice(report);
+    payload
+}
+
 /// Encodes a [`CellFrame`] payload.
 #[must_use]
 pub fn encode_cell(cell: &CellFrame) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.u32(cell.cell_index);
-    w.u32(cell.total_cells);
-    w.u8(cell.served.tag());
-    w.str(&cell.workload);
-    w.str(&cell.pipeline);
-    w.str(&cell.model);
-    w.bytes(&secbranch_store::codec::encode_report(&cell.report));
-    w.u64(cell.compute_micros);
-    w.into_bytes()
+    encode_cell_bytes(
+        &cell.head(),
+        &secbranch_store::codec::encode_report(&cell.report),
+    )
 }
 
 /// Decodes a [`CellFrame`] payload.
@@ -379,11 +432,8 @@ pub fn decode_cell(payload: &[u8]) -> Result<CellFrame, RecordError> {
     let workload = r.str()?;
     let pipeline = r.str()?;
     let model = r.str()?;
-    let report = secbranch_store::codec::decode_report(&r.byte_vec()?)?;
     let compute_micros = r.u64()?;
-    if !r.is_exhausted() {
-        return Err(RecordError::Corrupt);
-    }
+    let report = secbranch_store::codec::decode_report(r.rest())?;
     Ok(CellFrame {
         cell_index,
         total_cells,
@@ -398,12 +448,17 @@ pub fn decode_cell(payload: &[u8]) -> Result<CellFrame, RecordError> {
 
 // --- completion -----------------------------------------------------------
 
-/// The completion frame of a grid request: the assembled report (as its
-/// canonical JSON serialisation, byte-identical to a local
-/// `SecurityReport::to_json`) plus how the request was served.
+/// The completion of a grid request: how it was served and, filled in by
+/// [`GridClient::request_grid`](crate::GridClient::request_grid), the
+/// report assembled from its cells.
+///
+/// Only the counts travel: the payload is five `u32`s and one `u64`,
+/// 28 bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DoneFrame {
-    /// The full `SecurityReport` JSON document.
+    /// The full `SecurityReport` JSON document, byte-identical to a local
+    /// `SecurityReport::to_json`. Not on the wire: [`decode_done`] leaves
+    /// it empty and the client fills it.
     pub report_json: String,
     /// Total cells of the request.
     pub cells: u32,
@@ -426,11 +481,10 @@ secbranch::obs::impl_to_json! { DoneFrame |d|
     cells, warm_cells, computed_cells, coalesced_cells, recordings, wall_micros,
 }
 
-/// Encodes a [`DoneFrame`] payload.
+/// Encodes a [`DoneFrame`] payload: its counts, never `report_json`.
 #[must_use]
 pub fn encode_done(done: &DoneFrame) -> Vec<u8> {
     let mut w = Writer::new();
-    w.str(&done.report_json);
     w.u32(done.cells);
     w.u32(done.warm_cells);
     w.u32(done.computed_cells);
@@ -440,7 +494,7 @@ pub fn encode_done(done: &DoneFrame) -> Vec<u8> {
     w.into_bytes()
 }
 
-/// Decodes a [`DoneFrame`] payload.
+/// Decodes a [`DoneFrame`] payload, with an empty `report_json`.
 ///
 /// # Errors
 ///
@@ -448,7 +502,7 @@ pub fn encode_done(done: &DoneFrame) -> Vec<u8> {
 pub fn decode_done(payload: &[u8]) -> Result<DoneFrame, RecordError> {
     let mut r = Reader::new(payload);
     let done = DoneFrame {
-        report_json: r.str()?,
+        report_json: String::new(),
         cells: r.u32()?,
         warm_cells: r.u32()?,
         computed_cells: r.u32()?,
@@ -667,15 +721,16 @@ mod tests {
         let mut wire = Vec::new();
         write_frame(&mut wire, REQ_STATS, b"").expect("writes");
 
-        let mut foreign = wire.clone();
-        foreign[4..8].copy_from_slice(&9u32.to_le_bytes());
-        assert!(matches!(
-            read_frame(&mut foreign.as_slice()),
-            Err(WireError::VersionMismatch {
-                found: 9,
-                expected: PROTOCOL_VERSION
-            })
-        ));
+        // A v4 peer (the report-carrying DONE frame) is as foreign as a
+        // future one.
+        for (version, found) in [(9u32, 9), (4, 4)] {
+            let mut foreign = wire.clone();
+            foreign[4..8].copy_from_slice(&version.to_le_bytes());
+            assert!(matches!(
+                read_frame(&mut foreign.as_slice()),
+                Err(WireError::VersionMismatch { found: f, expected: 5 }) if f == found
+            ));
+        }
 
         let mut magic = wire.clone();
         magic[0] = b'X';
@@ -717,7 +772,7 @@ mod tests {
     #[test]
     fn done_reject_and_stats_payloads_round_trip() {
         let done = DoneFrame {
-            report_json: "{\"cells\":[]}".to_string(),
+            report_json: String::new(),
             cells: 12,
             warm_cells: 7,
             computed_cells: 3,
@@ -725,7 +780,14 @@ mod tests {
             recordings: 4,
             wall_micros: 123_456,
         };
+        assert_eq!(encode_done(&done).len(), 5 * 4 + 8, "counts only");
         assert_eq!(decode_done(&encode_done(&done)).expect("decodes"), done);
+        // The report never travels: the client assembles it.
+        let with_report = DoneFrame {
+            report_json: "{\"cells\":[]}".to_string(),
+            ..done.clone()
+        };
+        assert_eq!(encode_done(&with_report), encode_done(&done));
 
         let reject = RejectFrame {
             found: 3,
@@ -807,10 +869,10 @@ mod tests {
         let mut wire = Vec::new();
         write_frame(&mut wire, REQ_STATS, b"").expect("writes");
         let frame = read_frame(&mut wire.as_slice()).expect("reads");
-        assert_eq!(frame.kind, REQ_STATS);
-        // Only this build's version is served: the previous and the next
-        // one are both foreign.
-        for version in [PROTOCOL_VERSION - 1, PROTOCOL_VERSION + 1] {
+        assert_eq!((frame.kind, PROTOCOL_VERSION), (REQ_STATS, 5));
+        // Only this build's version is served: every earlier one and the
+        // next one are foreign.
+        for version in [2, 3, 4, PROTOCOL_VERSION + 1] {
             let mut foreign = wire.clone();
             foreign[4..8].copy_from_slice(&version.to_le_bytes());
             assert!(matches!(

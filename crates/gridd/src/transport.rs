@@ -90,7 +90,7 @@ impl Listener {
     /// Blocks for the next connection.
     pub(crate) fn accept(&self) -> io::Result<Stream> {
         match self {
-            Listener::Tcp(l) => l.accept().map(|(s, _)| Stream::Tcp(s)),
+            Listener::Tcp(l) => tcp(l.accept()?.0),
             #[cfg(unix)]
             Listener::Unix(l, _) => l.accept().map(|(s, _)| Stream::Unix(s)),
         }
@@ -120,5 +120,14 @@ pub(crate) fn connect(addr: &str) -> io::Result<Stream> {
             ));
         }
     }
-    TcpStream::connect(addr).map(Stream::Tcp)
+    tcp(TcpStream::connect(addr)?)
+}
+
+/// Wraps a TCP connection with Nagle's algorithm off. Every frame goes out
+/// in one write, so batching small writes gains nothing; it would only
+/// hold a short frame (a 28-byte completion after a burst of cells) back
+/// until the peer's delayed acknowledgement of the cells, up to 40 ms.
+fn tcp(stream: TcpStream) -> io::Result<Stream> {
+    stream.set_nodelay(true)?;
+    Ok(Stream::Tcp(stream))
 }

@@ -184,6 +184,84 @@ fn cold_then_warm_requests_match_a_local_run_byte_for_byte() {
     assert!(stats.store.is_some(), "store counters surface in STATS");
 }
 
+/// The v5 wire, read raw off the socket: each warm cell frame ends in
+/// exactly the report bytes its store record holds after the key, and the
+/// completion payload is 28 bytes of counts.
+#[test]
+fn warm_cells_travel_as_their_stored_bytes_and_done_carries_only_counts() {
+    use secbranch::store::{codec, format};
+    use std::collections::BTreeSet;
+
+    let store = TempDir::new("wire-bytes");
+    let daemon = RunningDaemon::start(DaemonConfig {
+        store_dir: Some(store.0.clone()),
+        ..DaemonConfig::default()
+    });
+    let grid = request(
+        &["integer_compare", "pin_retry"],
+        &["unprotected", "prototype"],
+        &["skip", "branch-invert"],
+        50,
+    );
+    daemon
+        .client()
+        .request_grid(&grid, |_| {})
+        .expect("cold grid fills the store");
+
+    // Every stored cell record's report bytes: its payload after the key.
+    let mut stored = BTreeSet::new();
+    for shard in std::fs::read_dir(store.0.join("cells")).expect("cells dir") {
+        for file in std::fs::read_dir(shard.expect("entry").path()).expect("shard dir") {
+            let bytes = std::fs::read(file.expect("entry").path()).expect("record reads");
+            let payload = format::parse_record(&bytes, format::KIND_CELL).expect("intact");
+            let (key, _) = codec::decode_cell_payload(payload).expect("decodes");
+            stored.insert(payload[codec::encode_cell_key(&key).len()..].to_vec());
+        }
+    }
+    assert_eq!(stored.len(), 8);
+
+    let mut stream = std::net::TcpStream::connect(&daemon.addr).expect("connects");
+    protocol::write_frame(
+        &mut stream,
+        protocol::REQ_GRID,
+        &protocol::encode_grid_request(&grid),
+    )
+    .expect("request sends");
+    let local = local_report(&grid);
+    let mut sent = BTreeSet::new();
+    let done = loop {
+        let frame = protocol::read_frame(&mut stream).expect("frame arrives");
+        if frame.kind == protocol::RESP_DONE {
+            break frame.payload;
+        }
+        assert_eq!(frame.kind, protocol::RESP_CELL);
+        let cell = protocol::decode_cell(&frame.payload).expect("decodes");
+        assert_eq!(cell.served, Served::StoreWarm);
+        let head_len = protocol::encode_cell_bytes(&cell.head(), &[]).len();
+        let report = &frame.payload[head_len..];
+        assert!(
+            stored.contains(report),
+            "cell {} is a stored record's bytes",
+            cell.cell_index
+        );
+        assert_eq!(
+            report,
+            codec::encode_report(&local.cells[cell.cell_index as usize].report)
+        );
+        sent.insert(report.to_vec());
+    };
+    assert_eq!(sent, stored, "every stored cell was sent once");
+    assert_eq!(done.len(), 5 * 4 + 8, "five u32 counts and one u64");
+    let done = protocol::decode_done(&done).expect("decodes");
+    assert_eq!(
+        (done.cells, done.warm_cells, done.computed_cells),
+        (8, 8, 0)
+    );
+    assert!(done.report_json.is_empty(), "no report on the wire");
+
+    daemon.stop();
+}
+
 #[test]
 fn cold_requests_recompute_against_a_warm_store_without_deleting_it() {
     let store = TempDir::new("forced-cold");
@@ -548,7 +626,7 @@ secbranch_pool_submitted_total 4
 # TYPE secbranch_store_cell_hits_total counter
 secbranch_store_cell_hits_total 0
 # TYPE secbranch_store_cell_misses_total counter
-secbranch_store_cell_misses_total 8
+secbranch_store_cell_misses_total 4
 # TYPE secbranch_store_corrupt_dropped_total counter
 secbranch_store_corrupt_dropped_total 0
 # TYPE secbranch_store_migrated_total counter
@@ -574,7 +652,7 @@ secbranch_trace_store_misses_total 2
 # TYPE secbranch_trace_store_snapshot_evictions_total counter
 secbranch_trace_store_snapshot_evictions_total 0
 # TYPE secbranch_gridd_protocol_version gauge
-secbranch_gridd_protocol_version 4
+secbranch_gridd_protocol_version 5
 # TYPE secbranch_pool_capacity gauge
 secbranch_pool_capacity 256
 # TYPE secbranch_pool_in_flight gauge

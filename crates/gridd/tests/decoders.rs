@@ -1,22 +1,74 @@
 //! Totality of everything that decodes bytes from a peer: frames, the
-//! binary payloads, and the statistics exposition. Seeded random bytes and
-//! seeded mutations of valid inputs must each decode or fail cleanly —
-//! never panic.
+//! binary payloads, the statistics exposition, and the client's assembly
+//! of a report from its cells. Seeded random bytes and seeded mutations of
+//! valid inputs must each decode or fail cleanly — never panic, and never
+//! allocate far beyond the input's own size.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::net::TcpListener;
+use std::thread;
 
 use secbranch::armv7m::ExecResult;
 use secbranch::campaign::{CampaignReport, EscapeRecord, LocationReport, OutcomeCounts};
 use secbranch::obs::{parse_prometheus, HistogramSnapshot, Registry};
+use secbranch::store::codec::encode_report;
+use secbranch::{MatrixStats, SecurityCell, SecurityReport};
 use secbranch_gridd::protocol::{
-    decode_cell, decode_done, decode_grid_request, decode_reject, encode_cell, encode_done,
-    encode_grid_request, encode_reject, read_frame, write_frame, WireError, MAGIC, MAX_FRAME,
-    REQ_GRID, RESP_CELL, RESP_DONE, RESP_ERROR, RESP_REJECT, RESP_STATS,
+    decode_cell, decode_done, decode_grid_request, decode_reject, encode_cell, encode_cell_bytes,
+    encode_done, encode_grid_request, encode_reject, read_frame, write_frame, WireError, MAGIC,
+    MAX_FRAME, REQ_GRID, RESP_CELL, RESP_DONE, RESP_ERROR, RESP_REJECT, RESP_STATS,
 };
 use secbranch_gridd::{
-    CellFrame, DoneFrame, GridRequest, RejectFrame, Served, StatsSnapshot, PROTOCOL_VERSION,
+    CellFrame, ClientError, DoneFrame, GridClient, GridRequest, RejectFrame, Served, StatsSnapshot,
+    PROTOCOL_VERSION,
 };
 
 /// Random inputs and mutations fed to each decoder.
 const ITERATIONS: usize = 2_000;
+
+/// The system allocator, recording the largest single allocation made on
+/// each thread so a decode can be checked for over-allocation.
+struct PeakAllocator;
+
+thread_local! {
+    static PEAK: Cell<usize> = const { Cell::new(0) };
+}
+
+// SAFETY: every call forwards to `System` unchanged; the thread-local
+// bookkeeping neither allocates nor touches the returned memory.
+unsafe impl GlobalAlloc for PeakAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        PEAK.with(|peak| peak.set(peak.get().max(layout.size())));
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout);
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        PEAK.with(|peak| peak.set(peak.get().max(new_size)));
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: PeakAllocator = PeakAllocator;
+
+/// Runs `decode` on `input` and fails if any single allocation it made
+/// exceeds a small multiple of the input's length: a decoder that trusts a
+/// declared length or count would allocate far more.
+fn within_input_size<T>(input: &[u8], decode: impl FnOnce(&[u8]) -> T) {
+    PEAK.with(|peak| peak.set(0));
+    let _ = decode(input);
+    let peak = PEAK.with(Cell::get);
+    assert!(
+        peak <= 1024 + 16 * input.len(),
+        "a {}-byte input allocated {peak} bytes at once",
+        input.len()
+    );
+}
 
 /// SplitMix64: a fixed, seedable byte source.
 struct Rng(u64);
@@ -127,7 +179,7 @@ fn sample_cell() -> CellFrame {
 
 fn sample_done() -> DoneFrame {
     DoneFrame {
-        report_json: "{\"cells\":[]}".to_string(),
+        report_json: String::new(),
         cells: 60,
         warm_cells: 40,
         computed_cells: 15,
@@ -229,12 +281,40 @@ fn payload_decoders_are_total() {
     assert_eq!(decode_grid_request(&request[0]), Ok(sample_request()));
     assert_eq!(decode_cell(&cell[0]), Ok(sample_cell()));
     assert_eq!(decode_done(&done[0]), Ok(sample_done()));
+    assert_eq!(done[0].len(), 28, "five u32 counts and one u64");
     assert_eq!(decode_reject(&reject[0]), Ok(sample_reject()));
     for _ in 0..ITERATIONS {
-        let _ = decode_grid_request(&rng.input(&request));
-        let _ = decode_cell(&rng.input(&cell));
-        let _ = decode_done(&rng.input(&done));
-        let _ = decode_reject(&rng.input(&reject));
+        within_input_size(&rng.input(&request), decode_grid_request);
+        within_input_size(&rng.input(&cell), decode_cell);
+        within_input_size(&rng.input(&done), decode_done);
+        within_input_size(&rng.input(&reject), decode_reject);
+    }
+}
+
+#[test]
+#[should_panic(expected = "allocated")]
+fn the_allocation_bound_catches_a_decoder_that_trusts_a_declared_length() {
+    within_input_size(&(1u32 << 24).to_le_bytes(), |bytes| {
+        Vec::<u8>::with_capacity(u32::from_le_bytes(bytes.try_into().expect("four bytes")) as usize)
+    });
+}
+
+#[test]
+fn cell_frames_carry_raw_report_bytes_and_decode_totally() {
+    // A v5 cell frame is its head followed by the report's encoded bytes,
+    // exactly as a store record holds them after the key.
+    let mut rng = Rng(0x5eed_0004);
+    let cell = sample_cell();
+    let report = encode_report(&cell.report);
+    let payload = encode_cell_bytes(&cell.head(), &report);
+    assert_eq!(payload, encode_cell(&cell));
+    assert!(payload.ends_with(&report));
+    // Damage confined to the report bytes — the part a warm daemon copies
+    // from disk without decoding — fails cleanly or decodes, never panics.
+    let reports = vec![report];
+    for _ in 0..ITERATIONS {
+        let damaged = encode_cell_bytes(&cell.head(), &rng.input(&reports));
+        within_input_size(&damaged, decode_cell);
     }
 }
 
@@ -252,6 +332,152 @@ fn exposition_parser_and_stats_view_are_total() {
                 "model=\"skip\"",
             );
             let _ = StatsSnapshot::from_series(series);
+        }
+    }
+}
+
+// --- client assembly ------------------------------------------------------
+
+/// A daemon stand-in serving one connection: it reads the request frame,
+/// answers with `frames` and hangs up. Returns what the client made of it.
+fn serve_script(frames: Vec<(u8, Vec<u8>)>) -> Result<DoneFrame, ClientError> {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("binds");
+    let addr = listener.local_addr().expect("has an address").to_string();
+    let daemon = thread::spawn(move || {
+        let (mut stream, _) = listener.accept().expect("accepts");
+        read_frame(&mut stream).expect("request arrives");
+        for (kind, payload) in frames {
+            if write_frame(&mut stream, kind, &payload).is_err() {
+                break; // the client already gave up
+            }
+        }
+    });
+    let mut client = GridClient::connect(&addr).expect("connects");
+    let result = client.request_grid(&two_cell_request(), |_| {});
+    drop(client);
+    daemon.join().expect("script runs");
+    result
+}
+
+/// One workload, one variant, two models: a two-cell grid.
+fn two_cell_request() -> GridRequest {
+    GridRequest {
+        models: vec!["skip".to_string(), "branch-invert".to_string()],
+        workloads: vec!["crc32".to_string()],
+        ..sample_request()
+    }
+}
+
+fn cell_frame(cell_index: u32, total_cells: u32) -> (u8, Vec<u8>) {
+    let mut cell = sample_cell();
+    cell.cell_index = cell_index;
+    cell.total_cells = total_cells;
+    cell.model = ["skip", "branch-invert"][cell_index as usize % 2].to_string();
+    (RESP_CELL, encode_cell(&cell))
+}
+
+fn done_frame(cells: u32) -> (u8, Vec<u8>) {
+    (
+        RESP_DONE,
+        encode_done(&DoneFrame {
+            cells,
+            ..sample_done()
+        }),
+    )
+}
+
+#[test]
+fn the_client_assembles_the_report_from_its_cells() {
+    // Cells in any order make the canonical report, labels read off the
+    // cells (the resolved names, not the request's spellings).
+    let done = serve_script(vec![cell_frame(1, 2), cell_frame(0, 2), done_frame(2)])
+        .expect("a complete grid assembles");
+    let cell = |index: u32| {
+        let frame = decode_cell(&cell_frame(index, 2).1).expect("decodes");
+        SecurityCell {
+            workload: frame.workload,
+            pipeline: frame.pipeline,
+            model: frame.model,
+            report: frame.report,
+        }
+    };
+    let expected = SecurityReport {
+        workloads: vec!["crc32".to_string()],
+        pipelines: vec!["cfi".to_string()],
+        models: vec!["skip".to_string(), "branch-invert".to_string()],
+        cells: vec![cell(0), cell(1)],
+        stats: MatrixStats::default(),
+    };
+    assert_eq!(done.report_json, expected.to_json());
+    assert_eq!((done.cells, done.warm_cells), (2, 40));
+}
+
+#[test]
+fn the_client_refuses_cells_that_do_not_make_up_the_grid() {
+    let refusals = [
+        ("a missing cell", vec![cell_frame(0, 2), done_frame(2)]),
+        (
+            "a duplicate cell",
+            vec![cell_frame(0, 2), cell_frame(0, 2), done_frame(2)],
+        ),
+        (
+            "an out-of-range index",
+            vec![cell_frame(2, 2), done_frame(2)],
+        ),
+        (
+            "a cell of another grid size",
+            vec![cell_frame(0, 3), cell_frame(1, 3), done_frame(3)],
+        ),
+        (
+            "a completion of another grid size",
+            vec![cell_frame(0, 2), cell_frame(1, 2), done_frame(3)],
+        ),
+        ("a completion before every cell", vec![done_frame(2)]),
+    ];
+    for (what, frames) in refusals {
+        match serve_script(frames) {
+            Err(ClientError::Protocol(message)) => assert!(!message.is_empty(), "{what}"),
+            other => panic!("{what}: expected a protocol error, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn client_assembly_is_total_over_random_frame_sequences() {
+    // Random sequences of cell and completion frames: the client accepts
+    // exactly those whose cells before the first completion are each index
+    // of the two-cell grid once, completed as a two-cell grid — and
+    // refuses everything else without panicking.
+    let mut rng = Rng(0x5eed_0005);
+    for _ in 0..100 {
+        let mut frames = Vec::new();
+        for _ in 0..=rng.below(4) {
+            frames.push(if rng.below(4) == 0 {
+                done_frame(rng.below(4) as u32)
+            } else {
+                cell_frame(rng.below(3) as u32, 1 + rng.below(3) as u32)
+            });
+        }
+        let mut seen = Vec::new();
+        let mut valid = false;
+        for (kind, payload) in &frames {
+            if *kind == RESP_DONE {
+                let done = decode_done(payload).expect("decodes");
+                valid = done.cells == 2 && seen.len() == 2;
+                break;
+            }
+            let cell = decode_cell(payload).expect("decodes");
+            if cell.total_cells != 2 || cell.cell_index >= 2 || seen.contains(&cell.cell_index) {
+                break;
+            }
+            seen.push(cell.cell_index);
+        }
+        match serve_script(frames) {
+            Ok(_) => assert!(valid, "accepted an invalid sequence"),
+            Err(ClientError::Protocol(_) | ClientError::Io(_)) => {
+                assert!(!valid, "refused a valid sequence");
+            }
+            Err(other) => panic!("unexpected error {other:?}"),
         }
     }
 }

@@ -70,23 +70,50 @@ pub fn to_string<T: ToJson + ?Sized>(value: &T) -> String {
 
 /// Appends `s` to `out` as a JSON string literal: `"`, `\`, newline, tab
 /// and carriage return get short escapes, the other chars below U+0020
-/// `\u00XX`, and everything else is copied verbatim.
+/// `\u00XX`, and everything else is copied verbatim — each run of bytes
+/// that needs no escape in one copy.
 pub fn write_str(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.reserve(s.len() + 2);
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    let mut run = 0;
+    for (i, &byte) in s.as_bytes().iter().enumerate() {
+        if byte >= 0x20 && byte != b'"' && byte != b'\\' {
+            continue;
+        }
+        // Every byte escaped is ASCII, so `i` is a char boundary.
+        out.push_str(&s[run..i]);
+        match byte {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\t' => out.push_str("\\t"),
+            b'\r' => out.push_str("\\r"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(byte >> 4)]));
+                out.push(char::from(HEX[usize::from(byte & 0xf)]));
             }
-            c => out.push(c),
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
+    out.push('"');
+}
+
+/// Appends the decimal digits of `n`, formatted on the stack.
+fn write_u64(out: &mut String, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
         }
     }
-    out.push('"');
+    out.extend(digits[start..].iter().map(|&d| char::from(d)));
 }
 
 /// A float with a fixed number of decimals, as `{:.N}` formats it; JSON has
@@ -216,7 +243,7 @@ macro_rules! integers_to_json {
     ($($int:ty),*) => {$(
         impl ToJson for $int {
             fn write_json(&self, out: &mut String) {
-                let _ = write!(out, "{self}");
+                write_u64(out, *self as u64);
             }
         }
     )*};

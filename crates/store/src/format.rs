@@ -315,6 +315,14 @@ impl<'a> Reader<'a> {
         Ok(self.take(len)?.to_vec())
     }
 
+    /// Takes every byte not yet read (an unprefixed tail, as the last
+    /// field of a payload); the reader is exhausted afterwards.
+    pub fn rest(&mut self) -> &'a [u8] {
+        let rest = &self.bytes[self.pos..];
+        self.pos = self.bytes.len();
+        rest
+    }
+
     /// Reads a length-prefixed `u32` vector.
     ///
     /// # Errors

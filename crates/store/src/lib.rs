@@ -381,10 +381,11 @@ impl GridStore {
         }
     }
 
-    /// Reads and validates the record file at `path`; `None` when absent,
-    /// damaged or of a foreign version (damage is counted).
+    /// Reads and validates the record file at `path` and strips its header,
+    /// returning the payload; `None` when absent, damaged or of a foreign
+    /// version (damage is counted).
     fn read_record(&self, path: &Path, kind: u8) -> Option<Vec<u8>> {
-        let bytes = match fs::read(path) {
+        let mut bytes = match fs::read(path) {
             Ok(bytes) => bytes,
             Err(e) if e.kind() == io::ErrorKind::NotFound => return None,
             Err(_) => {
@@ -395,7 +396,10 @@ impl GridStore {
             }
         };
         match parse_record(&bytes, kind) {
-            Ok(payload) => Some(payload.to_vec()),
+            Ok(_) => {
+                bytes.drain(..format::HEADER_LEN);
+                Some(bytes)
+            }
             Err(RecordError::Corrupt | RecordError::Version(_)) => {
                 self.counters
                     .corrupt_dropped
@@ -441,22 +445,46 @@ impl GridStore {
     }
 
     /// Loads the persisted campaign report for `key` (`None`: absent or not
-    /// intact).
+    /// intact): [`GridStore::get_cell_bytes`] plus
+    /// [`codec::decode_report`].
     #[must_use]
     pub fn get_cell(&self, key: &CellKey) -> Option<CampaignReport> {
+        self.read_cell(key, |bytes| codec::decode_report(&bytes).ok())
+    }
+
+    /// Loads the encoded campaign report for `key` without decoding it
+    /// (`None`: absent or not intact): the record's CRC and its key are
+    /// checked, and the bytes after the key are returned — byte-equal to
+    /// [`codec::encode_report`] of the report [`GridStore::get_cell`]
+    /// returns.
+    #[must_use]
+    pub fn get_cell_bytes(&self, key: &CellKey) -> Option<Vec<u8>> {
+        self.read_cell(key, Some)
+    }
+
+    /// The one cell read path: read and check the record, check that it
+    /// holds `key`, then hand the report bytes to `decode` (a `None` from
+    /// it counts as damage). Counts the hit or miss.
+    fn read_cell<T>(&self, key: &CellKey, decode: impl FnOnce(Vec<u8>) -> Option<T>) -> Option<T> {
         let _span = secbranch_obs::span_with("store_read", || format!("cell {}", key.artifact));
         let fetch = || {
-            let payload = self.read_record(&self.cell_path(key), KIND_CELL)?;
-            let (stored_key, report) = match codec::decode_cell_payload(&payload) {
-                Ok(decoded) => decoded,
-                Err(_) => {
-                    self.counters
-                        .corrupt_dropped
-                        .fetch_add(1, Ordering::Relaxed);
-                    return None;
-                }
-            };
-            (stored_key == *key).then_some(report)
+            let key_bytes = codec::encode_cell_key(key);
+            let path = self.record_path("cells", fnv1a_64(&key_bytes));
+            let mut payload = self.read_record(&path, KIND_CELL)?;
+            // The key encoding is canonical, so equal bytes are an equal
+            // key: a 64-bit file-name collision reads as a miss, never as
+            // another key's report.
+            if !payload.starts_with(&key_bytes) {
+                return None;
+            }
+            payload.drain(..key_bytes.len());
+            let decoded = decode(payload);
+            if decoded.is_none() {
+                self.counters
+                    .corrupt_dropped
+                    .fetch_add(1, Ordering::Relaxed);
+            }
+            decoded
         };
         let result = fetch();
         match &result {

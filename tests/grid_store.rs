@@ -287,3 +287,98 @@ fn artifact_campaigns_persist_and_reload_cells() {
         "different seeds sample different fault spaces"
     );
 }
+
+/// The daemon's warm read: `get_cell_bytes` returns, for every cell of a
+/// filled store, exactly the bytes `encode_report` writes for the report
+/// `get_cell` decodes; and a damaged record or a record holding another
+/// key reads as a miss on both paths, moving the same counters.
+#[test]
+fn raw_cell_loads_equal_the_encoded_reports_and_miss_like_decoded_loads() {
+    use secbranch::campaign::CellKey;
+    use secbranch::store::{codec, format};
+
+    let dir = TempDir::new("raw-load");
+    let workloads = grid_workloads();
+    let pipelines = grid_pipelines();
+    let models = grid_models();
+    let model_refs: Vec<&dyn FaultModel> = models.iter().map(AsRef::as_ref).collect();
+    let grid = Arc::new(GridStore::open(&dir.0).expect("opens"));
+    let mut session = Session::new();
+    session
+        .security_matrix_with(
+            &MatrixExecutor::new().with_threads(2),
+            &workloads,
+            &pipelines,
+            &model_refs,
+            Some(&grid),
+        )
+        .expect("fills the store");
+
+    let mut keys = Vec::new();
+    for workload in &workloads {
+        for pipeline in &pipelines {
+            let artifact = session
+                .artifact(&workload.name, &workload.module, pipeline)
+                .expect("cached build");
+            for model in &models {
+                keys.push(CellKey::new(
+                    artifact.artifact_fingerprint(),
+                    model.fingerprint(),
+                    workload.entry.clone(),
+                    &workload.args,
+                ));
+            }
+        }
+    }
+    for key in &keys {
+        let report = grid.get_cell(key).expect("every cell is stored");
+        assert_eq!(
+            grid.get_cell_bytes(key).expect("raw load hits"),
+            codec::encode_report(&report),
+            "{key:?}"
+        );
+    }
+
+    let path = |key: &CellKey| {
+        let hash = format::fnv1a_64(&codec::encode_cell_key(key));
+        dir.0
+            .join("cells")
+            .join(format!("{:02x}", hash >> 56))
+            .join(format!("{hash:016x}.rec"))
+    };
+    // Each load's (cell_misses, corrupt_dropped) change, and whether it hit.
+    let moved = |load: &dyn Fn() -> bool| {
+        let before = grid.stats();
+        let hit = load();
+        let after = grid.stats();
+        (
+            hit,
+            after.cell_misses - before.cell_misses,
+            after.corrupt_dropped - before.corrupt_dropped,
+        )
+    };
+
+    // One flipped payload byte: the CRC fails, and both count it damaged.
+    let damaged = &keys[0];
+    let mut record = fs::read(path(damaged)).expect("record exists");
+    let last = record.len() - 1;
+    record[last] ^= 0x01;
+    fs::write(path(damaged), &record).expect("rewritable");
+    let decoded = moved(&|| grid.get_cell(damaged).is_some());
+    let raw = moved(&|| grid.get_cell_bytes(damaged).is_some());
+    assert_eq!(decoded, (false, 1, 1));
+    assert_eq!(raw, decoded);
+
+    // An intact record of another key under this key's path: a miss, not
+    // damage.
+    let (victim, other) = (&keys[1], &keys[2]);
+    fs::copy(path(other), path(victim)).expect("copies");
+    let decoded = moved(&|| grid.get_cell(victim).is_some());
+    let raw = moved(&|| grid.get_cell_bytes(victim).is_some());
+    assert_eq!(decoded, (false, 1, 0));
+    assert_eq!(raw, decoded);
+    assert!(
+        grid.get_cell_bytes(other).is_some(),
+        "the original still hits"
+    );
+}
