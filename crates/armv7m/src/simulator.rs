@@ -56,11 +56,17 @@ pub enum FaultAction {
     DivergenceProven,
 }
 
-/// A fault-injection hook consulted before every instruction.
+/// A fault-injection hook consulted before instructions execute.
 ///
 /// Implementations may mutate the [`Machine`] (flip register, memory or flag
 /// bits — the fault models of Section II) and decide whether the instruction
 /// executes or is skipped.
+///
+/// A hook that acts only at a few dynamic steps says so through
+/// [`FaultHook::next_active`]: the micro-op interpreter then runs the quiet
+/// steps in between without calling it. The reference interpreter
+/// ([`Simulator::reference`]) ignores `next_active` and calls every hook at
+/// every step, so the two loops stay differentially comparable.
 pub trait FaultHook {
     /// Called before executing the instruction at index `pc` as dynamic
     /// instruction number `step`.
@@ -71,6 +77,18 @@ pub trait FaultHook {
         instr: &Instr,
         machine: &mut Machine,
     ) -> FaultAction;
+
+    /// The first dynamic step, at or after `step`, at which this hook may
+    /// act. The contract: at every step from `step` up to (not including)
+    /// the returned one, [`FaultHook::before_execute`] would return
+    /// [`FaultAction::Continue`] and leave both the machine and the hook's
+    /// own state untouched — so not calling it there changes nothing. The
+    /// returned step is never below `step`; `u64::MAX` means "never again".
+    ///
+    /// The default, `step`, asks to be called at every step.
+    fn next_active(&self, step: u64) -> u64 {
+        step
+    }
 }
 
 /// The no-op hook used for fault-free runs.
@@ -80,6 +98,10 @@ pub struct NoFaults;
 impl FaultHook for NoFaults {
     fn before_execute(&mut self, _: u64, _: usize, _: &Instr, _: &mut Machine) -> FaultAction {
         FaultAction::Continue
+    }
+
+    fn next_active(&self, _: u64) -> u64 {
+        u64::MAX
     }
 }
 
@@ -262,12 +284,14 @@ impl Simulator {
         self.call_with_faults(entry, args, max_steps, &mut NoFaults)
     }
 
-    /// Like [`Simulator::call`], but consults `faults` before every
-    /// instruction.
+    /// Like [`Simulator::call`], but consults `faults` before the
+    /// instructions it may act on: every step on the reference interpreter,
+    /// and from [`FaultHook::next_active`] on in the micro-op loop.
     ///
     /// Generic over the hook type so concrete hooks inline into the
-    /// interpreter loop (`&mut dyn FaultHook` still works — the dynamic
-    /// call is simply paid per step in that case).
+    /// interpreter loop. `&mut dyn FaultHook` still works: the micro-op loop
+    /// pays one dynamic `before_execute` and one dynamic `next_active` per
+    /// step the hook declares active, and nothing on the quiet steps.
     ///
     /// # Errors
     ///
@@ -399,6 +423,10 @@ impl Simulator {
     /// constant cycle costs baked in. Check ordering, fault-hook protocol,
     /// partial-effect-then-error semantics and every counter are identical
     /// to [`Simulator::run_from_reference`] — the fuzz harness proves it.
+    ///
+    /// The hook is called only from the step its
+    /// [`FaultHook::next_active`] names on; by that method's contract the
+    /// skipped calls would have returned `Continue` and changed nothing.
     fn run_from_uops<F: FaultHook + ?Sized>(
         &mut self,
         cursor: RunCursor,
@@ -425,6 +453,9 @@ impl Simulator {
         // so the hot loop pays one compare per step; the slow branch below
         // disambiguates in the original order (pause first, then limit).
         let boundary = pause_after.unwrap_or(u64::MAX).min(max_steps);
+        // The first step the hook may act at; steps before it run without
+        // a hook call.
+        let mut active_at = faults.next_active(steps + 1);
         loop {
             if steps >= boundary {
                 if pause_after.is_some_and(|pause| steps >= pause) {
@@ -440,23 +471,27 @@ impl Simulator {
                 return Err(SimError::StepLimitExceeded { limit: max_steps });
             }
             let index = pc as usize;
-            // One fused fetch+bounds check for both views of the
-            // instruction (`decode` guarantees the arrays are 1:1).
-            let (Some(uop), Some(instr)) = (uops.get(index), instrs.get(index)) else {
+            let Some(uop) = uops.get(index) else {
                 return Err(SimError::PcOutOfRange { pc });
             };
             steps += 1;
-            // Fault hooks keep seeing the original `Instr` (BranchInversion
-            // pattern-matches `Instr::BCond`), never the decoded form.
-            match faults.before_execute(steps, index, instr, &mut self.machine) {
-                FaultAction::Skip => {
-                    pc += 1;
-                    cycles += 1;
-                    continue;
-                }
-                FaultAction::Continue => {}
-                FaultAction::DivergenceProven => {
-                    return Err(SimError::StepLimitExceeded { limit: max_steps });
+            if steps >= active_at {
+                // Fault hooks keep seeing the original `Instr`
+                // (BranchInversion pattern-matches `Instr::BCond`), never
+                // the decoded form; it is fetched only on active steps
+                // (`decode` guarantees the arrays are 1:1).
+                let action = faults.before_execute(steps, index, &instrs[index], &mut self.machine);
+                active_at = faults.next_active(steps + 1);
+                match action {
+                    FaultAction::Skip => {
+                        pc += 1;
+                        cycles += 1;
+                        continue;
+                    }
+                    FaultAction::Continue => {}
+                    FaultAction::DivergenceProven => {
+                        return Err(SimError::StepLimitExceeded { limit: max_steps });
+                    }
                 }
             }
             retired += 1;
@@ -1394,6 +1429,80 @@ mod tests {
             }
         };
         assert!(matches!(err, SimError::StepLimitExceeded { limit: 50 }));
+    }
+
+    #[test]
+    fn micro_ops_call_a_hook_only_from_its_next_active_step() {
+        /// Skips step `at`, declares it, and logs every call it gets.
+        struct QuietSkip {
+            at: u64,
+            calls: Vec<u64>,
+        }
+        impl FaultHook for QuietSkip {
+            fn before_execute(
+                &mut self,
+                step: u64,
+                _: usize,
+                _: &Instr,
+                _: &mut Machine,
+            ) -> FaultAction {
+                self.calls.push(step);
+                if step == self.at {
+                    FaultAction::Skip
+                } else {
+                    FaultAction::Continue
+                }
+            }
+            fn next_active(&self, step: u64) -> u64 {
+                if step <= self.at {
+                    self.at
+                } else {
+                    u64::MAX
+                }
+            }
+        }
+        let quiet = || QuietSkip {
+            at: 2,
+            calls: Vec::new(),
+        };
+
+        let mut uops = Simulator::new(max_program(), 4096);
+        let mut hook = quiet();
+        let fast = uops
+            .call_with_faults("max", &[7, 3], 100, &mut hook)
+            .expect("runs");
+        assert_eq!(fast.return_value, 3, "the skip still lands");
+        assert_eq!(hook.calls, [2], "called at its one active step");
+
+        // The reference interpreter ignores `next_active`.
+        let mut reference = Simulator::reference(max_program(), 4096);
+        let mut hook = quiet();
+        let naive = reference
+            .call_with_faults("max", &[7, 3], 100, &mut hook)
+            .expect("runs");
+        assert_eq!(naive, fast);
+        assert_eq!(hook.calls, [1, 2, 3, 4]);
+
+        // Every segment asks the hook afresh, so pausing before, at and
+        // after the active step neither loses nor adds a call.
+        let mut segmented = Simulator::new(max_program(), 4096);
+        let mut hook = quiet();
+        let mut cursor = segmented.begin_call("max", &[7, 3]).expect("begins");
+        let stitched = loop {
+            let pause = cursor.steps_done() + 1;
+            match segmented
+                .run_segment(cursor, Some(pause), 100, &mut hook)
+                .expect("runs")
+            {
+                SegmentEnd::Done(result) => break result,
+                SegmentEnd::Paused(next) => cursor = next,
+            }
+        };
+        assert_eq!(stitched, fast);
+        assert_eq!(hook.calls, [2]);
+
+        // `NoFaults` is never called at all.
+        assert_eq!(NoFaults.next_active(1), u64::MAX);
     }
 
     #[test]

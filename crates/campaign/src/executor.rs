@@ -433,6 +433,14 @@ impl<H: FaultHook + ?Sized> FaultHook for CycleGuard<'_, H> {
         }
         FaultAction::Continue
     }
+
+    /// The inner hook's next fault step, or the watch point once it is
+    /// nearer: before both, the guard only forwards the inner hook's
+    /// `Continue`, so a healthy run calls it once or twice instead of at
+    /// every step.
+    fn next_active(&self, step: u64) -> u64 {
+        self.inner.next_active(step).min(step.max(self.watch_from))
+    }
 }
 
 /// Everything the per-point execution paths of one cell need, bundled so
@@ -1253,15 +1261,20 @@ impl MatrixExecutor {
                     };
                 }
                 let reference = recorded[index].as_ref().expect("live job");
-                let report = assemble_report(
-                    job.model.name(),
-                    &job.entry,
-                    &job.args,
-                    &reference.trace,
-                    &reference.program,
-                    &spaces[index],
-                    &outcomes[index],
-                );
+                let report = {
+                    let _span = secbranch_obs::span_with("assemble", || {
+                        format!("{} {}", job.key.artifact, job.model.name())
+                    });
+                    assemble_report(
+                        job.model.name(),
+                        &job.entry,
+                        &job.args,
+                        &reference.trace,
+                        &reference.program,
+                        &spaces[index],
+                        &outcomes[index],
+                    )
+                };
                 if let (Some(backend), Some(key)) = (&backend, &cell_keys[index]) {
                     backend.store_cell(key, &report);
                 }
@@ -1592,6 +1605,42 @@ mod tests {
         jobs[0].key = TraceKey::new("max-artifact", "nope", &[7, 3]);
         let err = MatrixExecutor::new().run(&jobs, &TraceStore::new());
         assert!(matches!(err, Err(SimError::UnknownEntryPoint { .. })));
+    }
+
+    #[test]
+    fn cycle_guards_are_quiet_until_the_inner_hook_or_the_watch_point() {
+        use crate::point::{assert_next_active_contract, contract_points};
+        let sim = max_simulator();
+        let memo = RefCell::new(HashMap::new());
+        let scratch = RefCell::new(None);
+        for point in contract_points() {
+            // Watch points before, between and after the fault steps.
+            for watch_from in [2, 6, 20, 41] {
+                with_point_hook!(&point, inner => {
+                    let inner_next: Vec<u64> = (1..=45).map(|s| inner.next_active(s)).collect();
+                    let mut guard = CycleGuard::new(
+                        &mut inner,
+                        watch_from,
+                        Arc::clone(sim.shared_program()),
+                        1_000,
+                        &memo,
+                        &scratch,
+                        &sim,
+                    );
+                    let label = format!("{point} watched from {watch_from}");
+                    for step in 1..=45u64 {
+                        let expected = inner_next[step as usize - 1].min(step.max(watch_from));
+                        assert_eq!(guard.next_active(step), expected, "{label} at {step}");
+                    }
+                    assert_next_active_contract(
+                        &mut guard,
+                        45,
+                        |guard| guard.anchor.is_none() && guard.proofs == 0,
+                        &label,
+                    );
+                });
+            }
+        }
     }
 
     #[test]

@@ -99,8 +99,10 @@ impl FaultPoint {
 /// The specialisation is worth a macro: the skip-family hooks never touch
 /// the [`Machine`], and proving that to the optimiser (no writes reachable
 /// from the hook call) is what lets the interpreter keep machine state in
-/// registers across steps — measurably ~2× on skip campaigns over the
-/// enum-matching [`PointHook`].
+/// registers across steps (measured ~2× on skip campaigns over the
+/// enum-matching [`PointHook`], with a hook call at every step). Each
+/// specialised hook also names its fault steps
+/// ([`FaultHook::next_active`]), so the micro-op loop calls it only there.
 macro_rules! with_point_hook {
     ($point:expr, $hook:ident => $body:expr) => {
         match *$point {
@@ -129,6 +131,16 @@ macro_rules! with_point_hook {
 }
 pub(crate) use with_point_hook;
 
+/// `at` if a hook acting at step `at` may still act from `step` on, else
+/// never: the [`FaultHook::next_active`] of a one-step hook.
+fn next_at(step: u64, at: u64) -> u64 {
+    if at >= step {
+        at
+    } else {
+        u64::MAX
+    }
+}
+
 /// Kind-specialised hook for [`FaultPoint::Skip`]. Behaviourally identical
 /// to `FaultPoint::Skip { step }.hook()`; exists so the interpreter loop
 /// monomorphises over a hook that provably never mutates the machine.
@@ -143,6 +155,10 @@ impl FaultHook for SkipHook {
         } else {
             FaultAction::Continue
         }
+    }
+
+    fn next_active(&self, step: u64) -> u64 {
+        next_at(step, self.step)
     }
 }
 
@@ -159,6 +175,12 @@ impl FaultHook for DoubleSkipHook {
         } else {
             FaultAction::Continue
         }
+    }
+
+    /// The earlier of the two skips not yet past, whichever order the
+    /// point lists them in.
+    fn next_active(&self, step: u64) -> u64 {
+        next_at(step, self.first).min(next_at(step, self.second))
     }
 }
 
@@ -181,6 +203,10 @@ impl FaultHook for RegisterFlipHook {
             machine.flip_register_bit(self.reg, self.bit);
         }
         FaultAction::Continue
+    }
+
+    fn next_active(&self, step: u64) -> u64 {
+        next_at(step, self.step)
     }
 }
 
@@ -205,6 +231,10 @@ impl FaultHook for MemoryFlipHook {
         }
         FaultAction::Continue
     }
+
+    fn next_active(&self, step: u64) -> u64 {
+        next_at(step, self.step)
+    }
 }
 
 /// Kind-specialised hook for [`FaultPoint::BranchInvert`].
@@ -227,6 +257,10 @@ impl FaultHook for BranchInvertHook {
             }
         }
         FaultAction::Continue
+    }
+
+    fn next_active(&self, step: u64) -> u64 {
+        next_at(step, self.step)
     }
 }
 
@@ -257,6 +291,11 @@ impl fmt::Display for FaultPoint {
 /// different instruction than the reference's, or never be reached if the
 /// first skip shortens the run); attribution anchors on the first fault for
 /// exactly this reason.
+///
+/// It keeps the default [`FaultHook::next_active`]: the simulator calls it
+/// at every step. The [`crate::CampaignRunner`] oracle runs on it, so the
+/// executor's kind-specialised hooks and their quiet windows are compared
+/// against a hook that declares none.
 #[derive(Debug, Clone, Copy)]
 pub struct PointHook {
     point: FaultPoint,
@@ -338,10 +377,122 @@ fn force_condition(flags: &mut Flags, cond: secbranch_armv7m::Cond, value: bool)
     }
 }
 
+/// Brute-forces `hook`'s [`FaultHook::next_active`] contract over steps
+/// `1..=steps`: the answer is never below the step asked about, and at
+/// every step before it the hook returns `Continue`, leaves the machine as
+/// it was, and `own_state_kept` still holds. Each step is tried on a plain
+/// instruction and on a conditional branch (the one a branch-inversion
+/// hook acts on), on a machine whose every fault lands visibly.
+#[cfg(test)]
+pub(crate) fn assert_next_active_contract<H: FaultHook>(
+    hook: &mut H,
+    steps: u64,
+    own_state_kept: impl Fn(&H) -> bool,
+    label: &str,
+) {
+    use secbranch_armv7m::{Cond, Target};
+    let instrs = [
+        Instr::Nop,
+        Instr::BCond {
+            cond: Cond::Eq,
+            target: Target::label("anywhere"),
+        },
+    ];
+    for step in 1..=steps {
+        let next = hook.next_active(step);
+        assert!(next >= step, "{label}: next_active({step}) = {next}");
+        for quiet in step..next.min(steps + 1) {
+            for instr in &instrs {
+                let mut machine = Machine::new(4096);
+                let before = machine.snapshot();
+                let action = hook.before_execute(quiet, 0, instr, &mut machine);
+                assert_eq!(
+                    action,
+                    FaultAction::Continue,
+                    "{label}: acted at {quiet}, inside the quiet window {step}..{next}"
+                );
+                assert!(
+                    machine.state_matches(&before),
+                    "{label}: changed the machine at {quiet}, inside {step}..{next}"
+                );
+                assert!(
+                    own_state_kept(hook),
+                    "{label}: changed its own state at {quiet}, inside {step}..{next}"
+                );
+            }
+        }
+    }
+}
+
+/// Fault points of every kind for the hook-contract tests, with fault
+/// steps at the edges of `1..=40` and double skips in both orders and
+/// coinciding.
+#[cfg(test)]
+pub(crate) fn contract_points() -> Vec<FaultPoint> {
+    let mut points = Vec::new();
+    for step in [1, 7, 40] {
+        points.push(FaultPoint::Skip { step });
+        points.push(FaultPoint::RegisterFlip {
+            step,
+            reg: Reg::R2,
+            bit: 5,
+        });
+        points.push(FaultPoint::MemoryFlip {
+            step,
+            addr: 0x100,
+            bit: 3,
+        });
+        points.push(FaultPoint::BranchInvert { step });
+    }
+    for (first, second) in [(3, 9), (9, 3), (5, 5), (1, 40), (40, 1)] {
+        points.push(FaultPoint::DoubleSkip { first, second });
+    }
+    points
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use secbranch_armv7m::Cond;
+
+    #[test]
+    fn kind_specialised_hooks_are_quiet_before_their_next_active_step() {
+        for point in contract_points() {
+            with_point_hook!(&point, hook => {
+                assert_next_active_contract(&mut hook, 45, |_| true, &point.to_string());
+                // Past the last fault step the hook never acts again.
+                let last = match point {
+                    FaultPoint::DoubleSkip { first, second } => first.max(second),
+                    _ => point.last_fault_step(),
+                };
+                assert_eq!(hook.next_active(last + 1), u64::MAX, "{point}");
+            });
+        }
+    }
+
+    #[test]
+    fn double_skip_hooks_wake_at_each_skip_in_either_order() {
+        for (first, second) in [(3, 9), (9, 3)] {
+            let hook = DoubleSkipHook { first, second };
+            let wakes: Vec<u64> = [1, 3, 4, 9, 10].map(|s| hook.next_active(s)).to_vec();
+            assert_eq!(wakes, [3, 3, 9, 9, u64::MAX], "{first}+{second}");
+        }
+        let same = DoubleSkipHook {
+            first: 5,
+            second: 5,
+        };
+        assert_eq!(same.next_active(1), 5);
+        assert_eq!(same.next_active(6), u64::MAX);
+    }
+
+    #[test]
+    fn point_hooks_are_called_at_every_step() {
+        for point in contract_points() {
+            for step in [1, 2, 40, 41] {
+                assert_eq!(point.hook().next_active(step), step, "{point}");
+            }
+        }
+    }
 
     #[test]
     fn force_condition_covers_every_code_and_value() {

@@ -137,9 +137,12 @@ impl SimulatorSource for OwnedModule {
 }
 
 /// Runs one fault point on a *pristine* simulator (freshly built or just
-/// reset): inject, execute, classify against the reference. The shared
-/// per-injection step of the [`CampaignRunner`] and the matrix executor.
-pub(crate) fn run_point(
+/// reset): inject, execute, classify against the reference. The
+/// per-injection step of the [`CampaignRunner`], on the [`PointHook`] the
+/// simulator calls at every step.
+///
+/// [`PointHook`]: crate::PointHook
+fn run_point(
     sim: &mut Simulator,
     entry: &str,
     args: &[u32],
@@ -147,9 +150,7 @@ pub(crate) fn run_point(
     reference: &secbranch_armv7m::ExecResult,
     point: &FaultPoint,
 ) -> (Outcome, u32) {
-    let result = crate::point::with_point_hook!(point, hook => {
-        sim.call_with_faults(entry, args, max_steps, &mut hook)
-    });
+    let result = sim.call_with_faults(entry, args, max_steps, &mut point.hook());
     let outcome = classify(reference, &result);
     let return_value = result.map_or(0, |r| r.return_value);
     (outcome, return_value)

@@ -157,6 +157,7 @@ impl RecordedReference {
     ) -> Option<&Arc<SuffixIndex>> {
         self.suffix
             .get_or_init(|| {
+                let _span = secbranch_obs::span_with("liveness_index", || entry.to_string());
                 let mut sim = source.fresh_simulator();
                 SuffixIndex::build(&mut sim, entry, args, max_steps, &self.trace).map(Arc::new)
             })

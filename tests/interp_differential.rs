@@ -15,13 +15,19 @@
 //! label), but not necessarily well behaved: step limits, memory faults and
 //! stack corruption are part of the surface and must fail identically.
 //!
+//! A second harness checks the micro-op loop's quiet windows: a seeded
+//! sparse hook declares its few active steps through
+//! `FaultHook::next_active`, so the micro-op loop skips the calls in
+//! between, and the run must equal the same hook called at every step, the
+//! reference interpreter, and the micro-op run cut into random segments.
+//!
 //! Set `INTERP_FUZZ_PROGRAMS` to change the program count (default 500).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use secbranch_armv7m::{
-    Cond, ExecResult, FaultAction, FaultHook, Instr, Machine, NoFaults, Operand2, Program,
-    ProgramBuilder, Reg, SimError, Simulator, Target,
+    Cond, ExecResult, FaultAction, FaultHook, Instr, Machine, MachineState, NoFaults, Operand2,
+    Program, ProgramBuilder, Reg, SegmentEnd, SimError, Simulator, Target,
 };
 use secbranch_campaign::FaultPoint;
 
@@ -250,7 +256,7 @@ fn run_one(
 ) -> (
     Result<ExecResult, SimError>,
     Vec<(u64, usize)>,
-    secbranch_armv7m::MachineState,
+    MachineState,
 ) {
     let mut recorder = Recorder {
         inner: hook,
@@ -368,5 +374,178 @@ fn decoder_is_total_and_round_trips_disassembly_on_random_programs() {
         let (uops, micros) = program.decode_cost().expect("decoded above");
         assert_eq!(uops, decoded.len() as u64);
         let _ = micros; // timing is environment-dependent; presence suffices
+    }
+}
+
+/// What a [`SparseHook`] does at one of its steps.
+#[derive(Debug, Clone, Copy)]
+enum SparseAct {
+    Skip,
+    FlipRegister(Reg, u32),
+    FlipMemory(u32, u32),
+}
+
+/// A hook that acts at a few seeded steps and declares them through
+/// `next_active`, so the micro-op loop calls it only there. `fired` counts
+/// the calls that land on an action step: a quiet window that swallowed
+/// one shows up even when the fault itself is masked.
+#[derive(Debug, Clone)]
+struct SparseHook {
+    /// `(step, act)`, ascending and distinct in `step`.
+    acts: Vec<(u64, SparseAct)>,
+    fired: u32,
+}
+
+impl SparseHook {
+    fn random(rng: &mut StdRng) -> SparseHook {
+        let mut steps: Vec<u64> = (0..rng.gen_range(1usize..=4))
+            .map(|_| rng.gen_range(1u64..=64))
+            .collect();
+        steps.sort_unstable();
+        steps.dedup();
+        let acts = steps
+            .into_iter()
+            .map(|step| {
+                // Register flips stay on r0–r12, as in `random_faults`.
+                let act = match rng.gen_range(0u32..3) {
+                    0 => SparseAct::Skip,
+                    1 => SparseAct::FlipRegister(
+                        Reg::ALL[rng.gen_range(0usize..13)],
+                        rng.gen_range(0u32..32),
+                    ),
+                    _ => SparseAct::FlipMemory(
+                        rng.gen_range(0u32..MEMORY_SIZE),
+                        rng.gen_range(0u32..8),
+                    ),
+                };
+                (step, act)
+            })
+            .collect();
+        SparseHook { acts, fired: 0 }
+    }
+}
+
+impl FaultHook for SparseHook {
+    fn before_execute(
+        &mut self,
+        step: u64,
+        _: usize,
+        _: &Instr,
+        machine: &mut Machine,
+    ) -> FaultAction {
+        let Ok(index) = self.acts.binary_search_by_key(&step, |&(at, _)| at) else {
+            return FaultAction::Continue;
+        };
+        self.fired += 1;
+        match self.acts[index].1 {
+            SparseAct::Skip => return FaultAction::Skip,
+            SparseAct::FlipRegister(reg, bit) => machine.flip_register_bit(reg, bit),
+            SparseAct::FlipMemory(addr, bit) => {
+                machine
+                    .flip_memory_bit(addr, bit)
+                    .expect("address in range");
+            }
+        }
+        FaultAction::Continue
+    }
+
+    fn next_active(&self, step: u64) -> u64 {
+        let index = self.acts.partition_point(|&(at, _)| at < step);
+        self.acts.get(index).map_or(u64::MAX, |&(at, _)| at)
+    }
+}
+
+/// Forwards to the inner hook with the default `next_active`, so the
+/// micro-op loop calls it at every step.
+struct EveryStep<H>(H);
+
+impl<H: FaultHook> FaultHook for EveryStep<H> {
+    fn before_execute(
+        &mut self,
+        step: u64,
+        pc: usize,
+        instr: &Instr,
+        machine: &mut Machine,
+    ) -> FaultAction {
+        self.0.before_execute(step, pc, instr, machine)
+    }
+}
+
+/// Everything a run under a sparse hook leaves to compare: the result or
+/// error with its counters, the final machine and the hook's fire count.
+type SparseOutcome = (Result<ExecResult, SimError>, MachineState, u32);
+
+/// Runs `fuzz(args)` under `hook` as one call.
+fn run_whole<H: FaultHook>(
+    mut sim: Simulator,
+    args: &[u32],
+    mut hook: H,
+    fired: impl Fn(&H) -> u32,
+) -> (SparseOutcome, Simulator) {
+    let result = sim.call_with_faults("fuzz", args, MAX_STEPS, &mut hook);
+    ((result, sim.machine().snapshot(), fired(&hook)), sim)
+}
+
+/// Runs `fuzz(args)` under `hook` as segments of 1–8 steps.
+fn run_segmented(
+    mut sim: Simulator,
+    args: &[u32],
+    mut hook: SparseHook,
+    rng: &mut StdRng,
+) -> (SparseOutcome, Simulator) {
+    let mut cursor = sim.begin_call("fuzz", args).expect("fuzz entry exists");
+    let result = loop {
+        let pause = cursor.steps_done() + rng.gen_range(1u64..=8);
+        match sim.run_segment(cursor, Some(pause), MAX_STEPS, &mut hook) {
+            Ok(SegmentEnd::Paused(next)) => cursor = next,
+            Ok(SegmentEnd::Done(result)) => break Ok(result),
+            Err(e) => break Err(e),
+        }
+    };
+    ((result, sim.machine().snapshot(), hook.fired), sim)
+}
+
+#[test]
+fn quiet_windows_equal_every_step_calls_and_the_reference() {
+    for seed in 0..program_count() {
+        let mut rng = StdRng::seed_from_u64(0x0057_1E00 ^ seed);
+        let program = random_program(&mut rng);
+        let args = random_args(&mut rng);
+        for _ in 0..2 {
+            let hook = SparseHook::random(&mut rng);
+            let uops = || Simulator::new(program.clone(), MEMORY_SIZE);
+            let (quiet, quiet_sim) = run_whole(uops(), &args, hook.clone(), |h| h.fired);
+            let oracles = [
+                (
+                    "every-step micro-op run",
+                    run_whole(uops(), &args, EveryStep(hook.clone()), |h| h.0.fired),
+                ),
+                (
+                    "reference interpreter",
+                    run_whole(
+                        Simulator::reference(program.clone(), MEMORY_SIZE),
+                        &args,
+                        hook.clone(),
+                        |h| h.fired,
+                    ),
+                ),
+                (
+                    "segmented micro-op run",
+                    run_segmented(uops(), &args, hook.clone(), &mut rng),
+                ),
+            ];
+            for (name, (outcome, sim)) in &oracles {
+                let context =
+                    || format!("seed={seed} args={args:?} hook={:?} vs {name}", hook.acts);
+                assert_eq!(quiet.0, outcome.0, "result diverged: {}", context());
+                assert_eq!(quiet.2, outcome.2, "fire count diverged: {}", context());
+                assert!(
+                    sim.machine().state_matches(&quiet.1)
+                        && quiet_sim.machine().state_matches(&outcome.1),
+                    "final machine state diverged: {}",
+                    context()
+                );
+            }
+        }
     }
 }

@@ -148,8 +148,9 @@ fn reports_are_byte_identical_with_tracing_enabled_cold_and_warm() {
 /// The exported trace is a well-formed Chrome trace-event document and
 /// contains at least one span for every instrumented phase the run went
 /// through: artifact build, reference recording, micro-op decode, shard
-/// execution, checkpoint fast-forward, spine-snapshot restore, and store
-/// writes (cold pass) plus store reads (warm pass).
+/// execution, checkpoint fast-forward, spine-snapshot restore, liveness-
+/// index build, report assembly, and store writes (cold pass) plus store
+/// reads (warm pass).
 #[test]
 fn trace_export_covers_every_instrumented_phase() {
     let _guard = serial();
@@ -187,6 +188,8 @@ fn trace_export_covers_every_instrumented_phase() {
         "shard",
         "fast_forward",
         "snapshot_restore",
+        "liveness_index",
+        "assemble",
         "store_write",
         "store_read",
     ] {
