@@ -107,49 +107,6 @@ impl MachineState {
     pub fn dirty_len(&self) -> usize {
         self.segments.iter().map(|(_, bytes)| bytes.len()).sum()
     }
-
-    /// The sixteen core registers (r0–r12, sp, lr, pc), in index order.
-    #[must_use]
-    pub fn regs(&self) -> &[u32; 16] {
-        &self.regs
-    }
-
-    /// The condition flags.
-    #[must_use]
-    pub fn flags(&self) -> Flags {
-        self.flags
-    }
-
-    /// The captured CFI unit.
-    #[must_use]
-    pub fn cfi(&self) -> &CfiMonitor {
-        &self.cfi
-    }
-
-    /// The dirty RAM segments, as `(base address, bytes)` in capture order.
-    #[must_use]
-    pub fn segments(&self) -> &[(u32, Vec<u8>)] {
-        &self.segments
-    }
-
-    /// Reassembles a state from its parts — the inverse of the accessors,
-    /// for persistence layers that serialise snapshots. A state built from
-    /// the parts of [`Machine::snapshot`] restores bit-identically to the
-    /// original snapshot.
-    #[must_use]
-    pub fn from_parts(
-        regs: [u32; 16],
-        flags: Flags,
-        cfi: CfiMonitor,
-        segments: Vec<(u32, Vec<u8>)>,
-    ) -> Self {
-        MachineState {
-            regs,
-            flags,
-            cfi,
-            segments,
-        }
-    }
 }
 
 /// Number of disjoint dirty windows a [`Machine`] tracks. Two matches the

@@ -447,10 +447,9 @@ fn main() {
     );
     if let Some(grid) = &grid {
         println!(
-            "grid store {}: {} cell hit(s), {} trace disk hit(s), stats {}",
+            "grid store {}: {} cell hit(s), stats {}",
             grid.root().display(),
             report.stats.cell_hits,
-            report.stats.trace_disk_hits,
             grid.stats().to_json(),
         );
     }
@@ -609,7 +608,6 @@ fn compact_store(grid: &Arc<GridStore>, options: &Options) {
 struct PassSummary {
     wall_micros: u64,
     trace_hits: u64,
-    trace_disk_hits: u64,
     trace_misses: u64,
     cell_hits: u64,
     cell_misses: u64,
@@ -626,7 +624,6 @@ impl PassSummary {
         PassSummary {
             wall_micros: stats.total_wall_micros,
             trace_hits: stats.trace_hits,
-            trace_disk_hits: stats.trace_disk_hits,
             trace_misses: stats.trace_misses,
             cell_hits: stats.cell_hits,
             cell_misses: stats.cell_misses,
@@ -645,7 +642,7 @@ impl PassSummary {
 }
 
 secbranch::obs::impl_to_json! { PassSummary |p|
-    wall_micros, trace_hits, trace_disk_hits, trace_misses, cell_hits, cell_misses, recordings,
+    wall_micros, trace_hits, trace_misses, cell_hits, cell_misses, recordings,
 }
 
 /// The `--matrix` benchmark: one fixed grid (4 workloads × variants ×
@@ -702,7 +699,7 @@ fn run_matrix_benchmark(
     );
 
     // With a store: a second pass from a *fresh* session. Its in-memory
-    // caches are empty, so every hit it reports is a disk hit — the
+    // caches are empty, so every cell hit it reports is a disk hit — the
     // guaranteed-warm numbers.
     let warm = grid.map(|grid| {
         let mut fresh = Session::new();
@@ -775,7 +772,6 @@ fn run_matrix_benchmark(
             .object("matrix", |m| {
                 m.field("wall_micros", &first.wall_micros)
                     .field("trace_hits", &first.trace_hits)
-                    .field("trace_disk_hits", &first.trace_disk_hits)
                     .field("trace_misses", &first.trace_misses)
                     .field("cell_hits", &first.cell_hits)
                     .field("cell_misses", &first.cell_misses)
@@ -825,13 +821,12 @@ fn run_matrix_benchmark(
         sequential.stats.total_wall_micros, sequential.stats.trace_misses,
     );
     println!(
-        "matrix executor:  {:>10} µs  ({} threads, {} trace recordings, {} memory + {} disk \
-         trace hits, {} cell hits)",
+        "matrix executor:  {:>10} µs  ({} threads, {} trace recordings, {} trace hits, \
+         {} cell hits)",
         first.wall_micros,
         executor.threads(),
         first.trace_misses,
         first.trace_hits,
-        first.trace_disk_hits,
         first.cell_hits,
     );
     if options.per_model {
@@ -884,7 +879,6 @@ mod tests {
         PassSummary {
             wall_micros: 10,
             trace_hits: 0,
-            trace_disk_hits: 0,
             trace_misses: 0,
             cell_hits: 4,
             cell_misses: 0,
@@ -922,14 +916,14 @@ mod tests {
         let mut pass = warm_pass();
         pass.recordings = 3;
         assert!(pass.to_json().contains("\"recordings\":3"));
-        pass.trace_disk_hits = 12;
+        pass.trace_hits = 12;
         pass.trace_misses = 1;
         pass.cell_misses = 59;
         assert_eq!(
             pass.to_json(),
             concat!(
-                r#"{"wall_micros":10,"trace_hits":0,"trace_disk_hits":12,"#,
-                r#""trace_misses":1,"cell_hits":4,"cell_misses":59,"recordings":3}"#,
+                r#"{"wall_micros":10,"trace_hits":12,"trace_misses":1,"#,
+                r#""cell_hits":4,"cell_misses":59,"recordings":3}"#,
             )
         );
     }

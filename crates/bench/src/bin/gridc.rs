@@ -317,8 +317,7 @@ fn render_stats_table(series: &BTreeMap<String, u64>) -> String {
     let cells = get("secbranch_gridd_cells_requested_total");
     let cells_reused =
         get("secbranch_gridd_warm_cells_total") + get("secbranch_gridd_coalesced_cells_total");
-    let traces_found =
-        get("secbranch_trace_store_hits_total") + get("secbranch_trace_store_disk_hits_total");
+    let traces_found = get("secbranch_trace_store_hits_total");
     let traces = traces_found + get("secbranch_trace_store_misses_total");
     let mut out = String::new();
     let _ = writeln!(

@@ -9,9 +9,9 @@
 //! *entire* matrix down to one job graph:
 //!
 //! 1. every cell's reference trace is fetched through a [`TraceStore`]
-//!    (recorded once per distinct `(artifact, entry, args)` key); the
-//!    reference carries its [`SuffixIndex`] for liveness pruning, built on
-//!    its first use and shared by every later run over the store,
+//!    (recorded once per distinct `(artifact, entry, args)` key, in one
+//!    pass that also takes its checkpoints and builds its
+//!    [`SuffixIndex`](crate::SuffixIndex) for liveness pruning),
 //! 2. every cell's fault space is partitioned by its model's
 //!    [`FaultModel::plan`] into execution groups — multi-fault batches
 //!    sharing a first fault stay atomic, everything else splits freely —
@@ -30,7 +30,7 @@
 //! all provably output-invariant:
 //!
 //! * **Liveness pruning** — a fault whose corrupted locations are all
-//!   overwritten before any read ([`SuffixIndex`]) is answered from the
+//!   overwritten before any read ([`SuffixIndex`](crate::SuffixIndex)) is answered from the
 //!   reference result with zero execution.
 //! * **Checkpoint reconvergence** — a faulted run starts from the last
 //!   reference checkpoint before its anchor and, once past its last fault
@@ -68,7 +68,7 @@ use secbranch_armv7m::{
 };
 
 use crate::accel;
-use crate::liveness::{LivenessVerdict, SuffixIndex};
+use crate::liveness::LivenessVerdict;
 use crate::model::{CampaignContext, FaultGroup, FaultModel};
 use crate::persist::CellKey;
 use crate::point::{with_point_hook, FaultPoint, SkipHook};
@@ -161,7 +161,7 @@ impl MatrixCellResult {
     /// (memory or disk) instead of recorded — vacuously true on a cell hit.
     #[must_use]
     pub fn trace_hit(&self) -> bool {
-        self.trace_fetch.map_or(self.cell_hit, TraceFetch::is_hit)
+        self.trace_fetch != Some(TraceFetch::Recorded)
     }
 }
 
@@ -448,7 +448,6 @@ impl<H: FaultHook + ?Sized> FaultHook for CycleGuard<'_, H> {
 struct CellExec<'a> {
     job: &'a MatrixJob<'a>,
     reference: &'a RecordedReference,
-    suffix: Option<&'a SuffixIndex>,
     store: &'a TraceStore,
     /// Prover scoreboard shared by every trial this shard runs, so loop
     /// shapes the prover keeps failing on stop being re-analysed.
@@ -497,11 +496,12 @@ impl CellExec<'_> {
         point: &FaultPoint,
         stats: &mut ShardStats,
     ) -> (Outcome, u32) {
-        if let Some(index) = self.suffix {
-            if matches!(index.verdict(point), LivenessVerdict::Dead { .. }) {
-                stats.suffix_steps_saved += self.prune_saving(point.anchor_step());
-                return self.reference_outcome();
-            }
+        if matches!(
+            self.reference.suffix.verdict(point),
+            LivenessVerdict::Dead { .. }
+        ) {
+            stats.suffix_steps_saved += self.prune_saving(point.anchor_step());
+            return self.reference_outcome();
         }
         let cursor = if let Some(cp) = self.reference.checkpoint_before(point.anchor_step()) {
             let _span = if secbranch_obs::enabled() && !self.ff_traced.replace(true) {
@@ -594,23 +594,26 @@ impl CellExec<'_> {
         stats: &mut ShardStats,
     ) -> Vec<(Outcome, u32)> {
         let mut out: Vec<Option<(Outcome, u32)>> = vec![None; points.len()];
-        let first_verdict = self
-            .suffix
-            .map_or(LivenessVerdict::Live, |index| index.skip_verdict(first));
+        let suffix = &self.reference.suffix;
+        let first_verdict = suffix.skip_verdict(first);
         let mut fan: Vec<(usize, u64)> = Vec::new();
         for (slot, point) in points.iter().enumerate() {
-            let FaultPoint::DoubleSkip { second, .. } = *point else {
-                // Plan contract violation; degrade gracefully to the single
-                // path rather than corrupting the batch.
-                out[slot] = Some(self.run_single(sim, point, stats));
-                continue;
-            };
-            if let Some(index) = self.suffix {
-                if matches!(index.verdict(point), LivenessVerdict::Dead { .. }) {
-                    stats.suffix_steps_saved += self.prune_saving(first);
-                    out[slot] = Some(self.reference_outcome());
+            let second = match *point {
+                FaultPoint::DoubleSkip { first: f, second } if f == first && second > first => {
+                    second
+                }
+                // Not a member of this spine (a plan that grouped foreign
+                // points, or a pair listed out of order): the single path
+                // runs it from scratch rather than corrupting the batch.
+                _ => {
+                    out[slot] = Some(self.run_single(sim, point, stats));
                     continue;
                 }
+            };
+            if matches!(suffix.verdict(point), LivenessVerdict::Dead { .. }) {
+                stats.suffix_steps_saved += self.prune_saving(first);
+                out[slot] = Some(self.reference_outcome());
+                continue;
             }
             if let LivenessVerdict::Dead { settled_by } = first_verdict {
                 if settled_by < second {
@@ -1022,10 +1025,8 @@ impl MatrixExecutor {
             .collect();
 
         // Phase 1: reference traces for the live (non-cached) jobs,
-        // memoised per key, each with the liveness index its reference
-        // carries — built on the reference's first use in this store and
-        // reused by every later run (a failed index build disables pruning
-        // for those cells — always safe — and nothing else).
+        // memoised per key, each with the checkpoints and liveness index
+        // its recording produced.
         let mut recorded: Vec<Option<Arc<RecordedReference>>> = vec![None; jobs.len()];
         let mut fetches: Vec<Option<TraceFetch>> = vec![None; jobs.len()];
         for (index, job) in jobs.iter().enumerate() {
@@ -1042,16 +1043,6 @@ impl MatrixExecutor {
             recorded[index] = Some(reference);
             fetches[index] = Some(fetch);
         }
-        let suffixes: Vec<Option<&SuffixIndex>> = jobs
-            .iter()
-            .zip(&recorded)
-            .map(|(job, reference)| {
-                reference
-                    .as_ref()?
-                    .suffix_index(job.source, &job.entry, &job.args, job.max_steps)
-                    .map(|index| &**index)
-            })
-            .collect();
 
         // Phase 2: fault spaces in canonical per-model order (empty for
         // cached jobs — they schedule nothing), partitioned into execution
@@ -1159,7 +1150,6 @@ impl MatrixExecutor {
                 reference: recorded[shard.job]
                     .as_ref()
                     .expect("only live jobs have shards"),
-                suffix: suffixes[shard.job],
                 store,
                 prove_memo: RefCell::new(HashMap::new()),
                 scratch: RefCell::new(None),
@@ -1484,6 +1474,90 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// `DoubleInstructionSkip`'s space with each pair listed second step
+    /// first, planned by its own first-step grouping.
+    struct ReversedDoubleSkip(DoubleInstructionSkip);
+
+    impl FaultModel for ReversedDoubleSkip {
+        fn name(&self) -> String {
+            "reversed-double-skip".to_string()
+        }
+
+        fn fault_points(&self, ctx: &CampaignContext<'_>) -> Vec<FaultPoint> {
+            let reverse = |point| match point {
+                FaultPoint::DoubleSkip { first, second } => FaultPoint::DoubleSkip {
+                    first: second,
+                    second: first,
+                },
+                other => other,
+            };
+            self.0.fault_points(ctx).into_iter().map(reverse).collect()
+        }
+
+        fn plan(&self, points: &[FaultPoint]) -> Vec<FaultGroup> {
+            self.0.plan(points)
+        }
+    }
+
+    /// `DoubleInstructionSkip`'s space planned as one batch that claims
+    /// every member shares a first skip at step 1.
+    struct MisgroupedDoubleSkip(DoubleInstructionSkip);
+
+    impl FaultModel for MisgroupedDoubleSkip {
+        fn name(&self) -> String {
+            "misgrouped-double-skip".to_string()
+        }
+
+        fn fault_points(&self, ctx: &CampaignContext<'_>) -> Vec<FaultPoint> {
+            self.0.fault_points(ctx)
+        }
+
+        fn plan(&self, points: &[FaultPoint]) -> Vec<FaultGroup> {
+            vec![FaultGroup {
+                start: 0,
+                end: points.len(),
+                shared_first: Some(1),
+            }]
+        }
+    }
+
+    /// The loop artifact's double-skip cell under `model`, on the executor
+    /// and on the sequential oracle, as report JSON.
+    fn loop_cell_on_both_paths(model: &dyn FaultModel) -> (String, String) {
+        let sim = loop_simulator();
+        let models = [model];
+        let jobs = loop_jobs(&sim, &models);
+        let results = MatrixExecutor::new()
+            .with_threads(2)
+            .run(&jobs, &TraceStore::new())
+            .expect("runs");
+        let sequential = CampaignRunner::new()
+            .with_threads(1)
+            .run(&sim, "sum", &[48], 10_000, model)
+            .expect("sequential runs");
+        (results[0].report.to_json(), sequential.to_json())
+    }
+
+    #[test]
+    fn double_skips_listed_second_step_first_match_the_sequential_runner() {
+        let model = ReversedDoubleSkip(DoubleInstructionSkip {
+            max_injections: 300,
+            seed: 0x2FA17,
+        });
+        let (executor, oracle) = loop_cell_on_both_paths(&model);
+        assert_eq!(executor, oracle);
+    }
+
+    #[test]
+    fn double_skips_grouped_under_a_foreign_first_match_the_sequential_runner() {
+        let model = MisgroupedDoubleSkip(DoubleInstructionSkip {
+            max_injections: 300,
+            seed: 0x2FA17,
+        });
+        let (executor, oracle) = loop_cell_on_both_paths(&model);
+        assert_eq!(executor, oracle);
     }
 
     #[test]

@@ -31,10 +31,9 @@
 //!   per-cell sequential path at any thread count.
 //! * **[`persist`]** — the persistence interface: a [`GridBackend`]
 //!   (implemented by `secbranch-store`'s disk-backed `GridStore`) attaches
-//!   behind a [`TraceStore`], which then warm-starts reference traces from
-//!   disk and writes fresh recordings back; the executor additionally
-//!   serves whole cells ([`CellKey`] → [`CampaignReport`]) from it, so an
-//!   unchanged grid re-run does zero simulation.
+//!   to a [`TraceStore`], and the executor serves whole cells
+//!   ([`CellKey`] → [`CampaignReport`]) from it, so an unchanged grid
+//!   re-run does zero simulation.
 //! * **[`ConditionCampaign`]** — the other half of the Section VI
 //!   analysis: an arithmetic-level Monte-Carlo over the encoded condition
 //!   computation ([`ConditionOutcomeCounts`], [`FaultLocation`]), with no
@@ -97,7 +96,7 @@ pub use model::{
     BranchInversion, CampaignContext, DoubleInstructionSkip, FaultGroup, FaultModel,
     InstructionSkip, MemoryBitFlip, ReferenceTrace, RegisterBitFlip, FLIP_REGISTERS,
 };
-pub use persist::{CellKey, GridBackend, PersistedTrace};
+pub use persist::{CellKey, GridBackend};
 pub use point::{FaultPoint, PointHook};
 pub use report::{
     classify, rate, CampaignReport, EscapeRecord, LocationReport, Outcome, OutcomeCounts,

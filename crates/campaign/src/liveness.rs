@@ -8,9 +8,9 @@
 //! return value are bit-for-bit the reference's. The differential executor
 //! answers such injections from the reference result with *zero* execution.
 //!
-//! [`SuffixIndex`] is built once per reference trace by replaying the
-//! fault-free run with a recording hook: for every register, the flags and
-//! every touched memory byte it keeps the sorted list of (step, read/write)
+//! [`SuffixIndex`] is built by the pass that records the reference trace
+//! ([`crate::record_reference`]): for every register, the flags and every
+//! touched memory byte it keeps the sorted list of (step, read/write)
 //! accesses, with same-step reads ordered before writes (an instruction
 //! reads its inputs before producing its outputs) and a virtual read of `r0`
 //! one step past the end (the harness consumes the return value). Verdicts
@@ -36,9 +36,8 @@
 use std::collections::HashMap;
 
 use secbranch_armv7m::machine::CFI_BASE;
-use secbranch_armv7m::{FaultAction, FaultHook, Instr, Machine, Operand2, Reg, Simulator};
+use secbranch_armv7m::{Instr, Machine, Operand2, Reg};
 
-use crate::model::ReferenceTrace;
 use crate::point::FaultPoint;
 
 /// What suffix liveness can prove about one fault injection.
@@ -111,17 +110,13 @@ pub struct SuffixIndex {
     reg_acc: [AccessList; 16],
     flag_acc: AccessList,
     mem_acc: HashMap<u32, AccessList>,
-    /// Step `t` is `steps[t - 1]`: its class and its written locations.
-    steps: Vec<(StepClass, Vec<Loc>)>,
+    /// Step `t` is `steps[t - 1]`: its class and the end of its written
+    /// locations in `writes` (they start where step `t - 1`'s end).
+    steps: Vec<(StepClass, usize)>,
+    /// The locations each step writes, step after step — one flat array,
+    /// so the verdicts read them from one contiguous allocation.
+    writes: Vec<Loc>,
     memory_size: u32,
-}
-
-/// The recording hook: mirrors the simulator's effect model instruction by
-/// instruction, using the pre-execution machine state to resolve addresses
-/// and branch directions.
-struct Recorder {
-    index: SuffixIndex,
-    pcs: Vec<u32>,
 }
 
 fn op2_read(op2: &Operand2, reads: &mut Vec<Loc>) {
@@ -130,15 +125,49 @@ fn op2_read(op2: &Operand2, reads: &mut Vec<Loc>) {
     }
 }
 
-impl FaultHook for Recorder {
-    fn before_execute(
-        &mut self,
-        step: u64,
-        pc: usize,
-        instr: &Instr,
-        machine: &mut Machine,
-    ) -> FaultAction {
-        self.pcs.push(pc as u32);
+impl SuffixIndex {
+    fn access(&mut self, loc: Loc) -> &mut AccessList {
+        match loc {
+            Loc::Reg(i) => &mut self.reg_acc[i],
+            Loc::Flags => &mut self.flag_acc,
+            Loc::Mem(addr) => self.mem_acc.entry(addr).or_default(),
+        }
+    }
+
+    fn first_at_or_after(&self, loc: Loc, step: u64) -> Option<(u64, Access)> {
+        match loc {
+            Loc::Reg(i) => self.reg_acc[i].first_at_or_after(step),
+            Loc::Flags => self.flag_acc.first_at_or_after(step),
+            Loc::Mem(addr) => self.mem_acc.get(&addr)?.first_at_or_after(step),
+        }
+    }
+
+    fn first_after(&self, loc: Loc, step: u64) -> Option<(u64, Access)> {
+        match loc {
+            Loc::Reg(i) => self.reg_acc[i].first_after(step),
+            Loc::Flags => self.flag_acc.first_after(step),
+            Loc::Mem(addr) => self.mem_acc.get(&addr)?.first_after(step),
+        }
+    }
+
+    /// An empty index for a reference running in `memory_size` bytes of
+    /// guest RAM; the recording pass fills it one step at a time.
+    pub(crate) fn new(memory_size: u32) -> Self {
+        SuffixIndex {
+            reg_acc: Default::default(),
+            flag_acc: AccessList::default(),
+            mem_acc: HashMap::new(),
+            steps: Vec::new(),
+            writes: Vec::new(),
+            memory_size,
+        }
+    }
+
+    /// Indexes dynamic step `step`, about to execute `instr` on `machine`:
+    /// mirrors the simulator's effect model instruction by instruction,
+    /// using the pre-execution state to resolve addresses and branch
+    /// directions. Steps must arrive in order, starting at 1.
+    pub(crate) fn record(&mut self, step: u64, instr: &Instr, machine: &Machine) {
         let mut reads: Vec<Loc> = Vec::new();
         let mut writes: Vec<Loc> = Vec::new();
         let mut class = StepClass::Plain;
@@ -268,75 +297,21 @@ impl FaultHook for Recorder {
             Instr::Nop => class = StepClass::Inert,
         }
         for loc in &reads {
-            self.index.access(*loc).push(step, Access::Read);
+            self.access(*loc).push(step, Access::Read);
         }
         for loc in &writes {
-            self.index.access(*loc).push(step, Access::Write);
+            self.access(*loc).push(step, Access::Write);
         }
-        self.index.steps.push((class, writes));
-        FaultAction::Continue
-    }
-}
-
-impl SuffixIndex {
-    fn access(&mut self, loc: Loc) -> &mut AccessList {
-        match loc {
-            Loc::Reg(i) => &mut self.reg_acc[i],
-            Loc::Flags => &mut self.flag_acc,
-            Loc::Mem(addr) => self.mem_acc.entry(addr).or_default(),
-        }
+        self.writes.extend_from_slice(&writes);
+        self.steps.push((class, self.writes.len()));
     }
 
-    fn first_at_or_after(&self, loc: Loc, step: u64) -> Option<(u64, Access)> {
-        match loc {
-            Loc::Reg(i) => self.reg_acc[i].first_at_or_after(step),
-            Loc::Flags => self.flag_acc.first_at_or_after(step),
-            Loc::Mem(addr) => self.mem_acc.get(&addr)?.first_at_or_after(step),
-        }
-    }
-
-    fn first_after(&self, loc: Loc, step: u64) -> Option<(u64, Access)> {
-        match loc {
-            Loc::Reg(i) => self.reg_acc[i].first_after(step),
-            Loc::Flags => self.flag_acc.first_after(step),
-            Loc::Mem(addr) => self.mem_acc.get(&addr)?.first_after(step),
-        }
-    }
-
-    /// Builds the index by replaying the fault-free reference on
-    /// `simulator` (which must be freshly reset for the same artifact the
-    /// trace was recorded from). Returns `None` — disabling pruning, which
-    /// is always safe — if the replay diverges from `trace` in any way.
-    #[must_use]
-    pub fn build(
-        simulator: &mut Simulator,
-        entry: &str,
-        args: &[u32],
-        max_steps: u64,
-        trace: &ReferenceTrace,
-    ) -> Option<SuffixIndex> {
-        let memory_size = simulator.machine().memory_size();
-        let mut recorder = Recorder {
-            index: SuffixIndex {
-                reg_acc: Default::default(),
-                flag_acc: AccessList::default(),
-                mem_acc: HashMap::new(),
-                steps: Vec::with_capacity(trace.pcs.len()),
-                memory_size,
-            },
-            pcs: Vec::with_capacity(trace.pcs.len()),
-        };
-        let result = simulator
-            .call_with_faults(entry, args, max_steps, &mut recorder)
-            .ok()?;
-        if recorder.pcs != trace.pcs || result != trace.result {
-            return None;
-        }
-        let n = trace.steps();
-        // The harness reads the return value: a virtual read of r0 past the
-        // last step, so corrupting r0 at the end is never called dead.
-        recorder.index.reg_acc[Reg::R0.index()].push(n + 1, Access::Read);
-        Some(recorder.index)
+    /// Closes the index once the reference has returned. The harness reads
+    /// the return value: a virtual read of r0 past the last step, so
+    /// corrupting r0 at the end is never called dead.
+    pub(crate) fn finish(&mut self) {
+        let after_last = self.steps() + 1;
+        self.reg_acc[Reg::R0.index()].push(after_last, Access::Read);
     }
 
     /// The verdict for one fault point. Double skips are dead iff both
@@ -369,15 +344,19 @@ impl SuffixIndex {
         let Some(index) = step.checked_sub(1) else {
             return LivenessVerdict::Live;
         };
-        let Some((class, writes)) = self.steps.get(index as usize) else {
+        let index = index as usize;
+        let Some(&(class, end)) = self.steps.get(index) else {
             return LivenessVerdict::Live;
         };
+        let start = index
+            .checked_sub(1)
+            .map_or(0, |before| self.steps[before].1);
         match class {
             StepClass::Branch | StepClass::CfiStore => LivenessVerdict::Live,
             StepClass::Inert => LivenessVerdict::Dead { settled_by: step },
             StepClass::Plain => {
                 let mut settled_by = step;
-                for loc in writes {
+                for loc in &self.writes[start..end] {
                     match self.first_after(*loc, step) {
                         Some((_, Access::Read)) => return LivenessVerdict::Live,
                         Some((s, Access::Write)) => settled_by = settled_by.max(s),
@@ -436,8 +415,9 @@ impl SuffixIndex {
 mod tests {
     use super::*;
     use crate::report::classify;
+    use crate::trace_store::{record_reference, RecordedReference};
     use secbranch_armv7m::machine::{CFI_CHECK_ADDR, CFI_UPDATE_ADDR};
-    use secbranch_armv7m::{Cond, ProgramBuilder, Target};
+    use secbranch_armv7m::{Cond, ProgramBuilder, Simulator, Target};
 
     /// A workload exercising every effect kind: arithmetic with dead
     /// writes, loads/stores, push/pop, a call, both branch directions and
@@ -547,50 +527,18 @@ mod tests {
         p.assemble().expect("assembles")
     }
 
-    fn record(
-        program: &secbranch_armv7m::Program,
-        args: &[u32],
-    ) -> (ReferenceTrace, secbranch_armv7m::ExecResult) {
-        struct Tracer(Vec<u32>, Vec<u64>);
-        impl FaultHook for Tracer {
-            fn before_execute(
-                &mut self,
-                step: u64,
-                pc: usize,
-                instr: &Instr,
-                _: &mut Machine,
-            ) -> FaultAction {
-                self.0.push(pc as u32);
-                if matches!(instr, Instr::BCond { .. }) {
-                    self.1.push(step);
-                }
-                FaultAction::Continue
-            }
-        }
-        let mut sim = Simulator::new(program.clone(), 4096);
-        let mut tracer = Tracer(Vec::new(), Vec::new());
-        let result = sim
-            .call_with_faults("main", args, 10_000, &mut tracer)
-            .expect("reference runs");
-        (
-            ReferenceTrace {
-                result,
-                pcs: tracer.0,
-                conditional_steps: tracer.1,
-            },
-            result,
-        )
+    fn record(program: &secbranch_armv7m::Program, args: &[u32]) -> RecordedReference {
+        let sim = Simulator::new(program.clone(), 4096);
+        record_reference(&sim, "main", args, 10_000).expect("reference runs")
     }
 
     #[test]
     fn dead_verdicts_match_real_runs_for_every_point() {
         let program = rich_program();
-        let (trace, reference) = record(&program, &[5]);
-        let mut sim = Simulator::new(program.clone(), 4096);
-        let index =
-            SuffixIndex::build(&mut sim, "main", &[5], 10_000, &trace).expect("index builds");
+        let recorded = record(&program, &[5]);
+        let (index, reference) = (&recorded.suffix, recorded.trace.result);
         let n = index.steps();
-        assert_eq!(n, trace.steps());
+        assert_eq!(n, recorded.trace.steps());
 
         let mut points: Vec<FaultPoint> = Vec::new();
         for step in 1..=n {
@@ -649,10 +597,8 @@ mod tests {
     #[test]
     fn known_dead_and_live_steps_are_classified() {
         let program = rich_program();
-        let (trace, _) = record(&program, &[3]);
-        let mut sim = Simulator::new(program.clone(), 4096);
-        let index =
-            SuffixIndex::build(&mut sim, "main", &[3], 10_000, &trace).expect("index builds");
+        let recorded = record(&program, &[3]);
+        let (trace, index) = (&recorded.trace, &recorded.suffix);
 
         // Step 5 is `mov r12, #99` — overwritten at step 6 before any read.
         assert_eq!(trace.pc_at(5), Some(6), "layout: dead mov at index 6");
@@ -681,14 +627,5 @@ mod tests {
         // Out-of-range steps are conservatively live.
         assert_eq!(index.skip_verdict(0), LivenessVerdict::Live);
         assert_eq!(index.skip_verdict(index.steps() + 1), LivenessVerdict::Live);
-    }
-
-    #[test]
-    fn build_rejects_a_mismatched_trace() {
-        let program = rich_program();
-        let (mut trace, _) = record(&program, &[4]);
-        trace.pcs[2] ^= 1;
-        let mut sim = Simulator::new(program, 4096);
-        assert!(SuffixIndex::build(&mut sim, "main", &[4], 10_000, &trace).is_none());
     }
 }

@@ -3,18 +3,14 @@
 //!
 //! The engine deliberately does not know *how* records hit the disk (that
 //! lives in `secbranch-store`, which implements [`GridBackend`] for its
-//! `GridStore`); it only knows the two record shapes worth persisting:
+//! `GridStore`); it only knows the one record shape worth persisting:
+//! **completed cells** ([`CellKey`] → [`CampaignReport`]), one fault
+//! model's finished campaign over one artifact. A warm cell means a grid
+//! re-run does *zero* simulation for it.
 //!
-//! * **Reference traces** ([`PersistedTrace`]): the recorded fault-free
-//!   execution plus its resume checkpoints, keyed by
-//!   [`TraceKey`]. The program itself is *not* part of the
-//!   payload — the trace key's artifact fingerprint already identifies the
-//!   exact compilation (bit-deterministic since PR 4), so the loader
-//!   reattaches the program from the requesting simulator source instead of
-//!   shipping instruction encodings through the store.
-//! * **Completed cells** ([`CellKey`] → [`CampaignReport`]): one fault
-//!   model's finished campaign over one artifact. A warm cell means a grid
-//!   re-run does *zero* simulation for it.
+//! Reference executions are not persisted: one recording pass yields the
+//! trace, its checkpoints and its liveness index, and costs about what
+//! reading a stored trace back would.
 //!
 //! # Round-trip contract
 //!
@@ -26,9 +22,7 @@
 //! return `None` — dropping a record only costs a re-computation, serving a
 //! damaged one silently corrupts every downstream report.
 
-use crate::model::ReferenceTrace;
 use crate::report::CampaignReport;
-use crate::trace_store::{RecordedReference, TraceCheckpoint, TraceKey};
 
 /// Identity of one completed campaign cell: which artifact was attacked,
 /// by which fault-model configuration, through which entry and arguments.
@@ -39,7 +33,7 @@ use crate::trace_store::{RecordedReference, TraceCheckpoint, TraceKey};
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CellKey {
     /// The artifact fingerprint (same discrimination contract as
-    /// [`TraceKey::artifact`]).
+    /// [`TraceKey::artifact`](crate::TraceKey::artifact)).
     pub artifact: String,
     /// The fault model's configuration fingerprint.
     pub model: String,
@@ -67,52 +61,11 @@ impl CellKey {
     }
 }
 
-/// The persistable payload of one reference execution: a
-/// [`RecordedReference`] minus the program (see the [module docs](self) for
-/// why the program travels out of band) and minus its liveness index, which
-/// is derived data a loaded reference rebuilds on first use.
-#[derive(Debug, Clone)]
-pub struct PersistedTrace {
-    /// The step-by-step trace of the fault-free run.
-    pub trace: ReferenceTrace,
-    /// Guest RAM size of the recording simulator in bytes.
-    pub memory_size: u32,
-    /// Machine checkpoints along the trace, ascending `steps_done`.
-    pub checkpoints: Vec<TraceCheckpoint>,
-}
-
-impl PersistedTrace {
-    /// Reattaches a program and becomes a full [`RecordedReference`].
-    ///
-    /// By the [`TraceKey`] contract the program must be the one the trace
-    /// was recorded on — the caller derives it from the same simulator
-    /// source whose artifact fingerprint keyed the load.
-    #[must_use]
-    pub fn into_recorded(
-        self,
-        program: std::sync::Arc<secbranch_armv7m::Program>,
-    ) -> RecordedReference {
-        RecordedReference::new(self.trace, program, self.memory_size, self.checkpoints)
-    }
-
-    /// Borrows the persistable parts of a recording (the inverse of
-    /// [`PersistedTrace::into_recorded`], minus the clone).
-    #[must_use]
-    pub fn from_recorded(recorded: &RecordedReference) -> PersistedTrace {
-        PersistedTrace {
-            trace: recorded.trace.clone(),
-            memory_size: recorded.memory_size,
-            checkpoints: recorded.checkpoints.clone(),
-        }
-    }
-}
-
-/// A disk-backed store of reference traces and completed campaign cells.
+/// A disk-backed store of completed campaign cells.
 ///
-/// [`TraceStore`](crate::TraceStore) consults an attached backend on every
-/// in-memory miss and writes every fresh recording through to it; the
-/// [`MatrixExecutor`](crate::MatrixExecutor) additionally probes it per
-/// cell and skips the whole fault space on a hit. All methods are
+/// A [`TraceStore`](crate::TraceStore) carries the attached backend; the
+/// [`MatrixExecutor`](crate::MatrixExecutor) probes it per cell, skips the
+/// whole fault space on a hit and writes computed cells back. All methods are
 /// best-effort: load failures surface as `None` (the engine recomputes) and
 /// store failures are swallowed by the implementation (persisting is an
 /// optimisation, never a correctness requirement) — implementations should
@@ -120,13 +73,6 @@ impl PersistedTrace {
 pub trait GridBackend: Send + Sync {
     // (Object-safe by construction: the engine always holds backends as
     // `Arc<dyn GridBackend>`.)
-
-    /// Loads the persisted trace for `key`, or `None` when absent or not
-    /// intact.
-    fn load_trace(&self, key: &TraceKey) -> Option<PersistedTrace>;
-
-    /// Persists a freshly recorded reference under `key` (best effort).
-    fn store_trace(&self, key: &TraceKey, recorded: &RecordedReference);
 
     /// Loads the persisted campaign report for `key`, or `None` when absent
     /// or not intact.

@@ -24,7 +24,8 @@ pub enum FaultPoint {
     DoubleSkip {
         /// The first skipped step.
         first: u64,
-        /// The second skipped step (> `first`).
+        /// The second skipped step (`> first` in every built-in model; the
+        /// executor runs any other pair on its unshared path).
         second: u64,
     },
     /// Flip one bit of one register just before `step` executes.
@@ -56,8 +57,10 @@ pub enum FaultPoint {
 }
 
 impl FaultPoint {
-    /// The dynamic step this fault is anchored at, used for per-location
-    /// attribution (for [`FaultPoint::DoubleSkip`], the first fault).
+    /// The dynamic step this fault is anchored at — its earliest fault
+    /// step, before which a faulted run is the reference — used for
+    /// per-location attribution (for [`FaultPoint::DoubleSkip`], the
+    /// smaller of its two steps, whichever order the point lists them in).
     #[must_use]
     pub fn anchor_step(&self) -> u64 {
         match *self {
@@ -65,7 +68,7 @@ impl FaultPoint {
             | FaultPoint::RegisterFlip { step, .. }
             | FaultPoint::MemoryFlip { step, .. }
             | FaultPoint::BranchInvert { step } => step,
-            FaultPoint::DoubleSkip { first, .. } => first,
+            FaultPoint::DoubleSkip { first, second } => first.min(second),
         }
     }
 
@@ -81,7 +84,7 @@ impl FaultPoint {
             | FaultPoint::RegisterFlip { step, .. }
             | FaultPoint::MemoryFlip { step, .. }
             | FaultPoint::BranchInvert { step } => step,
-            FaultPoint::DoubleSkip { second, .. } => second,
+            FaultPoint::DoubleSkip { first, second } => first.max(second),
         }
     }
 
@@ -98,11 +101,15 @@ impl FaultPoint {
 ///
 /// The specialisation is worth a macro: the skip-family hooks never touch
 /// the [`Machine`], and proving that to the optimiser (no writes reachable
-/// from the hook call) is what lets the interpreter keep machine state in
-/// registers across steps (measured ~2× on skip campaigns over the
-/// enum-matching [`PointHook`], with a hook call at every step). Each
-/// specialised hook also names its fault steps
+/// from the hook call) lets the interpreter keep machine state in registers
+/// across steps. Each specialised hook also names its fault steps
 /// ([`FaultHook::next_active`]), so the micro-op loop calls it only there.
+/// It still pays with those quiet windows: running the executor on
+/// [`PointHook`] with a `next_active` taken from its point moved perfbench
+/// `cold-grid` p50 from 24.3 to 26.2 ms (×1.08, 6 of 6 alternating pairs
+/// slower, 10 s runs, seeds 101–106) and CPU per request from about 43 to
+/// about 47 ms; additionally letting the executor's `CycleGuard` skip an
+/// inert inner hook still read ×1.045 (6 of 6 pairs slower).
 macro_rules! with_point_hook {
     ($point:expr, $hook:ident => $body:expr) => {
         match *$point {
@@ -461,11 +468,7 @@ mod tests {
             with_point_hook!(&point, hook => {
                 assert_next_active_contract(&mut hook, 45, |_| true, &point.to_string());
                 // Past the last fault step the hook never acts again.
-                let last = match point {
-                    FaultPoint::DoubleSkip { first, second } => first.max(second),
-                    _ => point.last_fault_step(),
-                };
-                assert_eq!(hook.next_active(last + 1), u64::MAX, "{point}");
+                assert_eq!(hook.next_active(point.last_fault_step() + 1), u64::MAX, "{point}");
             });
         }
     }
@@ -526,6 +529,11 @@ mod tests {
         };
         assert_eq!(p.anchor_step(), 3);
         assert_eq!(p.last_fault_step(), 9);
+        let reversed = FaultPoint::DoubleSkip {
+            first: 9,
+            second: 3,
+        };
+        assert_eq!((reversed.anchor_step(), reversed.last_fault_step()), (3, 9));
         assert_eq!(FaultPoint::Skip { step: 12 }.last_fault_step(), 12);
         assert_eq!(p.to_string(), "double-skip@3+9");
         assert_eq!(FaultPoint::Skip { step: 12 }.to_string(), "skip@12");

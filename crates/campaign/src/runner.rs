@@ -13,7 +13,7 @@ use crate::point::FaultPoint;
 use crate::report::{
     classify, CampaignReport, EscapeRecord, LocationReport, Outcome, OutcomeCounts,
 };
-use crate::trace_store::record_reference_without_checkpoints;
+use crate::trace_store::record_reference;
 
 /// A source of pristine simulators: the campaign engine runs every injection
 /// (and the reference) on a fresh one.
@@ -216,9 +216,7 @@ impl CampaignRunner {
         max_steps: u64,
         model: &dyn FaultModel,
     ) -> Result<CampaignReport, SimError> {
-        // No checkpoints: this runner never fast-forwards, so it skips the
-        // snapshot cost the matrix executor's recordings pay.
-        let recorded = record_reference_without_checkpoints(source, entry, args, max_steps)?;
+        let recorded = record_reference(source, entry, args, max_steps)?;
         let regions = source.global_regions();
         let ctx = CampaignContext {
             trace: &recorded.trace,

@@ -499,9 +499,9 @@ mod tests {
     #[test]
     fn cold_cells_reuse_the_liveness_index_of_their_reference() {
         // A cold request recomputes its cells from the references the pool
-        // already holds: once a reference has been used, a later cell on
-        // it (another model, or the same one again) replays nothing to
-        // rebuild its liveness index.
+        // already holds: a later cell on a reference (another model, or the
+        // same one again) shares the recording, and with it the liveness
+        // index, instead of recording again.
         let store = Arc::new(TraceStore::new());
         let pool = ExecutorPool::new(Arc::clone(&store), 1, 4);
         let run_cold = |model: Arc<dyn FaultModel + Send + Sync>| {
@@ -515,8 +515,8 @@ mod tests {
             ));
             rx.recv().expect("callback fired").expect("cell runs")
         };
-        let index = || {
-            let reference = store
+        let reference = || {
+            store
                 .reference(
                     &TraceKey::new("max-artifact", "max", &[7, 3]),
                     &max_simulator(),
@@ -524,18 +524,18 @@ mod tests {
                     &[7, 3],
                     100,
                 )
-                .expect("stored");
-            Arc::clone(reference.built_suffix_index().expect("built"))
+                .expect("stored")
         };
         let first = run_cold(Arc::new(InstructionSkip));
-        let built = index();
+        let recorded = reference();
         for model in [
             Arc::new(BranchInversion) as Arc<dyn FaultModel + Send + Sync>,
             Arc::new(InstructionSkip),
         ] {
             run_cold(model);
-            assert!(Arc::ptr_eq(&built, &index()), "no second build");
+            assert!(Arc::ptr_eq(&recorded, &reference()), "no second build");
         }
+        assert_eq!(store.stats().misses, 1, "one recording");
         assert_eq!(run_cold(Arc::new(InstructionSkip)).report, first.report);
     }
 

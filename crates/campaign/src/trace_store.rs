@@ -102,11 +102,10 @@ pub struct TraceCheckpoint {
 /// One recorded reference execution plus the static context fault models
 /// need to build their spaces over it.
 ///
-/// It also carries the reference's liveness index ([`SuffixIndex`]), built
-/// by the first executor run that uses the reference and then shared by
-/// every later run over the same store entry
-/// ([`RecordedReference::built_suffix_index`]). The index is derived data:
-/// it is never persisted and never part of a fingerprint.
+/// The pass that records the trace also takes the resume checkpoints and
+/// builds the reference's liveness index ([`SuffixIndex`]), so every
+/// holder of the reference holds all three. None of it is persisted or
+/// part of a fingerprint.
 #[derive(Debug)]
 pub struct RecordedReference {
     /// The step-by-step trace of the fault-free run.
@@ -118,59 +117,11 @@ pub struct RecordedReference {
     /// Machine checkpoints along the trace, in ascending `steps_done`
     /// order, starting with the pre-step-1 state.
     pub checkpoints: Vec<TraceCheckpoint>,
-    /// The liveness index once built; `Some(None)` when the replay diverged
-    /// and pruning stays off for this reference.
-    suffix: OnceLock<Option<Arc<SuffixIndex>>>,
+    /// The liveness index of the run.
+    pub suffix: SuffixIndex,
 }
 
 impl RecordedReference {
-    /// A reference with its liveness index not yet built.
-    #[must_use]
-    pub fn new(
-        trace: ReferenceTrace,
-        program: Arc<Program>,
-        memory_size: u32,
-        checkpoints: Vec<TraceCheckpoint>,
-    ) -> Self {
-        RecordedReference {
-            trace,
-            program,
-            memory_size,
-            checkpoints,
-            suffix: OnceLock::new(),
-        }
-    }
-
-    /// The reference's liveness index, built on the first call by replaying
-    /// `entry(args)` on a fresh simulator from `source` and shared by every
-    /// later call. `None` — pruning disabled, which is always safe — when
-    /// the replay diverges from the trace.
-    ///
-    /// By the [`TraceKey`] contract, `source`, `entry`, `args` and
-    /// `max_steps` describe the execution this reference recorded.
-    pub(crate) fn suffix_index(
-        &self,
-        source: &dyn SimulatorSource,
-        entry: &str,
-        args: &[u32],
-        max_steps: u64,
-    ) -> Option<&Arc<SuffixIndex>> {
-        self.suffix
-            .get_or_init(|| {
-                let _span = secbranch_obs::span_with("liveness_index", || entry.to_string());
-                let mut sim = source.fresh_simulator();
-                SuffixIndex::build(&mut sim, entry, args, max_steps, &self.trace).map(Arc::new)
-            })
-            .as_ref()
-    }
-
-    /// The liveness index if an executor run has built one; `None` before
-    /// the first build (or after one whose replay diverged).
-    #[must_use]
-    pub fn built_suffix_index(&self) -> Option<&Arc<SuffixIndex>> {
-        self.suffix.get()?.as_ref()
-    }
-
     /// The latest checkpoint usable for an injection anchored at dynamic
     /// step `anchor` — the one with the largest `steps_done < anchor`, so
     /// the anchor step itself still executes (and the fault hook still
@@ -184,29 +135,17 @@ impl RecordedReference {
     }
 }
 
-/// Records the reference execution: the pc of every dynamic step, the steps
-/// at which conditional branches executed, and periodic machine checkpoints
-/// (every `interval` steps, thinned by doubling the interval whenever the
-/// [`CHECKPOINT_BUDGET`] is hit).
+/// Records the reference execution in one pass: the pc of every dynamic
+/// step, the steps at which conditional branches executed, the liveness
+/// index, and periodic machine checkpoints (every `interval` steps, thinned
+/// by doubling the interval whenever the [`CHECKPOINT_BUDGET`] is hit).
 #[derive(Debug)]
 struct TraceRecorder {
     pcs: Vec<u32>,
     conditional_steps: Vec<u64>,
+    suffix: SuffixIndex,
     checkpoints: Vec<TraceCheckpoint>,
-    checkpoints_enabled: bool,
     interval: u64,
-}
-
-impl Default for TraceRecorder {
-    fn default() -> Self {
-        TraceRecorder {
-            pcs: Vec::new(),
-            conditional_steps: Vec::new(),
-            checkpoints: Vec::new(),
-            checkpoints_enabled: true,
-            interval: 64,
-        }
-    }
 }
 
 impl FaultHook for TraceRecorder {
@@ -221,7 +160,8 @@ impl FaultHook for TraceRecorder {
         if matches!(instr, Instr::BCond { .. }) {
             self.conditional_steps.push(step);
         }
-        if self.checkpoints_enabled && (step - 1).is_multiple_of(self.interval) {
+        self.suffix.record(step, instr, machine);
+        if (step - 1).is_multiple_of(self.interval) {
             if self.checkpoints.len() == CHECKPOINT_BUDGET {
                 // Budget hit: keep every other checkpoint, double the
                 // interval. All retained `steps_done` stay multiples of the
@@ -247,8 +187,8 @@ impl FaultHook for TraceRecorder {
 }
 
 /// Records the fault-free reference execution of `entry(args)` on a fresh
-/// simulator from `source`, including resume checkpoints (no memoisation —
-/// [`TraceStore::reference`] is the caching front end).
+/// simulator from `source`, with its resume checkpoints and liveness index
+/// (no memoisation — [`TraceStore::reference`] is the caching front end).
 ///
 /// # Errors
 ///
@@ -259,48 +199,28 @@ pub fn record_reference(
     args: &[u32],
     max_steps: u64,
 ) -> Result<RecordedReference, SimError> {
-    record_reference_impl(source, entry, args, max_steps, true)
-}
-
-/// Like [`record_reference`] but without machine checkpoints — for callers
-/// that never fast-forward (the sequential [`crate::CampaignRunner`]
-/// reference path), so they do not pay for snapshots nobody reads.
-///
-/// # Errors
-///
-/// Returns the [`SimError`] of the reference run if it fails.
-pub(crate) fn record_reference_without_checkpoints(
-    source: &dyn SimulatorSource,
-    entry: &str,
-    args: &[u32],
-    max_steps: u64,
-) -> Result<RecordedReference, SimError> {
-    record_reference_impl(source, entry, args, max_steps, false)
-}
-
-fn record_reference_impl(
-    source: &dyn SimulatorSource,
-    entry: &str,
-    args: &[u32],
-    max_steps: u64,
-    with_checkpoints: bool,
-) -> Result<RecordedReference, SimError> {
     let mut sim = source.fresh_simulator();
+    let memory_size = sim.machine().memory_size();
     let mut recorder = TraceRecorder {
-        checkpoints_enabled: with_checkpoints,
-        ..TraceRecorder::default()
+        pcs: Vec::new(),
+        conditional_steps: Vec::new(),
+        suffix: SuffixIndex::new(memory_size),
+        checkpoints: Vec::new(),
+        interval: 64,
     };
     let result = sim.call_with_faults(entry, args, max_steps, &mut recorder)?;
-    Ok(RecordedReference::new(
-        ReferenceTrace {
+    recorder.suffix.finish();
+    Ok(RecordedReference {
+        trace: ReferenceTrace {
             result,
             pcs: recorder.pcs,
             conditional_steps: recorder.conditional_steps,
         },
-        Arc::clone(sim.shared_program()),
-        sim.machine().memory_size(),
-        recorder.checkpoints,
-    ))
+        program: Arc::clone(sim.shared_program()),
+        memory_size,
+        checkpoints: recorder.checkpoints,
+        suffix: recorder.suffix,
+    })
 }
 
 /// How one [`TraceStore`] request was satisfied — the per-request truth the
@@ -309,41 +229,14 @@ fn record_reference_impl(
 pub enum TraceFetch {
     /// Served from the in-memory memo.
     Memory,
-    /// Loaded from the attached persistence backend (disk warm start).
-    Disk,
-    /// Nothing cached anywhere: a fresh recording was made.
+    /// Not in the memo: a fresh recording was made.
     Recorded,
 }
 
-impl TraceFetch {
-    /// `true` when the request did *not* pay for a recording.
-    #[must_use]
-    pub fn is_hit(self) -> bool {
-        !matches!(self, TraceFetch::Recorded)
-    }
-}
-
 /// Approximate retained bytes of one checkpoint beyond its dirty RAM: the
-/// register file plus flags/CFI/bookkeeping. Only used for budget
+/// register file plus flags/CFI/bookkeeping. Only used for byte
 /// accounting, so "approximate" is fine — the dirty RAM dominates.
 const CHECKPOINT_FIXED_COST: usize = 96;
-
-fn checkpoint_cost(checkpoints: &[TraceCheckpoint]) -> usize {
-    checkpoints
-        .iter()
-        .map(|cp| cp.state.dirty_len() + CHECKPOINT_FIXED_COST)
-        .sum()
-}
-
-/// One memoised recording plus the bookkeeping the byte budget needs.
-#[derive(Debug)]
-struct StoreEntry {
-    reference: Arc<RecordedReference>,
-    /// Monotonic access tick of the last request (for LRU eviction).
-    last_used: u64,
-    /// Accounted checkpoint bytes of this entry (0 once evicted).
-    checkpoint_bytes: usize,
-}
 
 /// A resumable machine state captured *after* applying the shared first
 /// fault of a grouped multi-fault batch: the spine position the executor
@@ -367,19 +260,18 @@ struct SnapshotEntry {
     bytes: usize,
 }
 
-/// The one load or recording of a missed key that is under way: its
-/// first requester fills the slot, concurrent requesters wait on it.
+/// The one recording of a missed key that is under way: its first
+/// requester fills the slot, concurrent requesters wait on it.
 type Flight = Arc<OnceLock<Result<Arc<RecordedReference>, SimError>>>;
 
 /// The lock-guarded interior of a [`TraceStore`].
 #[derive(Debug)]
 struct StoreInner {
-    entries: HashMap<TraceKey, StoreEntry>,
+    entries: HashMap<TraceKey, Arc<RecordedReference>>,
     in_flight: HashMap<TraceKey, Flight>,
     snapshots: HashMap<(TraceKey, u64), SnapshotEntry>,
     tick: u64,
     checkpoint_bytes: usize,
-    checkpoint_budget: Option<usize>,
     snapshot_bytes: usize,
     snapshot_budget: Option<usize>,
     backend: Option<Arc<dyn GridBackend>>,
@@ -393,7 +285,6 @@ impl Default for StoreInner {
             snapshots: HashMap::new(),
             tick: 0,
             checkpoint_bytes: 0,
-            checkpoint_budget: None,
             snapshot_bytes: 0,
             snapshot_budget: Some(DEFAULT_SNAPSHOT_BUDGET),
             backend: None,
@@ -402,52 +293,6 @@ impl Default for StoreInner {
 }
 
 impl StoreInner {
-    fn touch(&mut self, key: &TraceKey) {
-        self.tick += 1;
-        let tick = self.tick;
-        if let Some(entry) = self.entries.get_mut(key) {
-            entry.last_used = tick;
-        }
-    }
-
-    /// Inserts (or confirms) `reference` under `key` and enforces the
-    /// checkpoint byte budget by stripping checkpoints from the
-    /// least-recently-used entries. The traces themselves always stay —
-    /// only the resume snapshots are evictable, and consumers fall back to
-    /// full prefix re-execution without them. Stripped checkpoints are
-    /// *not* re-fetched on later hits (deliberately: re-loading them from
-    /// a backend would immediately re-violate the budget that evicted
-    /// them); they return only when the entry itself is dropped and
-    /// re-recorded in a fresh store.
-    fn insert(
-        &mut self,
-        key: &TraceKey,
-        reference: Arc<RecordedReference>,
-        evictions: &AtomicU64,
-    ) -> Arc<RecordedReference> {
-        self.tick += 1;
-        let tick = self.tick;
-        let stored = match self.entries.entry(key.clone()) {
-            std::collections::hash_map::Entry::Occupied(mut occupied) => {
-                // A concurrent recording won the race; keep the stored one.
-                occupied.get_mut().last_used = tick;
-                Arc::clone(&occupied.get().reference)
-            }
-            std::collections::hash_map::Entry::Vacant(vacant) => {
-                let cost = checkpoint_cost(&reference.checkpoints);
-                self.checkpoint_bytes += cost;
-                vacant.insert(StoreEntry {
-                    reference: Arc::clone(&reference),
-                    last_used: tick,
-                    checkpoint_bytes: cost,
-                });
-                reference
-            }
-        };
-        self.enforce_budget(evictions);
-        stored
-    }
-
     fn cache_snapshot(
         &mut self,
         key: &TraceKey,
@@ -499,41 +344,6 @@ impl StoreInner {
             evictions.fetch_add(1, Ordering::Relaxed);
         }
     }
-
-    fn enforce_budget(&mut self, evictions: &AtomicU64) {
-        let Some(budget) = self.checkpoint_budget else {
-            return;
-        };
-        while self.checkpoint_bytes > budget {
-            // Strictly LRU over the entries that still hold checkpoints —
-            // the freshly inserted entry included, if everything older has
-            // already been stripped.
-            let Some(victim) = self
-                .entries
-                .iter()
-                .filter(|(_, e)| e.checkpoint_bytes > 0)
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
-            else {
-                break;
-            };
-            let entry = self.entries.get_mut(&victim).expect("victim exists");
-            let old = &entry.reference;
-            // The liveness index does not depend on checkpoints: the
-            // stripped entry keeps it (or builds it later, if not yet built).
-            let stripped = Arc::new(RecordedReference {
-                trace: old.trace.clone(),
-                program: Arc::clone(&old.program),
-                memory_size: old.memory_size,
-                checkpoints: Vec::new(),
-                suffix: old.suffix.clone(),
-            });
-            self.checkpoint_bytes -= entry.checkpoint_bytes;
-            entry.checkpoint_bytes = 0;
-            entry.reference = stripped;
-            evictions.fetch_add(1, Ordering::Relaxed);
-        }
-    }
 }
 
 /// A thread-safe memo of reference executions with hit/miss counters.
@@ -542,30 +352,14 @@ impl StoreInner {
 /// campaign and matrix run asks it for the reference of its
 /// `(artifact, entry, args)` cell and only the first request per key pays
 /// for a recording. Entries are handed out as [`Arc`]s, so N concurrent
-/// campaigns share one trace allocation.
+/// campaigns share one recording: its trace, checkpoints and liveness
+/// index.
 ///
-/// Entries carry resume checkpoints for the matrix executor's fast-forward
-/// path.
-///
-/// # Persistence (spill/attach)
-///
-/// [`TraceStore::attach_backend`] plugs a [`GridBackend`] (in practice the
-/// `GridStore` of `secbranch-store`) behind the memo: the current contents
-/// spill to the backend immediately, every later fresh recording is written
-/// through, and an in-memory miss consults the backend before recording —
-/// which is how a matrix run warm-starts from a store directory written by
-/// an earlier process. Fetch provenance is reported per request as
-/// [`TraceFetch`] and in the `disk_hits` of [`TraceStore::stats`].
-///
-/// # Bounding memory
-///
-/// [`TraceStore::set_checkpoint_budget`] caps the bytes retained by resume
-/// checkpoints. When an insertion exceeds the budget, checkpoints are
-/// stripped from the least-recently-used entries until it fits (counted in
-/// the `checkpoint_evictions` of [`TraceStore::stats`]); the traces
-/// themselves always stay, and consumers transparently fall back to full
-/// re-execution when a checkpoint is gone — output never changes, only
-/// speed.
+/// The store also carries the [`GridBackend`] through which the
+/// [`MatrixExecutor`](crate::MatrixExecutor) loads and writes completed
+/// cells ([`TraceStore::attach_backend`]). References themselves are never
+/// persisted: recording one costs about what reading it back from disk
+/// would.
 #[derive(Debug, Default)]
 pub struct TraceStore {
     inner: Mutex<StoreInner>,
@@ -574,18 +368,13 @@ pub struct TraceStore {
 
 secbranch_obs::counters! {
     /// A point-in-time snapshot of a [`TraceStore`]'s counters: the memo's
-    /// hit/miss/disk counters plus checkpoint and snapshot retention. The
-    /// three gauges are read under the store's lock by
-    /// [`TraceStore::stats`].
+    /// hit/miss counters plus checkpoint and snapshot retention. The three
+    /// gauges are read under the store's lock by [`TraceStore::stats`].
     pub struct TraceStoreStats(TraceStoreCounters) {
         /// Requests served from the in-memory memo.
         hits: counter("secbranch_trace_store_hits_total"),
-        /// Requests served from the attached backend.
-        disk_hits: counter("secbranch_trace_store_disk_hits_total"),
         /// Requests that had to record (including failed recordings).
         misses: counter("secbranch_trace_store_misses_total"),
-        /// Entries whose checkpoints the checkpoint budget evicted.
-        checkpoint_evictions: counter("secbranch_trace_store_checkpoint_evictions_total"),
         /// Spine snapshots the snapshot budget evicted.
         snapshot_evictions: counter("secbranch_trace_store_snapshot_evictions_total"),
         /// Distinct traces currently stored.
@@ -598,28 +387,16 @@ secbranch_obs::counters! {
 }
 
 impl TraceStore {
-    /// Creates an empty store (recordings include resume checkpoints).
+    /// Creates an empty store.
     #[must_use]
     pub fn new() -> Self {
         TraceStore::default()
     }
 
-    /// Attaches a persistence backend: spills the current in-memory entries
-    /// to it, then keeps it consulted on every miss and written through on
-    /// every fresh recording. Attaching the same backend again (by
-    /// identity) is a no-op; attaching a different one replaces it and
-    /// spills again.
+    /// Attaches the persistence backend the matrix executor serves cached
+    /// cells from and writes computed ones to, replacing any earlier one.
     pub fn attach_backend(&self, backend: Arc<dyn GridBackend>) {
-        let mut inner = self.inner.lock().expect("trace store poisoned");
-        if let Some(current) = &inner.backend {
-            if Arc::ptr_eq(current, &backend) {
-                return;
-            }
-        }
-        for (key, entry) in &inner.entries {
-            backend.store_trace(key, &entry.reference);
-        }
-        inner.backend = Some(backend);
+        self.inner.lock().expect("trace store poisoned").backend = Some(backend);
     }
 
     /// The currently attached persistence backend, if any.
@@ -630,24 +407,6 @@ impl TraceStore {
             .expect("trace store poisoned")
             .backend
             .clone()
-    }
-
-    /// Caps the bytes retained by resume checkpoints (`None` lifts the
-    /// cap). Applies immediately: if the store is already over the new
-    /// budget, LRU entries lose their checkpoints now.
-    pub fn set_checkpoint_budget(&self, budget: Option<usize>) {
-        let mut inner = self.inner.lock().expect("trace store poisoned");
-        inner.checkpoint_budget = budget;
-        inner.enforce_budget(&self.counters.checkpoint_evictions);
-    }
-
-    /// The configured checkpoint byte budget, if any.
-    #[must_use]
-    pub fn checkpoint_budget(&self) -> Option<usize> {
-        self.inner
-            .lock()
-            .expect("trace store poisoned")
-            .checkpoint_budget
     }
 
     /// Caches the spine snapshot of a grouped multi-fault batch — the
@@ -686,7 +445,7 @@ impl TraceStore {
     }
 
     /// The reference execution for `key`, recorded on first request and
-    /// served from the memo (or the attached backend) afterwards.
+    /// served from the memo afterwards.
     ///
     /// `entry`, `args` and `max_steps` describe how to record on a miss;
     /// by the key contract they must be the execution `key` names (the
@@ -711,7 +470,7 @@ impl TraceStore {
     }
 
     /// Like [`TraceStore::reference`], additionally reporting how *this
-    /// request* was satisfied (memo, disk, or a fresh recording).
+    /// request* was satisfied (memo or a fresh recording).
     ///
     /// This is the per-request truth the matrix executor attributes to its
     /// cells — unlike a before/after diff of the global `hits` counter, it
@@ -728,53 +487,43 @@ impl TraceStore {
         args: &[u32],
         max_steps: u64,
     ) -> Result<(Arc<RecordedReference>, TraceFetch), SimError> {
-        let (flight, backend) = {
+        let flight = {
             let mut inner = self.inner.lock().expect("trace store poisoned");
-            if let Some(entry) = inner.entries.get(key) {
-                let found = Arc::clone(&entry.reference);
-                inner.touch(key);
+            if let Some(found) = inner.entries.get(key) {
+                let found = Arc::clone(found);
                 self.counters.hits.fetch_add(1, Ordering::Relaxed);
                 return Ok((found, TraceFetch::Memory));
             }
-            let flight = Arc::clone(inner.in_flight.entry(key.clone()).or_default());
-            (flight, inner.backend.clone())
+            Arc::clone(inner.in_flight.entry(key.clone()).or_default())
         };
-        // Single flight: the first requester of a missed key loads or
-        // records it outside the lock, and concurrent requesters of the same
-        // key wait for that result instead of recording again — so the
-        // counters do not depend on thread timing.
+        // Single flight: the first requester of a missed key records it
+        // outside the lock, and concurrent requesters of the same key wait
+        // for that result instead of recording again — so the counters do
+        // not depend on thread timing.
         let mut fetch = TraceFetch::Memory;
         let result = flight.get_or_init(|| {
-            let result = if let Some(persisted) = backend.as_ref().and_then(|b| b.load_trace(key)) {
-                // Reattach the program from the requesting source — by the
-                // key contract it is the program the trace was recorded on.
-                let program = Arc::clone(source.fresh_simulator().shared_program());
-                self.counters.disk_hits.fetch_add(1, Ordering::Relaxed);
-                fetch = TraceFetch::Disk;
-                Ok(Arc::new(persisted.into_recorded(program)))
-            } else {
-                self.counters.misses.fetch_add(1, Ordering::Relaxed);
-                fetch = TraceFetch::Recorded;
-                let recorded = {
-                    let _span = secbranch_obs::span_with("reference", || {
-                        format!("{} {}", key.artifact, entry)
-                    });
-                    record_reference(source, entry, args, max_steps).map(Arc::new)
-                };
-                if let (Ok(recorded), Some(backend)) = (&recorded, &backend) {
-                    backend.store_trace(key, recorded);
-                }
-                recorded
+            self.counters.misses.fetch_add(1, Ordering::Relaxed);
+            fetch = TraceFetch::Recorded;
+            let recorded = {
+                let _span =
+                    secbranch_obs::span_with("reference", || format!("{} {}", key.artifact, entry));
+                record_reference(source, entry, args, max_steps).map(Arc::new)
             };
             let mut inner = self.inner.lock().expect("trace store poisoned");
             inner.in_flight.remove(key);
-            result
-                .map(|reference| inner.insert(key, reference, &self.counters.checkpoint_evictions))
+            if let Ok(reference) = &recorded {
+                inner.checkpoint_bytes += reference
+                    .checkpoints
+                    .iter()
+                    .map(|cp| cp.state.dirty_len() + CHECKPOINT_FIXED_COST)
+                    .sum::<usize>();
+                inner.entries.insert(key.clone(), Arc::clone(reference));
+            }
+            recorded
         });
         let reference = result.clone()?;
         if fetch == TraceFetch::Memory {
-            // Served by a concurrent request's load or recording.
-            self.inner.lock().expect("trace store poisoned").touch(key);
+            // Served by a concurrent request's recording.
             self.counters.hits.fetch_add(1, Ordering::Relaxed);
         }
         Ok((reference, fetch))
@@ -813,7 +562,6 @@ impl TraceStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::persist::PersistedTrace;
     use secbranch_armv7m::{Cond, Operand2, ProgramBuilder, Reg, Simulator, Target};
 
     fn max_simulator() -> Simulator {
@@ -843,6 +591,37 @@ mod tests {
         assert_eq!(recorded.trace.pcs, vec![0, 1, 3], "taken branch path");
         assert_eq!(recorded.trace.conditional_steps, vec![2]);
         assert_eq!(recorded.memory_size, 4096);
+    }
+
+    #[test]
+    fn recording_indexes_the_liveness_of_every_step_it_records() {
+        use crate::liveness::LivenessVerdict;
+        // Not taken: cmp, b.hs (falls through), mov r0, r1, bx lr.
+        let recorded = record_reference(&max_simulator(), "max", &[3, 9], 100).expect("records");
+        let index = &recorded.suffix;
+        assert_eq!(index.steps(), recorded.trace.steps());
+        assert_eq!(
+            index.skip_verdict(2),
+            LivenessVerdict::Dead { settled_by: 2 },
+            "skipping a branch that falls through changes nothing"
+        );
+        assert_eq!(
+            index.skip_verdict(3),
+            LivenessVerdict::Live,
+            "r0 is returned"
+        );
+        assert_eq!(
+            index.reg_flip_verdict(4, Reg::R0),
+            LivenessVerdict::Live,
+            "the harness reads r0 after the last step"
+        );
+        assert_eq!(
+            index.reg_flip_verdict(1, Reg::R2),
+            LivenessVerdict::Dead {
+                settled_by: u64::MAX
+            },
+            "r2 is never touched"
+        );
     }
 
     #[test]
@@ -920,138 +699,6 @@ mod tests {
         }
     }
 
-    /// An in-memory [`GridBackend`] for exercising the spill/attach path
-    /// without touching the filesystem.
-    #[derive(Default)]
-    struct MapBackend {
-        traces: Mutex<HashMap<TraceKey, PersistedTrace>>,
-        cells: Mutex<HashMap<crate::persist::CellKey, crate::report::CampaignReport>>,
-    }
-
-    impl GridBackend for MapBackend {
-        fn load_trace(&self, key: &TraceKey) -> Option<PersistedTrace> {
-            self.traces.lock().unwrap().get(key).cloned()
-        }
-        fn store_trace(&self, key: &TraceKey, recorded: &RecordedReference) {
-            self.traces
-                .lock()
-                .unwrap()
-                .insert(key.clone(), PersistedTrace::from_recorded(recorded));
-        }
-        fn load_cell(
-            &self,
-            key: &crate::persist::CellKey,
-        ) -> Option<crate::report::CampaignReport> {
-            self.cells.lock().unwrap().get(key).cloned()
-        }
-        fn store_cell(
-            &self,
-            key: &crate::persist::CellKey,
-            report: &crate::report::CampaignReport,
-        ) {
-            self.cells
-                .lock()
-                .unwrap()
-                .insert(key.clone(), report.clone());
-        }
-    }
-
-    #[test]
-    fn attached_backend_receives_recordings_and_serves_misses() {
-        let sim = max_simulator();
-        let key = TraceKey::new("art", "max", &[7, 3]);
-        let backend = Arc::new(MapBackend::default());
-
-        // Write-through: a fresh recording lands on the backend.
-        let store = TraceStore::new();
-        store.attach_backend(Arc::clone(&backend) as Arc<dyn GridBackend>);
-        let (_, fetch) = store
-            .reference_traced(&key, &sim, "max", &[7, 3], 100)
-            .expect("records");
-        assert_eq!(fetch, TraceFetch::Recorded);
-        assert_eq!(backend.traces.lock().unwrap().len(), 1);
-
-        // A second store over the same backend warm-starts from it.
-        let warm = TraceStore::new();
-        warm.attach_backend(Arc::clone(&backend) as Arc<dyn GridBackend>);
-        let (reference, fetch) = warm
-            .reference_traced(&key, &sim, "max", &[7, 3], 100)
-            .expect("loads");
-        assert_eq!(fetch, TraceFetch::Disk);
-        assert_eq!(warm.stats().misses, 0, "nothing recorded");
-        assert_eq!(warm.stats().disk_hits, 1);
-        assert_eq!(reference.trace.result.return_value, 7);
-        assert_eq!(reference.memory_size, 4096);
-        // Loaded entries join the memo: the next request is a memory hit.
-        let (_, fetch) = warm
-            .reference_traced(&key, &sim, "max", &[7, 3], 100)
-            .expect("memoised");
-        assert_eq!(fetch, TraceFetch::Memory);
-    }
-
-    #[test]
-    fn attach_spills_existing_entries_and_is_idempotent() {
-        let sim = max_simulator();
-        let key = TraceKey::new("art", "max", &[4, 9]);
-        let store = TraceStore::new();
-        store
-            .reference(&key, &sim, "max", &[4, 9], 100)
-            .expect("records");
-        let backend = Arc::new(MapBackend::default());
-        store.attach_backend(Arc::clone(&backend) as Arc<dyn GridBackend>);
-        assert_eq!(
-            backend.traces.lock().unwrap().len(),
-            1,
-            "pre-existing entry spilled on attach"
-        );
-        store.attach_backend(Arc::clone(&backend) as Arc<dyn GridBackend>);
-        assert_eq!(backend.traces.lock().unwrap().len(), 1);
-    }
-
-    #[test]
-    fn checkpoint_budget_strips_lru_entries_but_keeps_traces() {
-        let store = TraceStore::new();
-        let sim = max_simulator();
-        let key_a = TraceKey::new("art", "max", &[7, 3]);
-        let key_b = TraceKey::new("art", "max", &[3, 9]);
-        let a = store
-            .reference(&key_a, &sim, "max", &[7, 3], 100)
-            .expect("records");
-        assert!(!a.checkpoints.is_empty());
-        let bytes_after_one = store.stats().checkpoint_bytes;
-        assert!(bytes_after_one > 0, "checkpoints are accounted");
-
-        // Touch A, record B, then set a budget that fits only one entry:
-        // B (less recently used than the just-touched... ) — LRU order is
-        // by last *request*, so after touching A again, B is the victim.
-        store
-            .reference(&key_b, &sim, "max", &[3, 9], 100)
-            .expect("records");
-        store
-            .reference(&key_a, &sim, "max", &[7, 3], 100)
-            .expect("hits");
-        store.set_checkpoint_budget(Some(bytes_after_one as usize));
-        assert!(store.stats().checkpoint_bytes <= bytes_after_one);
-        assert_eq!(store.stats().checkpoint_evictions, 1);
-        assert_eq!(store.len(), 2, "traces always stay");
-        let a_now = store
-            .reference(&key_a, &sim, "max", &[7, 3], 100)
-            .expect("hits");
-        assert!(!a_now.checkpoints.is_empty(), "recently used entry kept");
-        let b_now = store
-            .reference(&key_b, &sim, "max", &[3, 9], 100)
-            .expect("hits");
-        assert!(b_now.checkpoints.is_empty(), "LRU entry stripped");
-        assert_eq!(
-            b_now.trace.result.return_value, 9,
-            "the trace itself survives eviction"
-        );
-
-        // A zero budget strips everything, including future recordings.
-        store.set_checkpoint_budget(Some(0));
-        assert_eq!(store.stats().checkpoint_bytes, 0);
-    }
-
     #[test]
     fn spine_snapshots_are_cached_lru_under_their_own_budget() {
         let store = TraceStore::new();
@@ -1098,32 +745,14 @@ mod tests {
         assert!(store.spine_snapshot(&key, 5).is_none());
     }
 
-    /// A backend that finds nothing, slowly, and counts trace writes: the
-    /// delay keeps concurrent misses of one key overlapping.
-    #[derive(Default)]
-    struct SlowEmptyBackend {
-        trace_writes: AtomicU64,
-    }
+    /// A source whose simulators take a while to hand out: the delay
+    /// keeps concurrent misses of one key overlapping.
+    struct SlowSource(Simulator);
 
-    impl GridBackend for SlowEmptyBackend {
-        fn load_trace(&self, _key: &TraceKey) -> Option<PersistedTrace> {
+    impl SimulatorSource for SlowSource {
+        fn fresh_simulator(&self) -> Simulator {
             std::thread::sleep(std::time::Duration::from_millis(100));
-            None
-        }
-        fn store_trace(&self, _key: &TraceKey, _recorded: &RecordedReference) {
-            self.trace_writes.fetch_add(1, Ordering::Relaxed);
-        }
-        fn load_cell(
-            &self,
-            _key: &crate::persist::CellKey,
-        ) -> Option<crate::report::CampaignReport> {
-            None
-        }
-        fn store_cell(
-            &self,
-            _key: &crate::persist::CellKey,
-            _report: &crate::report::CampaignReport,
-        ) {
+            self.0.fresh_simulator()
         }
     }
 
@@ -1131,15 +760,13 @@ mod tests {
     fn concurrent_misses_of_one_key_record_it_once() {
         const THREADS: usize = 8;
         let store = TraceStore::new();
-        let backend = Arc::new(SlowEmptyBackend::default());
-        store.attach_backend(Arc::clone(&backend) as Arc<dyn GridBackend>);
         let key = TraceKey::new("art", "max", &[7, 3]);
         let barrier = std::sync::Barrier::new(THREADS);
         let fetched: Vec<(Arc<RecordedReference>, TraceFetch)> = std::thread::scope(|scope| {
             let workers: Vec<_> = (0..THREADS)
                 .map(|_| {
                     scope.spawn(|| {
-                        let sim = max_simulator();
+                        let sim = SlowSource(max_simulator());
                         barrier.wait();
                         store
                             .reference_traced(&key, &sim, "max", &[7, 3], 100)
@@ -1155,7 +782,6 @@ mod tests {
             THREADS as u64 - 1,
             "the others waited for it"
         );
-        assert_eq!(backend.trace_writes.load(Ordering::Relaxed), 1);
         let recorded = fetched
             .iter()
             .filter(|(_, fetch)| *fetch == TraceFetch::Recorded)
@@ -1173,13 +799,12 @@ mod tests {
     fn concurrent_requests_of_a_failing_key_all_see_the_error() {
         const THREADS: usize = 4;
         let store = TraceStore::new();
-        store.attach_backend(Arc::new(SlowEmptyBackend::default()) as Arc<dyn GridBackend>);
         let key = TraceKey::new("art", "nope", &[]);
         let barrier = std::sync::Barrier::new(THREADS);
         std::thread::scope(|scope| {
             for _ in 0..THREADS {
                 scope.spawn(|| {
-                    let sim = max_simulator();
+                    let sim = SlowSource(max_simulator());
                     barrier.wait();
                     assert!(store.reference(&key, &sim, "nope", &[], 100).is_err());
                 });

@@ -101,26 +101,6 @@ impl CfiMonitor {
     pub fn reset(&mut self, initial_state: u32) {
         *self = CfiMonitor::new(initial_state);
     }
-
-    /// Reassembles a monitor from its observable parts — the inverse of
-    /// [`CfiMonitor::state`]/[`CfiMonitor::checks`]/[`CfiMonitor::violations`]/
-    /// [`CfiMonitor::first_violation`], for persistence layers that
-    /// serialise machine snapshots. A monitor rebuilt from the parts of
-    /// another compares equal to it.
-    #[must_use]
-    pub fn from_parts(
-        state: u32,
-        checks: u32,
-        violations: u32,
-        first_violation: Option<Violation>,
-    ) -> Self {
-        CfiMonitor {
-            state,
-            checks,
-            violations,
-            first_violation,
-        }
-    }
 }
 
 impl Default for CfiMonitor {

@@ -256,9 +256,9 @@ impl Artifact {
     /// at once.
     ///
     /// With `grid: Some(store)`, the campaign additionally persists: the
-    /// [`GridStore`] is attached behind `store` (traces warm-start from
-    /// disk and flush back), and the executor serves the finished report
-    /// from — and writes it to — the grid's cell cache keyed by
+    /// [`GridStore`] is attached to `store`, and the executor serves the
+    /// finished report from — and writes it to — the grid's cell cache
+    /// keyed by
     /// `(artifact fingerprint, model fingerprint, entry, args)`. A warm
     /// cell returns without a single simulated instruction, byte-identical
     /// to a fresh computation.

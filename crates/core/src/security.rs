@@ -33,8 +33,6 @@ pub struct MatrixStats {
     pub threads: usize,
     /// Reference traces served from the in-memory trace store.
     pub trace_hits: u64,
-    /// Reference traces loaded from an attached persistent grid store.
-    pub trace_disk_hits: u64,
     /// Reference traces that had to be recorded.
     pub trace_misses: u64,
     /// Whole cells served from the persistent grid store (zero simulation).
@@ -52,9 +50,6 @@ pub struct MatrixStats {
     /// Bytes currently held by resume checkpoints in the session's trace
     /// store (after this run).
     pub store_checkpoint_bytes: u64,
-    /// Session-lifetime count of entries whose checkpoints were evicted by
-    /// the trace store's byte budget.
-    pub store_checkpoint_evictions: u64,
     /// Spine-snapshot restores across all cells: grouped multi-fault
     /// batches that resumed from a saved post-first-fault machine state
     /// instead of re-executing the shared prefix.
@@ -84,9 +79,8 @@ impl MatrixStats {
 }
 
 secbranch_obs::impl_to_json! { MatrixStats |s|
-    threads, trace_hits, trace_disk_hits, trace_misses, cell_hits, cell_misses,
-    total_wall_micros, cell_compute_micros, store_checkpoint_bytes, store_checkpoint_evictions,
-    snapshot_restores, suffix_steps_saved, decoded_programs, decoded_uops, decode_micros,
+    threads, trace_hits, trace_misses, cell_hits, cell_misses, total_wall_micros,
+    cell_compute_micros, store_checkpoint_bytes, snapshot_restores, suffix_steps_saved, decoded_programs, decoded_uops, decode_micros,
 }
 
 /// The structured result of a variants × fault-models security evaluation:
@@ -193,14 +187,12 @@ mod tests {
         let stats = MatrixStats {
             threads: 4,
             trace_hits: 48,
-            trace_disk_hits: 1,
             trace_misses: 12,
             cell_hits: 2,
             cell_misses: 58,
             total_wall_micros: 123_456,
             cell_compute_micros: vec![7, 0, 90_001],
             store_checkpoint_bytes: 65_536,
-            store_checkpoint_evictions: 3,
             snapshot_restores: 3_607,
             suffix_steps_saved: 4_047_424,
             decoded_programs: 12,
@@ -210,10 +202,10 @@ mod tests {
         assert_eq!(
             stats.to_json(),
             concat!(
-                r#"{"threads":4,"trace_hits":48,"trace_disk_hits":1,"trace_misses":12,"#,
+                r#"{"threads":4,"trace_hits":48,"trace_misses":12,"#,
                 r#""cell_hits":2,"cell_misses":58,"total_wall_micros":123456,"#,
                 r#""cell_compute_micros":[7,0,90001],"store_checkpoint_bytes":65536,"#,
-                r#""store_checkpoint_evictions":3,"snapshot_restores":3607,"#,
+                r#""snapshot_restores":3607,"#,
                 r#""suffix_steps_saved":4047424,"decoded_programs":12,"#,
                 r#""decoded_uops":9876,"decode_micros":55}"#,
             )

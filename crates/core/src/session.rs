@@ -135,25 +135,13 @@ impl Session {
         &self.traces
     }
 
-    /// Attaches a persistent [`GridStore`] behind the session's trace
-    /// store: in-memory entries spill to disk, fresh recordings write
-    /// through, misses consult the disk first, and the matrix executor
-    /// serves whole cells from it. Equivalent to passing the store to every
+    /// Attaches a persistent [`GridStore`] to the session's trace store:
+    /// the matrix executor serves whole cells from it and writes computed
+    /// ones back. Equivalent to passing the store to every
     /// [`Session::security_matrix_with`] call.
     pub fn attach_grid(&mut self, grid: &Arc<GridStore>) {
         self.traces
             .attach_backend(Arc::clone(grid) as Arc<dyn GridBackend>);
-    }
-
-    /// Caps the bytes the session's trace store may retain in resume
-    /// checkpoints (`None` lifts the cap); excess checkpoints are evicted
-    /// least-recently-used first. Traces themselves always stay, so
-    /// reports never change — only the fast-forward speedup degrades.
-    /// Occupancy and evictions are reported in
-    /// [`MatrixStats::store_checkpoint_bytes`] /
-    /// [`MatrixStats::store_checkpoint_evictions`].
-    pub fn set_trace_checkpoint_budget(&mut self, budget: Option<usize>) {
-        self.traces.set_checkpoint_budget(budget);
     }
 
     fn cached_artifact(
@@ -313,9 +301,9 @@ impl Session {
     /// executor (e.g. a fixed thread count or shard size) and an optional
     /// persistent [`GridStore`].
     ///
-    /// With `grid: Some(store)`, the store is attached behind the session's
-    /// trace store (see [`Session::attach_grid`]) before the run: reference
-    /// traces warm-start from disk and flush back, and whole cells keyed by
+    /// With `grid: Some(store)`, the store is attached to the session's
+    /// trace store (see [`Session::attach_grid`]) before the run: whole
+    /// cells keyed by
     /// `(artifact fingerprint, model fingerprint, entry, args)` are served
     /// from — and written to — the store, so re-running an unchanged grid
     /// does zero simulation. The returned report is byte-identical whether
@@ -404,7 +392,6 @@ impl Session {
                     }
                     match result.trace_fetch {
                         Some(TraceFetch::Memory) => stats.trace_hits += 1,
-                        Some(TraceFetch::Disk) => stats.trace_disk_hits += 1,
                         Some(TraceFetch::Recorded) => stats.trace_misses += 1,
                         None => {} // cell hit: no reference was needed
                     }
@@ -420,9 +407,7 @@ impl Session {
                 }
             }
         }
-        let traces = self.traces.stats();
-        stats.store_checkpoint_bytes = traces.checkpoint_bytes;
-        stats.store_checkpoint_evictions = traces.checkpoint_evictions;
+        stats.store_checkpoint_bytes = self.traces.stats().checkpoint_bytes;
         add_decode_costs(&mut stats, &artifacts);
         Ok(SecurityReport {
             workloads: workload_names,

@@ -696,7 +696,6 @@ fn complete_cell(
             if slow_after > 0 && cell.compute_micros >= slow_after {
                 let trace_source = match cell.trace_fetch {
                     Some(TraceFetch::Memory) => "memory",
-                    Some(TraceFetch::Disk) => "disk",
                     Some(TraceFetch::Recorded) => "recorded",
                     None => "none",
                 };

@@ -631,20 +631,12 @@ secbranch_store_cell_misses_total 4
 secbranch_store_corrupt_dropped_total 0
 # TYPE secbranch_store_migrated_total counter
 secbranch_store_migrated_total 0
-# TYPE secbranch_store_trace_hits_total counter
-secbranch_store_trace_hits_total 0
-# TYPE secbranch_store_trace_misses_total counter
-secbranch_store_trace_misses_total 2
 # TYPE secbranch_store_write_errors_total counter
 secbranch_store_write_errors_total 0
 # TYPE secbranch_store_write_skips_total counter
 secbranch_store_write_skips_total 0
 # TYPE secbranch_store_writes_total counter
-secbranch_store_writes_total 6
-# TYPE secbranch_trace_store_checkpoint_evictions_total counter
-secbranch_trace_store_checkpoint_evictions_total 0
-# TYPE secbranch_trace_store_disk_hits_total counter
-secbranch_trace_store_disk_hits_total 0
+secbranch_store_writes_total 4
 # TYPE secbranch_trace_store_hits_total counter
 secbranch_trace_store_hits_total 2
 # TYPE secbranch_trace_store_misses_total counter

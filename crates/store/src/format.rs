@@ -7,7 +7,7 @@
 //! offset  size  field
 //! 0       4     magic  b"SBGR"
 //! 4       4     format version (u32 LE)
-//! 8       1     record kind (1 = trace, 2 = cell)
+//! 8       1     record kind (2 = cell; 1 was the retired trace kind)
 //! 9       8     payload length (u64 LE)
 //! 17      4     CRC-32 (IEEE) of the payload (u32 LE)
 //! 21      n     payload
@@ -25,9 +25,6 @@ pub const MAGIC: [u8; 4] = *b"SBGR";
 /// The current format version. Bump on any layout change — readers refuse
 /// other versions instead of misparsing them.
 pub const FORMAT_VERSION: u32 = 1;
-
-/// Record kind tag of a reference-trace record.
-pub const KIND_TRACE: u8 = 1;
 
 /// Record kind tag of a campaign-cell record.
 pub const KIND_CELL: u8 = 2;
@@ -207,25 +204,11 @@ impl Writer {
         self.buf.extend_from_slice(s.as_bytes());
     }
 
-    /// Appends a length-prefixed byte slice.
-    pub fn bytes(&mut self, b: &[u8]) {
-        self.u32(b.len() as u32);
-        self.buf.extend_from_slice(b);
-    }
-
     /// Appends a length-prefixed `u32` slice.
     pub fn u32s(&mut self, vs: &[u32]) {
         self.u32(vs.len() as u32);
         for &v in vs {
             self.u32(v);
-        }
-    }
-
-    /// Appends a length-prefixed `u64` slice.
-    pub fn u64s(&mut self, vs: &[u64]) {
-        self.u32(vs.len() as u32);
-        for &v in vs {
-            self.u64(v);
         }
     }
 }
@@ -305,16 +288,6 @@ impl<'a> Reader<'a> {
         String::from_utf8(bytes.to_vec()).map_err(|_| RecordError::Corrupt)
     }
 
-    /// Reads a length-prefixed byte vector.
-    ///
-    /// # Errors
-    ///
-    /// [`RecordError::Corrupt`] on truncation.
-    pub fn byte_vec(&mut self) -> Result<Vec<u8>, RecordError> {
-        let len = self.u32()? as usize;
-        Ok(self.take(len)?.to_vec())
-    }
-
     /// Takes every byte not yet read (an unprefixed tail, as the last
     /// field of a payload); the reader is exhausted afterwards.
     pub fn rest(&mut self) -> &'a [u8] {
@@ -335,19 +308,6 @@ impl<'a> Reader<'a> {
             return Err(RecordError::Corrupt);
         }
         (0..len).map(|_| self.u32()).collect()
-    }
-
-    /// Reads a length-prefixed `u64` vector.
-    ///
-    /// # Errors
-    ///
-    /// [`RecordError::Corrupt`] on truncation.
-    pub fn u64s(&mut self) -> Result<Vec<u64>, RecordError> {
-        let len = self.u32()? as usize;
-        if len > self.bytes.len().saturating_sub(self.pos) / 8 {
-            return Err(RecordError::Corrupt);
-        }
-        (0..len).map(|_| self.u64()).collect()
     }
 }
 
@@ -435,28 +395,24 @@ mod tests {
         w.u32(0xDEAD_BEEF);
         w.u64(u64::MAX);
         w.str("héllo");
-        w.bytes(&[1, 2, 3]);
         w.u32s(&[4, 5]);
-        w.u64s(&[6]);
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes);
         assert_eq!(r.u8().unwrap(), 7);
         assert_eq!(r.u32().unwrap(), 0xDEAD_BEEF);
         assert_eq!(r.u64().unwrap(), u64::MAX);
         assert_eq!(r.str().unwrap(), "héllo");
-        assert_eq!(r.byte_vec().unwrap(), vec![1, 2, 3]);
         assert_eq!(r.u32s().unwrap(), vec![4, 5]);
-        assert_eq!(r.u64s().unwrap(), vec![6]);
         assert!(r.is_exhausted());
         assert_eq!(r.u8(), Err(RecordError::Corrupt), "reads past the end fail");
     }
 
     #[test]
     fn frames_round_trip_and_reject_damage() {
-        let framed = frame_record(KIND_TRACE, b"payload");
-        assert_eq!(parse_record(&framed, KIND_TRACE).unwrap(), b"payload");
+        let framed = frame_record(KIND_CELL, b"payload");
+        assert_eq!(parse_record(&framed, KIND_CELL).unwrap(), b"payload");
         assert_eq!(
-            parse_record(&framed, KIND_CELL),
+            parse_record(&frame_record(1, b"payload"), KIND_CELL),
             Err(RecordError::Corrupt),
             "kind mismatch"
         );
@@ -464,14 +420,14 @@ mod tests {
         let mut flipped = framed.clone();
         *flipped.last_mut().unwrap() ^= 1;
         assert_eq!(
-            parse_record(&flipped, KIND_TRACE),
+            parse_record(&flipped, KIND_CELL),
             Err(RecordError::Corrupt),
             "payload tamper breaks the CRC"
         );
 
         let truncated = &framed[..framed.len() - 1];
         assert_eq!(
-            parse_record(truncated, KIND_TRACE),
+            parse_record(truncated, KIND_CELL),
             Err(RecordError::Corrupt),
             "truncation"
         );
@@ -479,12 +435,12 @@ mod tests {
         let mut versioned = framed.clone();
         versioned[4..8].copy_from_slice(&99u32.to_le_bytes());
         assert_eq!(
-            parse_record(&versioned, KIND_TRACE),
+            parse_record(&versioned, KIND_CELL),
             Err(RecordError::Version(99)),
             "future versions are rejected, not misparsed"
         );
 
-        assert_eq!(parse_record(b"no", KIND_TRACE), Err(RecordError::Corrupt));
+        assert_eq!(parse_record(b"no", KIND_CELL), Err(RecordError::Corrupt));
     }
 
     #[test]
@@ -495,8 +451,6 @@ mod tests {
         w.u32(u32::MAX);
         let bytes = w.into_bytes();
         assert_eq!(Reader::new(&bytes).u32s(), Err(RecordError::Corrupt));
-        assert_eq!(Reader::new(&bytes).u64s(), Err(RecordError::Corrupt));
-        assert_eq!(Reader::new(&bytes).byte_vec(), Err(RecordError::Corrupt));
         assert_eq!(Reader::new(&bytes).str(), Err(RecordError::Corrupt));
     }
 }

@@ -1,20 +1,15 @@
 //! `secbranch-store` — a persistent, content-addressed grid store for
-//! reference traces and completed campaign cells.
+//! completed campaign cells.
 //!
-//! PR 4 made compilation bit-deterministic, which turned
-//! `artifact_fingerprint` into a sound *cross-process* cache key: the same
-//! (module, pipeline) produces the same fingerprint in any build. This
-//! crate is the disk layer that cashes that in. A [`GridStore`] is a
-//! directory holding two record families:
-//!
-//! * **reference traces** — the fault-free execution every campaign
-//!   classifies against, including its machine checkpoints, keyed by
-//!   `(artifact fingerprint, entry, args)`
-//!   ([`secbranch_campaign::TraceKey`]); and
-//! * **campaign cells** — finished
-//!   [`secbranch_campaign::CampaignReport`]s keyed by
-//!   `(artifact fingerprint, fault-model fingerprint, entry, args)`
-//!   ([`secbranch_campaign::CellKey`]).
+//! Compilation is bit-deterministic, which makes `artifact_fingerprint` a
+//! sound *cross-process* cache key: the same (module, pipeline) produces
+//! the same fingerprint in any build. This crate is the disk layer that
+//! cashes that in. A [`GridStore`] is a directory of **campaign cells**:
+//! finished [`secbranch_campaign::CampaignReport`]s keyed by
+//! `(artifact fingerprint, fault-model fingerprint, entry, args)`
+//! ([`secbranch_campaign::CellKey`]). Reference executions are not stored:
+//! a campaign records its reference afresh, in one pass that also builds
+//! its checkpoints and liveness index.
 //!
 //! With a store attached, a re-run of an unchanged security matrix does
 //! **zero simulation**: every cell is served from disk, byte-identical to a
@@ -27,15 +22,18 @@
 //! <root>/
 //!   MANIFEST                   magic + format version (rejects mismatches)
 //!   tmp/                       staging area for atomic writes
-//!   traces/<hh>/<hash16>.rec   one reference trace per file
 //!   cells/<hh>/<hash16>.rec    one campaign cell per file
 //! ```
+//!
+//! Directories written while the store also kept reference traces may
+//! still hold a `traces/` family (record kind 1): nothing reads it, the
+//! cells beside it load as before, and [`GridStore::compact`] deletes it.
 //!
 //! Records are *content-addressed*: the file name is the FNV-1a hash of the
 //! record's canonical key bytes — which are themselves fingerprints of the
 //! artifact and model content — so the same cell always lands in the same
-//! file and concurrent writers of the same key are idempotent. Each family
-//! fans out across 256 shard subdirectories named by the first byte of that
+//! file and concurrent writers of the same key are idempotent. Records
+//! fan out across 256 shard subdirectories named by the first byte of that
 //! hash (`<hh>` = its two hex digits), keeping directories small at
 //! million-record scale; directories written by the flat PR 5 layout are
 //! migrated transparently, one record at a time, whenever a record is
@@ -53,8 +51,7 @@
 //! [`secbranch_campaign::GridBackend`]; attach it to a
 //! [`secbranch_campaign::TraceStore`] (the facade's
 //! `Session::security_matrix_with` and `Artifact::campaign_with_store` take
-//! an `Option<&Arc<GridStore>>` and do this for you) and both record
-//! families flow automatically: traces through the trace store, cells
+//! an `Option<&Arc<GridStore>>` and do this for you) and cells flow
 //! through the `MatrixExecutor`'s cell cache, which every campaign runs
 //! on.
 
@@ -71,11 +68,9 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use secbranch_campaign::{
-    CampaignReport, CellKey, GridBackend, PersistedTrace, RecordedReference, TraceKey,
-};
+use secbranch_campaign::{CampaignReport, CellKey, GridBackend};
 
-use format::{fnv1a_64, frame_record, parse_record, RecordError, KIND_CELL, KIND_TRACE};
+use format::{fnv1a_64, frame_record, parse_record, RecordError, KIND_CELL};
 
 /// Magic bytes of the store manifest.
 const MANIFEST_MAGIC: [u8; 8] = *b"SBGRIDMF";
@@ -135,10 +130,6 @@ secbranch_obs::counters! {
     /// this process observed since [`GridStore::open`]; the on-disk totals
     /// come from [`GridStore::scan`]).
     pub struct StoreStats(StoreCounters) {
-        /// Trace loads served from disk.
-        trace_hits: counter("secbranch_store_trace_hits_total"),
-        /// Trace loads that found nothing (or nothing intact).
-        trace_misses: counter("secbranch_store_trace_misses_total"),
         /// Cell loads served from disk.
         cell_hits: counter("secbranch_store_cell_hits_total"),
         /// Cell loads that found nothing (or nothing intact).
@@ -162,8 +153,6 @@ secbranch_obs::counters! {
 /// pass.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScanReport {
-    /// Intact trace records.
-    pub trace_records: u64,
     /// Intact cell records.
     pub cell_records: u64,
     /// Record files that failed validation (left in place; loads ignore
@@ -174,8 +163,7 @@ pub struct ScanReport {
 }
 
 secbranch_obs::impl_to_json! { ScanReport |s|
-    format_version: format::FORMAT_VERSION, trace_records, cell_records, corrupt_records,
-    total_bytes,
+    format_version: format::FORMAT_VERSION, cell_records, corrupt_records, total_bytes,
 }
 
 /// What [`GridStore::compact`] did: removals by family, retained records,
@@ -184,7 +172,8 @@ secbranch_obs::impl_to_json! { ScanReport |s|
 pub struct CompactReport {
     /// Intact records whose artifact is in the live set (kept).
     pub retained: u64,
-    /// Trace records removed as dead (artifact not in the live set).
+    /// Files of a leftover `traces/` family, all removed (nothing reads
+    /// them).
     pub removed_traces: u64,
     /// Cell records removed as dead.
     pub removed_cells: u64,
@@ -251,7 +240,6 @@ impl GridStore {
     pub fn open(dir: impl AsRef<Path>) -> Result<GridStore, StoreError> {
         let root = dir.as_ref().to_path_buf();
         fs::create_dir_all(root.join("tmp"))?;
-        fs::create_dir_all(root.join("traces"))?;
         fs::create_dir_all(root.join("cells"))?;
         sweep_stale_staging(&root.join("tmp"));
         let store = GridStore {
@@ -303,14 +291,16 @@ impl GridStore {
         self.counters.snapshot()
     }
 
-    /// The sharded path of a record: `<family>/<hh>/<hash16>.rec`, where
-    /// `<hh>` is the first byte of the key hash in hex. A flat-layout file
-    /// from PR 5 (`<family>/<hash16>.rec`) is migrated into its shard on
-    /// first touch — and if a sharded record already exists (another
-    /// process migrated or rewrote it first; records are content-addressed,
-    /// so both hold the same data), the flat leftover is removed instead.
-    fn record_path(&self, family: &str, hash: u64) -> PathBuf {
-        let family_root = self.root.join(family);
+    /// The sharded path of the cell record whose key encodes to
+    /// `key_bytes`: `cells/<hh>/<hash16>.rec`, where `<hh>` is the first
+    /// byte of the key hash in hex. A flat-layout file
+    /// (`cells/<hash16>.rec`) is migrated into its shard on first touch —
+    /// and if a sharded record already exists (another process migrated or
+    /// rewrote it first; records are content-addressed, so both hold the
+    /// same data), the flat leftover is removed instead.
+    fn cell_path(&self, key_bytes: &[u8]) -> PathBuf {
+        let hash = fnv1a_64(key_bytes);
+        let family_root = self.root.join("cells");
         let sharded = family_root
             .join(format!("{:02x}", hash >> 56))
             .join(format!("{hash:016x}.rec"));
@@ -332,14 +322,6 @@ impl GridStore {
         sharded
     }
 
-    fn trace_path(&self, key: &TraceKey) -> PathBuf {
-        self.record_path("traces", fnv1a_64(&codec::encode_trace_key(key)))
-    }
-
-    fn cell_path(&self, key: &CellKey) -> PathBuf {
-        self.record_path("cells", fnv1a_64(&codec::encode_cell_key(key)))
-    }
-
     /// Writes `bytes` to `path` atomically: staged in `tmp/`, published by
     /// rename.
     fn publish(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
@@ -355,14 +337,14 @@ impl GridStore {
         fs::rename(&staged, path)
     }
 
-    /// Writes a framed record unless an *intact* one already exists
+    /// Writes a framed cell record unless an *intact* one already exists
     /// (records are content-addressed, so an intact record under this path
     /// already holds this key's data); a damaged or foreign-version file is
     /// overwritten — writes are how a store heals. Counts
     /// writes/skips/errors.
-    fn put_record(&self, path: &Path, kind: u8, payload: &[u8]) {
+    fn put_record(&self, path: &Path, payload: &[u8]) {
         if let Ok(existing) = fs::read(path) {
-            if parse_record(&existing, kind).is_ok() {
+            if parse_record(&existing, KIND_CELL).is_ok() {
                 self.counters.write_skips.fetch_add(1, Ordering::Relaxed);
                 return;
             }
@@ -371,7 +353,7 @@ impl GridStore {
         if let Some(shard_dir) = path.parent() {
             let _ = fs::create_dir_all(shard_dir);
         }
-        match self.publish(path, &frame_record(kind, payload)) {
+        match self.publish(path, &frame_record(KIND_CELL, payload)) {
             Ok(()) => {
                 self.counters.writes.fetch_add(1, Ordering::Relaxed);
             }
@@ -381,10 +363,10 @@ impl GridStore {
         }
     }
 
-    /// Reads and validates the record file at `path` and strips its header,
+    /// Reads and validates the cell record at `path` and strips its header,
     /// returning the payload; `None` when absent, damaged or of a foreign
     /// version (damage is counted).
-    fn read_record(&self, path: &Path, kind: u8) -> Option<Vec<u8>> {
+    fn read_record(&self, path: &Path) -> Option<Vec<u8>> {
         let mut bytes = match fs::read(path) {
             Ok(bytes) => bytes,
             Err(e) if e.kind() == io::ErrorKind::NotFound => return None,
@@ -395,7 +377,7 @@ impl GridStore {
                 return None;
             }
         };
-        match parse_record(&bytes, kind) {
+        match parse_record(&bytes, KIND_CELL) {
             Ok(_) => {
                 bytes.drain(..format::HEADER_LEN);
                 Some(bytes)
@@ -407,41 +389,6 @@ impl GridStore {
                 None
             }
         }
-    }
-
-    /// Loads the persisted trace for `key` (`None`: absent or not intact).
-    #[must_use]
-    pub fn get_trace(&self, key: &TraceKey) -> Option<PersistedTrace> {
-        let _span = secbranch_obs::span_with("store_read", || format!("trace {}", key.artifact));
-        let fetch = || {
-            let payload = self.read_record(&self.trace_path(key), KIND_TRACE)?;
-            let (stored_key, persisted) = match codec::decode_trace_payload(&payload) {
-                Ok(decoded) => decoded,
-                Err(_) => {
-                    self.counters
-                        .corrupt_dropped
-                        .fetch_add(1, Ordering::Relaxed);
-                    return None;
-                }
-            };
-            // A 64-bit file-name collision must read as a miss, never as
-            // another key's trace.
-            (stored_key == *key).then_some(persisted)
-        };
-        let result = fetch();
-        match &result {
-            Some(_) => self.counters.trace_hits.fetch_add(1, Ordering::Relaxed),
-            None => self.counters.trace_misses.fetch_add(1, Ordering::Relaxed),
-        };
-        result
-    }
-
-    /// Persists a recording under `key` (skipped when an intact record for
-    /// this key already exists — same key means same content).
-    pub fn put_trace(&self, key: &TraceKey, recorded: &RecordedReference) {
-        let _span = secbranch_obs::span_with("store_write", || format!("trace {}", key.artifact));
-        let payload = codec::encode_trace_payload(key, recorded);
-        self.put_record(&self.trace_path(key), KIND_TRACE, &payload);
     }
 
     /// Loads the persisted campaign report for `key` (`None`: absent or not
@@ -469,8 +416,7 @@ impl GridStore {
         let _span = secbranch_obs::span_with("store_read", || format!("cell {}", key.artifact));
         let fetch = || {
             let key_bytes = codec::encode_cell_key(key);
-            let path = self.record_path("cells", fnv1a_64(&key_bytes));
-            let mut payload = self.read_record(&path, KIND_CELL)?;
+            let mut payload = self.read_record(&self.cell_path(&key_bytes))?;
             // The key encoding is canonical, so equal bytes are an equal
             // key: a 64-bit file-name collision reads as a miss, never as
             // another key's report.
@@ -499,7 +445,8 @@ impl GridStore {
     pub fn put_cell(&self, key: &CellKey, report: &CampaignReport) {
         let _span = secbranch_obs::span_with("store_write", || format!("cell {}", key.artifact));
         let payload = codec::encode_cell_payload(key, report);
-        self.put_record(&self.cell_path(key), KIND_CELL, &payload);
+        let path = self.cell_path(&codec::encode_cell_key(key));
+        self.put_record(&path, &payload);
     }
 
     /// Walks the whole directory and validates every record — the on-disk
@@ -512,37 +459,26 @@ impl GridStore {
     /// unreadable files count as corrupt instead).
     pub fn scan(&self) -> Result<ScanReport, StoreError> {
         let mut report = ScanReport::default();
-        for (sub, kind, tally) in [("traces", KIND_TRACE, 0usize), ("cells", KIND_CELL, 1usize)] {
-            for path in record_files(&self.root.join(sub))? {
-                let Ok(bytes) = fs::read(&path) else {
-                    report.corrupt_records += 1;
-                    continue;
-                };
-                let intact = match parse_record(&bytes, kind) {
-                    Ok(payload) => match kind {
-                        KIND_TRACE => codec::decode_trace_payload(payload).is_ok(),
-                        _ => codec::decode_cell_payload(payload).is_ok(),
-                    },
-                    Err(_) => false,
-                };
-                if intact {
-                    if tally == 0 {
-                        report.trace_records += 1;
-                    } else {
-                        report.cell_records += 1;
-                    }
+        for path in record_files(&self.root.join("cells"))? {
+            let intact = fs::read(&path).ok().filter(|bytes| {
+                parse_record(bytes, KIND_CELL)
+                    .is_ok_and(|payload| codec::decode_cell_payload(payload).is_ok())
+            });
+            match intact {
+                Some(bytes) => {
+                    report.cell_records += 1;
                     report.total_bytes += bytes.len() as u64;
-                } else {
-                    report.corrupt_records += 1;
                 }
+                None => report.corrupt_records += 1,
             }
         }
         Ok(report)
     }
 
-    /// Garbage collection: deletes every record whose artifact fingerprint
-    /// is *not* in `live`, plus any record too damaged to classify (a
-    /// record that cannot name its artifact can never be served anyway).
+    /// Garbage collection: deletes every cell record whose artifact
+    /// fingerprint is *not* in `live`, any record too damaged to classify
+    /// (a record that cannot name its artifact can never be served anyway)
+    /// and a leftover `traces/` family.
     /// Retained records are untouched — compaction never rewrites, so it is
     /// safe to run while readers and writers share the directory: they only
     /// ever see a record present (intact) or absent (a clean miss).
@@ -556,30 +492,33 @@ impl GridStore {
         live: &std::collections::HashSet<String>,
     ) -> Result<CompactReport, StoreError> {
         let mut report = CompactReport::default();
-        for (sub, kind, family) in [("traces", KIND_TRACE, 0usize), ("cells", KIND_CELL, 1usize)] {
-            for path in record_files(&self.root.join(sub))? {
+        let traces = self.root.join("traces");
+        if traces.is_dir() {
+            for path in record_files(&traces)? {
                 let size = fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-                let artifact = fs::read(&path)
-                    .ok()
-                    .and_then(|bytes| parse_record(&bytes, kind).ok().map(<[u8]>::to_vec))
-                    .and_then(|payload| codec::decode_record_artifact(&payload).ok());
-                match artifact {
-                    Some(artifact) if live.contains(&artifact) => report.retained += 1,
-                    Some(_) => {
-                        if fs::remove_file(&path).is_ok() {
-                            if family == 0 {
-                                report.removed_traces += 1;
-                            } else {
-                                report.removed_cells += 1;
-                            }
-                            report.reclaimed_bytes += size;
-                        }
-                    }
-                    None => {
-                        if fs::remove_file(&path).is_ok() {
+                if fs::remove_file(&path).is_ok() {
+                    report.removed_traces += 1;
+                    report.reclaimed_bytes += size;
+                }
+            }
+            let _ = fs::remove_dir_all(&traces);
+        }
+        for path in record_files(&self.root.join("cells"))? {
+            let size = fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
+            let artifact = fs::read(&path)
+                .ok()
+                .and_then(|bytes| parse_record(&bytes, KIND_CELL).ok().map(<[u8]>::to_vec))
+                .and_then(|payload| codec::decode_record_artifact(&payload).ok());
+            match artifact {
+                Some(artifact) if live.contains(&artifact) => report.retained += 1,
+                artifact => {
+                    if fs::remove_file(&path).is_ok() {
+                        if artifact.is_some() {
+                            report.removed_cells += 1;
+                        } else {
                             report.removed_corrupt += 1;
-                            report.reclaimed_bytes += size;
                         }
+                        report.reclaimed_bytes += size;
                     }
                 }
             }
@@ -587,9 +526,8 @@ impl GridStore {
         Ok(report)
     }
 
-    /// Size-bounded LRU eviction: deletes record files — least recently
-    /// modified first — until at most `max_bytes` remain on disk across
-    /// both families. Modification time is the recency signal the store
+    /// Size-bounded LRU eviction: deletes cell records — least recently
+    /// modified first — until at most `max_bytes` remain on disk. Modification time is the recency signal the store
     /// already maintains (publishes are write-then-rename, so every record
     /// carries the time it was produced); ties are broken by path so the
     /// eviction order is deterministic.
@@ -606,16 +544,14 @@ impl GridStore {
     pub fn evict_to(&self, max_bytes: u64) -> Result<EvictReport, StoreError> {
         let mut files = Vec::new();
         let mut total: u64 = 0;
-        for sub in ["traces", "cells"] {
-            for path in record_files(&self.root.join(sub))? {
-                let Ok(meta) = fs::metadata(&path) else {
-                    continue;
-                };
-                let size = meta.len();
-                let modified = meta.modified().ok();
-                total += size;
-                files.push((modified, path, size));
-            }
+        for path in record_files(&self.root.join("cells"))? {
+            let Ok(meta) = fs::metadata(&path) else {
+                continue;
+            };
+            let size = meta.len();
+            let modified = meta.modified().ok();
+            total += size;
+            files.push((modified, path, size));
         }
         let mut report = EvictReport {
             examined: files.len() as u64,
@@ -643,7 +579,7 @@ impl GridStore {
 }
 
 /// Every record file under a family directory: the 256 shard
-/// subdirectories plus any flat-layout leftovers at the top level.
+/// subdirectories plus any flat-layout files at the top level.
 fn record_files(family_root: &Path) -> Result<Vec<PathBuf>, StoreError> {
     let mut files = Vec::new();
     for entry in fs::read_dir(family_root)? {
@@ -691,14 +627,6 @@ fn sweep_stale_staging(tmp: &Path) {
 /// back to `None` (recompute) and store failures are only counted — the
 /// grid store is an accelerator, never a correctness dependency.
 impl GridBackend for GridStore {
-    fn load_trace(&self, key: &TraceKey) -> Option<PersistedTrace> {
-        self.get_trace(key)
-    }
-
-    fn store_trace(&self, key: &TraceKey, recorded: &RecordedReference) {
-        self.put_trace(key, recorded);
-    }
-
     fn load_cell(&self, key: &CellKey) -> Option<CampaignReport> {
         self.get_cell(key)
     }
@@ -715,8 +643,6 @@ mod tests {
     #[test]
     fn reports_serialise_every_counter_in_order() {
         let stats = StoreStats {
-            trace_hits: 1,
-            trace_misses: 2,
             cell_hits: 3,
             cell_misses: 4,
             writes: 5,
@@ -728,13 +654,12 @@ mod tests {
         assert_eq!(
             stats.to_json(),
             concat!(
-                r#"{"trace_hits":1,"trace_misses":2,"cell_hits":3,"cell_misses":4,"#,
+                r#"{"cell_hits":3,"cell_misses":4,"#,
                 r#""writes":5,"write_skips":6,"write_errors":7,"corrupt_dropped":8,"#,
                 r#""migrated":18446744073709551615}"#,
             )
         );
         let scan = ScanReport {
-            trace_records: 12,
             cell_records: 60,
             corrupt_records: 1,
             total_bytes: 4096,
@@ -742,7 +667,7 @@ mod tests {
         assert_eq!(
             scan.to_json(),
             concat!(
-                r#"{"format_version":1,"trace_records":12,"cell_records":60,"#,
+                r#"{"format_version":1,"cell_records":60,"#,
                 r#""corrupt_records":1,"total_bytes":4096}"#,
             )
         );
@@ -773,7 +698,7 @@ mod tests {
         assert_eq!(
             StoreStats::default().to_json(),
             concat!(
-                r#"{"trace_hits":0,"trace_misses":0,"cell_hits":0,"cell_misses":0,"#,
+                r#"{"cell_hits":0,"cell_misses":0,"#,
                 r#""writes":0,"write_skips":0,"write_errors":0,"corrupt_dropped":0,"#,
                 r#""migrated":0}"#,
             )

@@ -1,17 +1,14 @@
 //! Totality of everything that decodes bytes read from a store directory:
-//! the record frame and the trace, cell, report and artifact-fingerprint
-//! payload decoders. Seeded random bytes and seeded mutations of real
+//! the record frame and the cell, report and artifact-fingerprint payload
+//! decoders. Seeded random bytes and seeded mutations of real
 //! encoded records must each decode or fail cleanly — never panic.
 
 use secbranch_armv7m::{Cond, Instr, Operand2, ProgramBuilder, Reg, Simulator, Target};
-use secbranch_campaign::{
-    record_reference, CampaignReport, CampaignRunner, CellKey, InstructionSkip, TraceKey,
-};
+use secbranch_campaign::{CampaignReport, CampaignRunner, CellKey, InstructionSkip};
 use secbranch_store::codec::{
-    decode_cell_payload, decode_record_artifact, decode_report, decode_trace_payload,
-    encode_cell_payload, encode_report, encode_trace_payload,
+    decode_cell_payload, decode_record_artifact, decode_report, encode_cell_payload, encode_report,
 };
-use secbranch_store::format::{frame_record, parse_record, KIND_CELL, KIND_TRACE};
+use secbranch_store::format::{frame_record, parse_record, KIND_CELL};
 
 /// Random inputs and mutations fed to each decoder.
 const ITERATIONS: usize = 2_000;
@@ -89,12 +86,6 @@ fn max_simulator() -> Simulator {
     Simulator::new(p.assemble().expect("assembles"), 4096)
 }
 
-fn trace_payload() -> Vec<u8> {
-    let recorded = record_reference(&max_simulator(), "max", &[7, 3], 1_000).expect("records");
-    assert!(!recorded.checkpoints.is_empty(), "a checkpoint to mutate");
-    encode_trace_payload(&TraceKey::new("max-artifact", "max", &[7, 3]), &recorded)
-}
-
 fn report() -> CampaignReport {
     let report = CampaignRunner::new()
         .with_threads(1)
@@ -113,22 +104,19 @@ fn payload_decoders_are_total() {
     let mut rng = Rng(0x5701_0001);
     let report = report();
     let valid = vec![
-        trace_payload(),
         encode_cell_payload(&cell_key(), &report),
         encode_report(&report),
     ];
-    assert!(decode_trace_payload(&valid[0]).is_ok());
     assert_eq!(
-        decode_cell_payload(&valid[1]),
+        decode_cell_payload(&valid[0]),
         Ok((cell_key(), report.clone()))
     );
-    assert_eq!(decode_report(&valid[2]), Ok(report));
+    assert_eq!(decode_report(&valid[1]), Ok(report));
     assert_eq!(
         decode_record_artifact(&valid[0]).as_deref(),
         Ok("max-artifact")
     );
     for _ in 0..ITERATIONS {
-        let _ = decode_trace_payload(&rng.input(&valid));
         let _ = decode_cell_payload(&rng.input(&valid));
         let _ = decode_report(&rng.input(&valid));
         let _ = decode_record_artifact(&rng.input(&valid));
@@ -141,26 +129,15 @@ fn payload_decoders_are_total() {
 #[test]
 fn record_frames_are_total() {
     let mut rng = Rng(0x5701_0002);
-    let payloads = [
-        (KIND_TRACE, trace_payload()),
-        (KIND_CELL, encode_cell_payload(&cell_key(), &report())),
-    ];
-    let valid: Vec<Vec<u8>> = payloads
-        .iter()
-        .map(|(kind, payload)| frame_record(*kind, payload))
-        .collect();
-    assert!(parse_record(&valid[0], KIND_TRACE).is_ok());
-    assert!(parse_record(&valid[1], KIND_CELL).is_ok());
+    let payload = encode_cell_payload(&cell_key(), &report());
+    let valid = vec![frame_record(KIND_CELL, &payload)];
+    assert!(parse_record(&valid[0], KIND_CELL).is_ok());
     for _ in 0..ITERATIONS {
         let bytes = if rng.next().is_multiple_of(2) {
             rng.input(&valid)
         } else {
-            let (kind, payload) = &payloads[rng.below(payloads.len())];
-            frame_record(*kind, &rng.mutate(payload))
+            frame_record(KIND_CELL, &rng.mutate(&payload))
         };
-        if let Ok(payload) = parse_record(&bytes, KIND_TRACE) {
-            let _ = decode_trace_payload(payload);
-        }
         if let Ok(payload) = parse_record(&bytes, KIND_CELL) {
             let _ = decode_cell_payload(payload);
         }

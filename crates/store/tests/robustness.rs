@@ -10,8 +10,10 @@ use std::sync::Arc;
 
 use secbranch_armv7m::{Cond, Instr, Operand2, ProgramBuilder, Reg, Simulator, Target};
 use secbranch_campaign::{
-    record_reference, BranchInversion, CampaignRunner, CellKey, FaultModel, TraceKey,
+    BranchInversion, CampaignRunner, CellKey, FaultModel, GridBackend, InstructionSkip,
+    MatrixExecutor, MatrixJob, TraceKey, TraceStore,
 };
+use secbranch_store::codec::encode_report;
 use secbranch_store::{GridStore, StoreError};
 
 /// A unique, self-cleaning store directory under the system temp dir (the
@@ -41,8 +43,8 @@ impl Drop for TempDir {
     }
 }
 
-/// `max(a, b)` — one conditional branch; enough surface for real traces,
-/// checkpoints and campaign reports.
+/// `max(a, b)` — one conditional branch; enough surface for real campaign
+/// reports.
 fn max_simulator() -> Simulator {
     let mut p = ProgramBuilder::new();
     p.label("max");
@@ -87,11 +89,9 @@ fn sole_record_file(dir: &std::path::Path, family: &str) -> PathBuf {
 }
 
 #[test]
-fn trace_and_cell_records_round_trip_byte_identically_through_disk() {
+fn cell_records_round_trip_byte_identically_through_disk() {
     let dir = TempDir::new("roundtrip");
     let sim = max_simulator();
-    let recorded = record_reference(&sim, "max", &[7, 3], 100).expect("records");
-    let trace_key = TraceKey::new("art-fp", "max", &[7, 3]);
     let report = CampaignRunner::new()
         .with_threads(1)
         .run(&sim, "max", &[7, 3], 100, &BranchInversion)
@@ -99,20 +99,10 @@ fn trace_and_cell_records_round_trip_byte_identically_through_disk() {
     let cell_key = CellKey::new("art-fp", BranchInversion.fingerprint(), "max", &[7, 3]);
 
     let store = GridStore::open(dir.path()).expect("opens");
-    store.put_trace(&trace_key, &recorded);
     store.put_cell(&cell_key, &report);
 
     // A *different* store instance (fresh process simulation) reads back.
     let reopened = GridStore::open(dir.path()).expect("reopens");
-    let persisted = reopened.get_trace(&trace_key).expect("trace loads");
-    assert_eq!(persisted.trace.result, recorded.trace.result);
-    assert_eq!(persisted.trace.pcs, recorded.trace.pcs);
-    assert_eq!(
-        persisted.trace.conditional_steps,
-        recorded.trace.conditional_steps
-    );
-    assert_eq!(persisted.memory_size, recorded.memory_size);
-    assert_eq!(persisted.checkpoints.len(), recorded.checkpoints.len());
 
     let loaded = reopened.get_cell(&cell_key).expect("cell loads");
     assert_eq!(loaded, report, "structured equality");
@@ -160,26 +150,29 @@ fn tampered_records_are_dropped_not_served() {
 fn truncated_records_are_dropped_and_rewritable() {
     let dir = TempDir::new("truncate");
     let sim = max_simulator();
-    let recorded = record_reference(&sim, "max", &[5, 5], 100).expect("records");
-    let key = TraceKey::new("art-fp", "max", &[5, 5]);
+    let report = CampaignRunner::new()
+        .with_threads(1)
+        .run(&sim, "max", &[5, 5], 100, &BranchInversion)
+        .expect("campaign runs");
+    let key = CellKey::new("art-fp", "branch-invert", "max", &[5, 5]);
     let store = GridStore::open(dir.path()).expect("opens");
-    store.put_trace(&key, &recorded);
+    store.put_cell(&key, &report);
 
-    let file = sole_record_file(dir.path(), "traces");
+    let file = sole_record_file(dir.path(), "cells");
     let bytes = fs::read(&file).expect("readable");
     for keep in [0, 3, 10, bytes.len() / 2, bytes.len() - 1] {
         fs::write(&file, &bytes[..keep]).expect("writable");
         let reopened = GridStore::open(dir.path()).expect("reopens");
         assert!(
-            reopened.get_trace(&key).is_none(),
+            reopened.get_cell(&key).is_none(),
             "truncation to {keep} bytes must read as a miss"
         );
         assert_eq!(reopened.stats().corrupt_dropped, 1);
     }
 
     // An overwrite heals the store.
-    store.put_trace(&key, &recorded);
-    assert!(store.get_trace(&key).is_some());
+    store.put_cell(&key, &report);
+    assert_eq!(store.get_cell(&key).expect("healed"), report);
 }
 
 #[test]
@@ -277,43 +270,34 @@ fn flat_layout_records_are_migrated_on_read() {
         .run(&sim, "max", &[4, 9], 100, &BranchInversion)
         .expect("campaign runs");
     let key = CellKey::new("art-fp", "branch-invert", "max", &[4, 9]);
-    let recorded = record_reference(&sim, "max", &[4, 9], 100).expect("records");
-    let trace_key = TraceKey::new("art-fp", "max", &[4, 9]);
 
-    // Write sharded records, then flatten them back into the PR 5 layout.
+    // Write a sharded record, then flatten it back into the flat layout.
     let store = GridStore::open(dir.path()).expect("opens");
     store.put_cell(&key, &report);
-    store.put_trace(&trace_key, &recorded);
-    for family in ["cells", "traces"] {
-        let sharded = sole_record_file(dir.path(), family);
-        let flat = dir
-            .path()
-            .join(family)
-            .join(sharded.file_name().expect("file name"));
-        fs::rename(&sharded, &flat).expect("flattens");
-        fs::remove_dir(sharded.parent().expect("shard dir")).expect("removes empty shard");
-    }
+    let sharded = sole_record_file(dir.path(), "cells");
+    let flat = dir
+        .path()
+        .join("cells")
+        .join(sharded.file_name().expect("file name"));
+    fs::rename(&sharded, &flat).expect("flattens");
+    fs::remove_dir(sharded.parent().expect("shard dir")).expect("removes empty shard");
 
-    // A fresh store serves both records and moves them into their shards.
+    // A fresh store serves the record and moves it into its shard.
     let reopened = GridStore::open(dir.path()).expect("reopens");
     assert_eq!(
         reopened.get_cell(&key).expect("served via migration"),
         report
     );
-    assert!(reopened.get_trace(&trace_key).is_some());
-    assert_eq!(reopened.stats().migrated, 2);
-    for family in ["cells", "traces"] {
-        let file = sole_record_file(dir.path(), family);
-        assert!(
-            file.parent() != Some(&dir.path().join(family)),
-            "{family} record now lives in a shard subdirectory"
-        );
-    }
+    assert_eq!(reopened.stats().migrated, 1);
+    let file = sole_record_file(dir.path(), "cells");
+    assert!(
+        file.parent() != Some(&dir.path().join("cells")),
+        "the record now lives in a shard subdirectory"
+    );
     // The migration is one-time: a second read finds the sharded record.
     assert_eq!(reopened.get_cell(&key).expect("still served"), report);
-    assert_eq!(reopened.stats().migrated, 2);
-    let scan = reopened.scan().expect("scans");
-    assert_eq!((scan.trace_records, scan.cell_records), (1, 1));
+    assert_eq!(reopened.stats().migrated, 1);
+    assert_eq!(reopened.scan().expect("scans").cell_records, 1);
 }
 
 #[test]
@@ -324,11 +308,9 @@ fn compaction_drops_dead_artifacts_and_keeps_live_ones() {
         .with_threads(1)
         .run(&sim, "max", &[3, 8], 100, &BranchInversion)
         .expect("campaign runs");
-    let recorded = record_reference(&sim, "max", &[3, 8], 100).expect("records");
 
     let store = GridStore::open(dir.path()).expect("opens");
     for artifact in ["live-fp", "dead-fp"] {
-        store.put_trace(&TraceKey::new(artifact, "max", &[3, 8]), &recorded);
         store.put_cell(
             &CellKey::new(artifact, "branch-invert", "max", &[3, 8]),
             &report,
@@ -339,25 +321,22 @@ fn compaction_drops_dead_artifacts_and_keeps_live_ones() {
 
     let live: std::collections::HashSet<String> = ["live-fp".to_string()].into_iter().collect();
     let compacted = store.compact(&live).expect("compacts");
-    assert_eq!(compacted.retained, 2);
-    assert_eq!(compacted.removed_traces, 1);
+    assert_eq!(compacted.retained, 1);
+    assert_eq!(compacted.removed_traces, 0);
     assert_eq!(compacted.removed_cells, 1);
     assert_eq!(compacted.removed_corrupt, 1);
-    assert_eq!(compacted.removed(), 3);
+    assert_eq!(compacted.removed(), 2);
     assert!(compacted.reclaimed_bytes > 0);
 
-    // The live records still load; the dead ones are clean misses.
-    assert!(store
-        .get_trace(&TraceKey::new("live-fp", "max", &[3, 8]))
-        .is_some());
+    // The live record still loads; the dead one is a clean miss.
     assert!(store
         .get_cell(&CellKey::new("live-fp", "branch-invert", "max", &[3, 8]))
         .is_some());
     assert!(store
-        .get_trace(&TraceKey::new("dead-fp", "max", &[3, 8]))
+        .get_cell(&CellKey::new("dead-fp", "branch-invert", "max", &[3, 8]))
         .is_none());
     let scan = store.scan().expect("scans");
-    assert_eq!((scan.trace_records, scan.cell_records), (1, 1));
+    assert_eq!(scan.cell_records, 1);
     assert_eq!(scan.corrupt_records, 0);
 }
 
@@ -470,4 +449,108 @@ fn eviction_trims_oldest_records_down_to_the_byte_budget() {
     let rescan = store.scan().expect("scans");
     assert_eq!(rescan.corrupt_records, 0);
     assert_eq!(rescan.cell_records, 8 - evicted.evicted);
+}
+
+/// Copies `from` into `to`, recursively.
+fn copy_tree(from: &std::path::Path, to: &std::path::Path) {
+    fs::create_dir_all(to).expect("target dir creatable");
+    for entry in fs::read_dir(from).expect("fixture readable") {
+        let path = entry.expect("entry").path();
+        let target = to.join(path.file_name().expect("file name"));
+        if path.is_dir() {
+            copy_tree(&path, &target);
+        } else {
+            fs::copy(&path, &target).expect("fixture file copies");
+        }
+    }
+}
+
+/// `tests/fixtures/legacy-store` was written while the store still kept
+/// reference traces: the skip and branch-inversion cells of `max(7, 3)`
+/// under artifact `max-artifact`, plus that reference's trace record
+/// (`traces/`, record kind 1). Such a directory keeps working: it opens at
+/// the same format version, serves its cells warm and byte-identical,
+/// `scan` and `evict_to` count only the cells, and `compact` deletes the
+/// trace family.
+#[test]
+fn stores_written_with_trace_records_keep_serving_their_cells() {
+    let dir = TempDir::new("legacy");
+    copy_tree(
+        &std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/legacy-store"),
+        dir.path(),
+    );
+    let trace_file = sole_record_file(dir.path(), "traces");
+    assert_eq!(
+        fs::read(&trace_file).expect("readable")[8],
+        1,
+        "a trace frame"
+    );
+
+    let grid = Arc::new(GridStore::open(dir.path()).expect("same format version"));
+    let sim = max_simulator();
+    let models: [&dyn FaultModel; 2] = [&InstructionSkip, &BranchInversion];
+    let runner = CampaignRunner::new().with_threads(1);
+    for model in models {
+        let key = CellKey::new("max-artifact", model.fingerprint(), "max", &[7, 3]);
+        let fresh = runner.run(&sim, "max", &[7, 3], 100, model).expect("runs");
+        assert_eq!(
+            grid.get_cell_bytes(&key).expect("stored cell"),
+            encode_report(&fresh),
+            "{}: stored bytes equal a fresh computation",
+            model.name()
+        );
+    }
+
+    // The executor serves both cells warm: no reference, no simulation.
+    let store = TraceStore::new();
+    store.attach_backend(Arc::clone(&grid) as Arc<dyn GridBackend>);
+    let jobs: Vec<MatrixJob> = models
+        .iter()
+        .map(|model| MatrixJob {
+            source: &sim,
+            key: TraceKey::new("max-artifact", "max", &[7, 3]),
+            entry: "max".to_string(),
+            args: vec![7, 3],
+            max_steps: 100,
+            model: *model,
+        })
+        .collect();
+    let results = MatrixExecutor::new().run(&jobs, &store).expect("runs");
+    for (result, model) in results.iter().zip(models) {
+        assert!(result.cell_hit, "{} served warm", model.name());
+        let fresh = runner.run(&sim, "max", &[7, 3], 100, model).expect("runs");
+        assert_eq!(result.report.to_json(), fresh.to_json());
+    }
+    assert!(store.is_empty(), "no reference recorded or loaded");
+
+    // Only cells are counted; compaction removes the trace family.
+    let scan = grid.scan().expect("scans");
+    assert_eq!((scan.cell_records, scan.corrupt_records), (2, 0));
+    let trace_bytes = fs::metadata(&trace_file).expect("present").len();
+    assert_eq!(scan.total_bytes + trace_bytes, dir_bytes(dir.path()));
+    let evict = grid.evict_to(u64::MAX).expect("evicts");
+    assert_eq!(
+        (evict.examined, evict.retained_bytes),
+        (2, scan.total_bytes)
+    );
+    let live = ["max-artifact".to_string()].into_iter().collect();
+    let compacted = grid.compact(&live).expect("compacts");
+    assert_eq!(compacted.removed_traces, 1);
+    assert_eq!(compacted.retained, 2);
+    assert_eq!(compacted.removed(), 1);
+    assert_eq!(compacted.reclaimed_bytes, trace_bytes);
+    assert!(!dir.path().join("traces").exists(), "trace family deleted");
+    for model in models {
+        let key = CellKey::new("max-artifact", model.fingerprint(), "max", &[7, 3]);
+        assert!(grid.get_cell(&key).is_some(), "cells survive compaction");
+    }
+}
+
+/// Total size of the record files under `dir`'s `cells/` and `traces/`.
+fn dir_bytes(dir: &std::path::Path) -> u64 {
+    ["cells", "traces"]
+        .into_iter()
+        .flat_map(|family| record_files(dir, family))
+        .map(|path| fs::metadata(path).expect("present").len())
+        .sum()
 }

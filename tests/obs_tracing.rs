@@ -188,7 +188,6 @@ fn trace_export_covers_every_instrumented_phase() {
         "shard",
         "fast_forward",
         "snapshot_restore",
-        "liveness_index",
         "assemble",
         "store_write",
         "store_read",
