@@ -438,9 +438,10 @@ impl Machine {
     /// is zero by construction on both sides, so this is exact, not an
     /// approximation).
     ///
-    /// This is the reconvergence test of differential fault campaigns: a
-    /// faulted run whose state matches a reference checkpoint at the same
-    /// step count is guaranteed to finish exactly like the reference.
+    /// Two machines that match at the same program counter and step count
+    /// finish identically under the same (or an inert) fault hook; the
+    /// interpreter differential tests and the fault-hook contract checks
+    /// compare states with it.
     #[must_use]
     pub fn state_matches(&self, state: &MachineState) -> bool {
         self.cfi == state.cfi && self.core_state_matches(state)

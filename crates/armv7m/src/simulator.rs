@@ -355,8 +355,8 @@ impl Simulator {
     /// Pausing is transparent: resuming the returned cursor continues the
     /// call as if it had never paused, with identical results, counters and
     /// error behaviour. This is the building block of differential fault
-    /// campaigns — pause at reference checkpoints to test for
-    /// reconvergence, or pause right after a fault to snapshot and fan out.
+    /// campaigns: pause a shared faulted prefix before each candidate's
+    /// own fault, snapshot, and fan the candidates out from there.
     ///
     /// # Errors
     ///

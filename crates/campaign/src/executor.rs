@@ -26,24 +26,19 @@
 //!
 //! # Differential resume
 //!
-//! Three mechanisms replace the naive run-every-fault-from-scratch loop,
-//! all provably output-invariant:
+//! Two mechanisms replace the naive run-every-fault-from-scratch loop,
+//! both provably output-invariant:
 //!
 //! * **Liveness pruning** — a fault whose corrupted locations are all
 //!   overwritten before any read ([`SuffixIndex`](crate::SuffixIndex)) is answered from the
-//!   reference result with zero execution.
-//! * **Checkpoint reconvergence** — a faulted run starts from the last
-//!   reference checkpoint before its anchor and, once past its last fault
-//!   step, pauses at each later reference checkpoint: if the machine state
-//!   matches the reference's there, the remainder of the run *is* the
-//!   reference suffix and the reference outcome is returned without
-//!   executing it.
+//!   reference result with zero execution. Every other run starts from the
+//!   last reference checkpoint before its anchor instead of the entry
+//!   point.
 //! * **First-fault snapshot fan-out** — a group of double-skip points
-//!   sharing `first` executes the prefix (through the first skip) once,
-//!   snapshots the machine ([`SpineSnapshot`], cached in the store under an
-//!   LRU byte budget), and fans the second-skip candidates out from that
-//!   spine, restoring between candidates instead of re-running the shared
-//!   prefix per point.
+//!   sharing `first` executes the prefix (through the first skip) once and
+//!   fans the second-skip candidates out from that spine, snapshotting the
+//!   machine before each candidate and restoring it afterwards instead of
+//!   re-running the shared prefix per point.
 //!
 //! The hard invariant: the assembled reports are **byte-identical** to what
 //! the sequential per-cell [`crate::CampaignRunner`] path produces, at any
@@ -74,7 +69,7 @@ use crate::persist::CellKey;
 use crate::point::{with_point_hook, FaultPoint, SkipHook};
 use crate::report::{classify, CampaignReport, Outcome};
 use crate::runner::{assemble_report, SimulatorSource};
-use crate::trace_store::{RecordedReference, SpineSnapshot, TraceFetch, TraceKey, TraceStore};
+use crate::trace_store::{RecordedReference, TraceFetch, TraceKey, TraceStore};
 
 /// One cell of a security matrix, described as data: which target to attack
 /// (`source` + `key`), how to call it, and with which fault model.
@@ -144,9 +139,9 @@ pub struct MatrixCellResult {
     /// snapshot instead of re-executing the shared prefix of a grouped
     /// multi-fault batch.
     pub snapshot_restores: u64,
-    /// Reference-suffix steps this cell *avoided* executing: liveness-pruned
-    /// injections answered without running, plus runs cut short at a
-    /// checkpoint once their state provably reconverged with the reference.
+    /// Reference-suffix steps this cell *avoided* executing: for each
+    /// liveness-pruned injection, the steps from the checkpoint it would
+    /// have resumed at to the end of the reference.
     pub suffix_steps_saved: u64,
     /// Runaway runs ended early by a divergence proof (an exact-state cycle
     /// match or a verified affine loop acceleration) instead of burning the
@@ -448,7 +443,6 @@ impl<H: FaultHook + ?Sized> FaultHook for CycleGuard<'_, H> {
 struct CellExec<'a> {
     job: &'a MatrixJob<'a>,
     reference: &'a RecordedReference,
-    store: &'a TraceStore,
     /// Prover scoreboard shared by every trial this shard runs, so loop
     /// shapes the prover keeps failing on stop being re-analysed.
     prove_memo: RefCell<HashMap<usize, ProveMemo>>,
@@ -489,7 +483,7 @@ impl CellExec<'_> {
 
     /// Runs one fault point: liveness-prune if provably dead, otherwise
     /// fast-forward to the last checkpoint before the anchor and execute
-    /// with reconvergence checks past the last fault step.
+    /// from there.
     fn run_single(
         &self,
         sim: &mut Simulator,
@@ -523,28 +517,20 @@ impl CellExec<'_> {
         })
     }
 
-    /// Executes from `cursor` to completion, pausing at every reference
-    /// checkpoint at or past `last_fault_step`: a faulted run whose machine
-    /// state matches the reference's at one of them is bit-identical to the
-    /// reference from that point on (deterministic interpreter, inert
-    /// hook), so the reference outcome is returned without running the
-    /// suffix.
-    ///
-    /// Runs that *diverge* instead of reconverging are watched by a
-    /// [`CycleGuard`] once they overshoot the reference: a proven endless
-    /// loop ends immediately with the step-limit error it was guaranteed to
-    /// produce, instead of burning the remaining step budget one
-    /// instruction at a time.
+    /// Executes from `cursor` to completion under a [`CycleGuard`]: a run
+    /// that overshoots both its last fault step and the reference is
+    /// watched for endless loops, and a proven one ends immediately with
+    /// the step-limit error it was guaranteed to produce, instead of
+    /// burning the remaining step budget one instruction at a time.
     fn run_from_cursor<H: FaultHook + ?Sized>(
         &self,
         sim: &mut Simulator,
-        mut cursor: RunCursor,
+        cursor: RunCursor,
         hook: &mut H,
         last_fault_step: u64,
         stats: &mut ShardStats,
     ) -> (Outcome, u32) {
         let reference = &self.reference.trace.result;
-        let checkpoints = &self.reference.checkpoints;
         let watch_from = last_fault_step.max(self.reference.trace.steps()) + 1;
         let mut hook = CycleGuard::new(
             hook,
@@ -555,29 +541,13 @@ impl CellExec<'_> {
             &self.scratch,
             self.job.source,
         );
-        let threshold = last_fault_step.max(cursor.steps_done() + 1);
-        let mut cp_index = checkpoints.partition_point(|cp| cp.steps_done < threshold);
-        loop {
-            let pause = checkpoints.get(cp_index).map(|cp| cp.steps_done);
-            match sim.run_segment(cursor, pause, self.job.max_steps, &mut hook) {
-                Ok(SegmentEnd::Done(result)) => {
-                    return (classify(reference, &Ok(result)), result.return_value);
-                }
-                Ok(SegmentEnd::Paused(next)) => {
-                    let cp = &checkpoints[cp_index];
-                    if next.pc() as u32 == cp.pc && sim.machine().state_matches(&cp.state) {
-                        stats.suffix_steps_saved +=
-                            self.reference.trace.steps().saturating_sub(cp.steps_done);
-                        return self.reference_outcome();
-                    }
-                    cursor = next;
-                    cp_index += 1;
-                }
-                Err(e) => {
-                    stats.loop_proofs += hook.proofs;
-                    stats.loop_steps_saved += hook.steps_saved;
-                    return (classify(reference, &Err(e)), 0);
-                }
+        match sim.run_segment(cursor, None, self.job.max_steps, &mut hook) {
+            Ok(SegmentEnd::Done(result)) => (classify(reference, &Ok(result)), result.return_value),
+            Ok(SegmentEnd::Paused(_)) => unreachable!("no pause requested"),
+            Err(e) => {
+                stats.loop_proofs += hook.proofs;
+                stats.loop_steps_saved += hook.steps_saved;
+                (classify(reference, &Err(e)), 0)
             }
         }
     }
@@ -636,19 +606,12 @@ impl CellExec<'_> {
             .collect()
     }
 
-    /// The spine fan-out: position the machine just after the shared first
-    /// skip (cached [`SpineSnapshot`] → checkpoint → full prefix, in order
-    /// of preference), then walk the members in ascending second-fault
-    /// order — pause the spine at each member's `second - 1`, snapshot, run
-    /// the member with reconvergence, restore, continue the spine.
-    ///
-    /// While advancing, the spine itself is checked against reference
-    /// checkpoints: once the skip-first-only run reconverges with the
-    /// reference at step `t`, every remaining member (`second > t`) is
-    /// exactly a single skip of its second step and is handed back to the
-    /// single path (where second-skip liveness may prune it outright). A
-    /// spine that halts or faults before a member's second step *is* that
-    /// member's run — the result is shared verbatim.
+    /// The spine fan-out: start the skip-first-only run from the last
+    /// checkpoint before `first` (or from the entry point), then walk the
+    /// members in ascending second-fault order — pause the spine at each
+    /// member's `second - 1`, snapshot, run the member, restore, continue
+    /// the spine. A spine that halts or faults before a member's second
+    /// step *is* that member's run — the result is shared verbatim.
     fn run_spine_fan(
         &self,
         sim: &mut Simulator,
@@ -666,54 +629,13 @@ impl CellExec<'_> {
             }
         };
 
-        let mut cursor = if let Some(snap) = self.store.spine_snapshot(&self.job.key, first) {
-            let _span = if secbranch_obs::enabled() && !self.restore_traced.replace(true) {
-                secbranch_obs::span("snapshot_restore")
-            } else {
-                secbranch_obs::Span::disabled()
-            };
-            sim.machine_mut().restore(&snap.state);
-            stats.snapshot_restores += 1;
-            RunCursor::resumed(snap.pc as usize, snap.steps_done)
+        let mut cursor = if let Some(cp) = self.reference.checkpoint_before(first) {
+            sim.machine_mut().restore(&cp.state);
+            RunCursor::resumed(cp.pc as usize, cp.steps_done)
         } else {
-            let start = if let Some(cp) = self.reference.checkpoint_before(first) {
-                sim.machine_mut().restore(&cp.state);
-                RunCursor::resumed(cp.pc as usize, cp.steps_done)
-            } else {
-                self.job.source.reset(sim);
-                match sim.begin_call(&self.job.entry, &self.job.args) {
-                    Ok(cursor) => cursor,
-                    Err(e) => {
-                        fill(out, 0, (classify(reference, &Err(e)), 0));
-                        return;
-                    }
-                }
-            };
-            match sim.run_segment(start, Some(first), self.job.max_steps, &mut spine_hook) {
-                Ok(SegmentEnd::Paused(cursor)) => {
-                    self.store.cache_spine_snapshot(
-                        &self.job.key,
-                        first,
-                        Arc::new(SpineSnapshot {
-                            pc: cursor.pc() as u32,
-                            steps_done: cursor.steps_done(),
-                            state: sim.machine().snapshot(),
-                        }),
-                    );
-                    cursor
-                }
-                // The prefix executes reference instructions until `first`,
-                // so finishing or faulting before the pause is out of the
-                // ordinary — but whatever happened happened before any
-                // member's second skip, so the result is every member's.
-                Ok(SegmentEnd::Done(result)) => {
-                    fill(
-                        out,
-                        0,
-                        (classify(reference, &Ok(result)), result.return_value),
-                    );
-                    return;
-                }
+            self.job.source.reset(sim);
+            match sim.begin_call(&self.job.entry, &self.job.args) {
+                Ok(cursor) => cursor,
                 Err(e) => {
                     fill(out, 0, (classify(reference, &Err(e)), 0));
                     return;
@@ -721,40 +643,16 @@ impl CellExec<'_> {
             }
         };
 
-        let checkpoints = &self.reference.checkpoints;
         for (index, &(slot, second)) in fan.iter().enumerate() {
-            // Advance the spine to second - 1, pausing at reference
-            // checkpoints crossed on the way to test spine reconvergence.
+            // Advance the spine to second - 1; the first member's advance
+            // also executes the shared prefix through the first skip.
             let target = second - 1;
-            while cursor.steps_done() < target {
-                let cp_index =
-                    checkpoints.partition_point(|cp| cp.steps_done <= cursor.steps_done());
-                let next_cp = checkpoints
-                    .get(cp_index)
-                    .filter(|cp| cp.steps_done <= target);
-                let pause = next_cp.map_or(target, |cp| cp.steps_done);
-                match sim.run_segment(cursor, Some(pause), self.job.max_steps, &mut spine_hook) {
-                    Ok(SegmentEnd::Paused(next)) => {
-                        cursor = next;
-                        if let Some(cp) = next_cp {
-                            if next.pc() as u32 == cp.pc && sim.machine().state_matches(&cp.state) {
-                                // Spine rejoined the reference: every member
-                                // from here on is a plain skip of its second.
-                                for &(slot, second) in &fan[index..] {
-                                    out[slot] = Some(self.run_single(
-                                        sim,
-                                        &FaultPoint::Skip { step: second },
-                                        stats,
-                                    ));
-                                }
-                                return;
-                            }
-                        }
-                    }
+            if cursor.steps_done() < target {
+                match sim.run_segment(cursor, Some(target), self.job.max_steps, &mut spine_hook) {
+                    Ok(SegmentEnd::Paused(next)) => cursor = next,
+                    // The spine halted before any remaining member's second
+                    // skip could fire: their runs are the spine's, verbatim.
                     Ok(SegmentEnd::Done(result)) => {
-                        // The spine halted before any remaining member's
-                        // second skip could fire: their runs are the
-                        // spine's, verbatim.
                         fill(
                             out,
                             index,
@@ -1150,7 +1048,6 @@ impl MatrixExecutor {
                 reference: recorded[shard.job]
                     .as_ref()
                     .expect("only live jobs have shards"),
-                store,
                 prove_memo: RefCell::new(HashMap::new()),
                 scratch: RefCell::new(None),
                 ff_traced: Cell::new(false),
@@ -1435,8 +1332,8 @@ mod tests {
 
     #[test]
     fn differential_resume_matches_the_sequential_runner_on_a_loop() {
-        // The loop artifact has dead stores (liveness prunes), long
-        // reconvergent suffixes (checkpoint early-exit) and a wide grouped
+        // The loop artifact has dead stores (liveness prunes), enough steps
+        // for several checkpoints (fast-forward) and a wide grouped
         // double-skip space (spine fan-out) — every mechanism fires, and
         // the reports must stay byte-identical to the sequential oracle.
         let sim = loop_simulator();
@@ -1562,11 +1459,11 @@ mod tests {
 
     #[test]
     fn differential_resume_actually_skips_suffix_work() {
-        // The counters are the proof that the new machinery engages: dead
-        // stores must prune or reconverge (suffix_steps_saved) and grouped
-        // double skips must restore snapshots instead of re-running shared
-        // prefixes (snapshot_restores). Zero on either means the
-        // differential path silently degraded to full re-execution.
+        // The counters are the proof that the machinery engages: dead
+        // stores must prune (suffix_steps_saved) and grouped double skips
+        // must restore snapshots instead of re-running shared prefixes
+        // (snapshot_restores). Zero on either means the differential path
+        // silently degraded to full re-execution.
         let sim = loop_simulator();
         let double = DoubleInstructionSkip {
             max_injections: 300,
@@ -1581,7 +1478,7 @@ mod tests {
             .expect("runs");
         assert!(
             results[0].suffix_steps_saved > 0,
-            "skip cell: dead stores and reconvergent suffixes must be elided"
+            "skip cell: dead stores must be pruned"
         );
         assert!(
             results[1].snapshot_restores > 0,
@@ -1589,38 +1486,7 @@ mod tests {
         );
         assert!(
             results[1].suffix_steps_saved > 0,
-            "double-skip cell: dead pairs and reconvergence must save steps"
-        );
-    }
-
-    #[test]
-    fn snapshot_budget_eviction_never_changes_reports() {
-        let sim = loop_simulator();
-        let double = DoubleInstructionSkip {
-            max_injections: 300,
-            seed: 0x2FA17,
-        };
-        let models: Vec<&dyn FaultModel> = vec![&double];
-        let jobs = loop_jobs(&sim, &models);
-        let unlimited = TraceStore::new();
-        unlimited.set_snapshot_budget(None);
-        let baseline = MatrixExecutor::new()
-            .with_threads(2)
-            .run(&jobs, &unlimited)
-            .expect("runs");
-        // A zero budget caches nothing: every group re-runs its prefix from
-        // a checkpoint, and the report must not move by a byte.
-        let starved = TraceStore::new();
-        starved.set_snapshot_budget(Some(0));
-        let pinched = MatrixExecutor::new()
-            .with_threads(2)
-            .run(&jobs, &starved)
-            .expect("runs");
-        assert_eq!(starved.stats().snapshot_bytes, 0, "budget keeps nothing");
-        assert_eq!(
-            baseline[0].report.to_json(),
-            pinched[0].report.to_json(),
-            "snapshot eviction is output-invariant"
+            "double-skip cell: dead pairs must be pruned"
         );
     }
 

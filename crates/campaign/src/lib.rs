@@ -104,8 +104,8 @@ pub use report::{
 pub use runner::{CampaignRunner, OwnedModule, SharedModule, SimulatorSource};
 pub use service::{CellRequest, Completion, ExecutorPool, PoolError, PoolStats};
 pub use trace_store::{
-    record_reference, RecordedReference, SpineSnapshot, TraceCheckpoint, TraceFetch, TraceKey,
-    TraceStore, TraceStoreStats, CHECKPOINT_BUDGET, DEFAULT_SNAPSHOT_BUDGET,
+    record_reference, RecordedReference, TraceCheckpoint, TraceFetch, TraceKey, TraceStore,
+    TraceStoreStats, CHECKPOINT_BUDGET,
 };
 
 #[cfg(test)]

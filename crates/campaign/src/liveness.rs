@@ -119,12 +119,6 @@ pub struct SuffixIndex {
     memory_size: u32,
 }
 
-fn op2_read(op2: &Operand2, reads: &mut Vec<Loc>) {
-    if let Operand2::Reg(r) = op2 {
-        reads.push(Loc::Reg(r.index()));
-    }
-}
-
 impl SuffixIndex {
     fn access(&mut self, loc: Loc) -> &mut AccessList {
         match loc {
@@ -163,19 +157,31 @@ impl SuffixIndex {
         }
     }
 
+    /// Appends a same-step read of `loc`. Every read of a step is indexed
+    /// before its writes, which [`SuffixIndex::record`] appends to `writes`
+    /// and indexes last.
+    fn read(&mut self, step: u64, loc: Loc) {
+        self.access(loc).push(step, Access::Read);
+    }
+
+    fn op2_read(&mut self, step: u64, op2: &Operand2) {
+        if let Operand2::Reg(r) = op2 {
+            self.read(step, Loc::Reg(r.index()));
+        }
+    }
+
     /// Indexes dynamic step `step`, about to execute `instr` on `machine`:
     /// mirrors the simulator's effect model instruction by instruction,
     /// using the pre-execution state to resolve addresses and branch
     /// directions. Steps must arrive in order, starting at 1.
     pub(crate) fn record(&mut self, step: u64, instr: &Instr, machine: &Machine) {
-        let mut reads: Vec<Loc> = Vec::new();
-        let mut writes: Vec<Loc> = Vec::new();
+        let start = self.writes.len();
         let mut class = StepClass::Plain;
         match instr {
-            Instr::MovImm { rd, .. } => writes.push(Loc::Reg(rd.index())),
+            Instr::MovImm { rd, .. } => self.writes.push(Loc::Reg(rd.index())),
             Instr::Mov { rd, rm } => {
-                reads.push(Loc::Reg(rm.index()));
-                writes.push(Loc::Reg(rd.index()));
+                self.read(step, Loc::Reg(rm.index()));
+                self.writes.push(Loc::Reg(rd.index()));
             }
             Instr::Add { rd, rn, op2 }
             | Instr::Sub { rd, rn, op2 }
@@ -185,34 +191,34 @@ impl SuffixIndex {
             | Instr::Lsl { rd, rn, op2 }
             | Instr::Lsr { rd, rn, op2 }
             | Instr::Asr { rd, rn, op2 } => {
-                reads.push(Loc::Reg(rn.index()));
-                op2_read(op2, &mut reads);
-                writes.push(Loc::Reg(rd.index()));
+                self.read(step, Loc::Reg(rn.index()));
+                self.op2_read(step, op2);
+                self.writes.push(Loc::Reg(rd.index()));
             }
             Instr::Mul { rd, rn, rm } => {
-                reads.push(Loc::Reg(rn.index()));
-                reads.push(Loc::Reg(rm.index()));
-                writes.push(Loc::Reg(rd.index()));
+                self.read(step, Loc::Reg(rn.index()));
+                self.read(step, Loc::Reg(rm.index()));
+                self.writes.push(Loc::Reg(rd.index()));
             }
             Instr::Mls { rd, rn, rm, ra } => {
-                reads.push(Loc::Reg(rn.index()));
-                reads.push(Loc::Reg(rm.index()));
-                reads.push(Loc::Reg(ra.index()));
-                writes.push(Loc::Reg(rd.index()));
+                self.read(step, Loc::Reg(rn.index()));
+                self.read(step, Loc::Reg(rm.index()));
+                self.read(step, Loc::Reg(ra.index()));
+                self.writes.push(Loc::Reg(rd.index()));
             }
             Instr::Udiv { rd, rn, rm } => {
-                reads.push(Loc::Reg(rn.index()));
-                reads.push(Loc::Reg(rm.index()));
-                writes.push(Loc::Reg(rd.index()));
+                self.read(step, Loc::Reg(rn.index()));
+                self.read(step, Loc::Reg(rm.index()));
+                self.writes.push(Loc::Reg(rd.index()));
             }
             Instr::Cmp { rn, op2 } => {
-                reads.push(Loc::Reg(rn.index()));
-                op2_read(op2, &mut reads);
-                writes.push(Loc::Flags);
+                self.read(step, Loc::Reg(rn.index()));
+                self.op2_read(step, op2);
+                self.writes.push(Loc::Flags);
             }
             Instr::B { .. } => class = StepClass::Branch,
             Instr::BCond { cond, .. } => {
-                reads.push(Loc::Flags);
+                self.read(step, Loc::Flags);
                 class = if machine.flags.condition_holds(*cond) {
                     StepClass::Branch
                 } else {
@@ -220,89 +226,86 @@ impl SuffixIndex {
                 };
             }
             Instr::Bl { .. } => {
-                writes.push(Loc::Reg(Reg::Lr.index()));
+                self.writes.push(Loc::Reg(Reg::Lr.index()));
                 class = StepClass::Branch;
             }
             Instr::Bx { rm } => {
-                reads.push(Loc::Reg(rm.index()));
+                self.read(step, Loc::Reg(rm.index()));
                 class = StepClass::Branch;
             }
             Instr::Ldr { rt, rn, offset } => {
-                reads.push(Loc::Reg(rn.index()));
+                self.read(step, Loc::Reg(rn.index()));
                 let addr = machine.reg(*rn).wrapping_add(*offset as u32);
                 if addr < CFI_BASE {
                     for b in 0..4 {
-                        reads.push(Loc::Mem(addr + b));
+                        self.read(step, Loc::Mem(addr + b));
                     }
                 }
-                writes.push(Loc::Reg(rt.index()));
+                self.writes.push(Loc::Reg(rt.index()));
             }
             Instr::Ldrb { rt, rn, offset } => {
-                reads.push(Loc::Reg(rn.index()));
+                self.read(step, Loc::Reg(rn.index()));
                 let addr = machine.reg(*rn).wrapping_add(*offset as u32);
                 if addr < CFI_BASE {
-                    reads.push(Loc::Mem(addr));
+                    self.read(step, Loc::Mem(addr));
                 }
-                writes.push(Loc::Reg(rt.index()));
+                self.writes.push(Loc::Reg(rt.index()));
             }
             Instr::Str { rt, rn, offset } => {
-                reads.push(Loc::Reg(rn.index()));
-                reads.push(Loc::Reg(rt.index()));
+                self.read(step, Loc::Reg(rn.index()));
+                self.read(step, Loc::Reg(rt.index()));
                 let addr = machine.reg(*rn).wrapping_add(*offset as u32);
                 if addr >= CFI_BASE {
                     class = StepClass::CfiStore;
                 } else {
                     for b in 0..4 {
-                        writes.push(Loc::Mem(addr + b));
+                        self.writes.push(Loc::Mem(addr + b));
                     }
                 }
             }
             Instr::Strb { rt, rn, offset } => {
-                reads.push(Loc::Reg(rn.index()));
-                reads.push(Loc::Reg(rt.index()));
+                self.read(step, Loc::Reg(rn.index()));
+                self.read(step, Loc::Reg(rt.index()));
                 let addr = machine.reg(*rn).wrapping_add(*offset as u32);
                 if addr >= CFI_BASE {
                     class = StepClass::CfiStore;
                 } else {
-                    writes.push(Loc::Mem(addr));
+                    self.writes.push(Loc::Mem(addr));
                 }
             }
             Instr::Push { regs } => {
-                reads.push(Loc::Reg(Reg::Sp.index()));
+                self.read(step, Loc::Reg(Reg::Sp.index()));
                 for r in regs {
-                    reads.push(Loc::Reg(r.index()));
+                    self.read(step, Loc::Reg(r.index()));
                 }
                 let sp = machine.reg(Reg::Sp).wrapping_sub(4 * regs.len() as u32);
-                writes.push(Loc::Reg(Reg::Sp.index()));
+                self.writes.push(Loc::Reg(Reg::Sp.index()));
                 for b in 0..(4 * regs.len() as u32) {
-                    writes.push(Loc::Mem(sp + b));
+                    self.writes.push(Loc::Mem(sp + b));
                 }
             }
             Instr::Pop { regs } => {
-                reads.push(Loc::Reg(Reg::Sp.index()));
+                self.read(step, Loc::Reg(Reg::Sp.index()));
                 let sp = machine.reg(Reg::Sp);
                 for b in 0..(4 * regs.len() as u32) {
-                    reads.push(Loc::Mem(sp + b));
+                    self.read(step, Loc::Mem(sp + b));
                 }
                 for r in regs {
                     if *r == Reg::Pc {
                         // A pop into pc is a return: control flow.
                         class = StepClass::Branch;
                     } else {
-                        writes.push(Loc::Reg(r.index()));
+                        self.writes.push(Loc::Reg(r.index()));
                     }
                 }
-                writes.push(Loc::Reg(Reg::Sp.index()));
+                self.writes.push(Loc::Reg(Reg::Sp.index()));
             }
             Instr::Nop => class = StepClass::Inert,
         }
-        for loc in &reads {
-            self.access(*loc).push(step, Access::Read);
+        for i in start..self.writes.len() {
+            let loc = self.writes[i];
+            self.access(loc).push(step, Access::Write);
         }
-        for loc in &writes {
-            self.access(*loc).push(step, Access::Write);
-        }
-        self.writes.extend_from_slice(&writes);
         self.steps.push((class, self.writes.len()));
     }
 

@@ -73,10 +73,9 @@ impl FaultPoint {
     }
 
     /// The last dynamic step at which this fault can still act. After this
-    /// step the hook is inert, so once a faulted run's state matches the
-    /// reference at or beyond `last_fault_step`, the remainder of the run is
-    /// provably the reference suffix — the reconvergence test the
-    /// differential executor is built on.
+    /// step the hook is inert, so nothing the fault does can break a loop
+    /// the run enters later — the differential executor's endless-loop
+    /// prover watches a faulted run only from past this step.
     #[must_use]
     pub fn last_fault_step(&self) -> u64 {
         match *self {

@@ -31,7 +31,7 @@
 //!    classification silently becomes garbage.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use secbranch_armv7m::{FaultAction, FaultHook, Instr, Machine, MachineState, Program, SimError};
@@ -46,11 +46,6 @@ use crate::runner::SimulatorSource;
 /// the interval whenever the budget is hit), so memory per trace stays
 /// bounded no matter how long the run is.
 pub const CHECKPOINT_BUDGET: usize = 48;
-
-/// Default byte budget for cached spine snapshots (see
-/// [`TraceStore::cache_spine_snapshot`]): enough for the snapshots of a
-/// typical matrix run while bounding worst-case retention.
-pub const DEFAULT_SNAPSHOT_BUDGET: usize = 4 << 20;
 
 /// Identity of one reference execution: which artifact ran, from which entry
 /// point, with which arguments.
@@ -238,112 +233,17 @@ pub enum TraceFetch {
 /// accounting, so "approximate" is fine — the dirty RAM dominates.
 const CHECKPOINT_FIXED_COST: usize = 96;
 
-/// A resumable machine state captured *after* applying the shared first
-/// fault of a grouped multi-fault batch: the spine position the executor
-/// fans second-fault candidates out from (cached under the
-/// [`TraceStore`]'s snapshot budget, keyed by trace and first-fault step).
-#[derive(Debug)]
-pub struct SpineSnapshot {
-    /// The instruction index about to execute.
-    pub pc: u32,
-    /// Dynamic steps completed (the shared first fault's step).
-    pub steps_done: u64,
-    /// The captured machine state, first fault applied.
-    pub state: MachineState,
-}
-
-/// One cached spine snapshot plus LRU bookkeeping.
-#[derive(Debug)]
-struct SnapshotEntry {
-    snapshot: Arc<SpineSnapshot>,
-    last_used: u64,
-    bytes: usize,
-}
-
 /// The one recording of a missed key that is under way: its first
 /// requester fills the slot, concurrent requesters wait on it.
 type Flight = Arc<OnceLock<Result<Arc<RecordedReference>, SimError>>>;
 
 /// The lock-guarded interior of a [`TraceStore`].
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct StoreInner {
     entries: HashMap<TraceKey, Arc<RecordedReference>>,
     in_flight: HashMap<TraceKey, Flight>,
-    snapshots: HashMap<(TraceKey, u64), SnapshotEntry>,
-    tick: u64,
     checkpoint_bytes: usize,
-    snapshot_bytes: usize,
-    snapshot_budget: Option<usize>,
     backend: Option<Arc<dyn GridBackend>>,
-}
-
-impl Default for StoreInner {
-    fn default() -> Self {
-        StoreInner {
-            entries: HashMap::new(),
-            in_flight: HashMap::new(),
-            snapshots: HashMap::new(),
-            tick: 0,
-            checkpoint_bytes: 0,
-            snapshot_bytes: 0,
-            snapshot_budget: Some(DEFAULT_SNAPSHOT_BUDGET),
-            backend: None,
-        }
-    }
-}
-
-impl StoreInner {
-    fn cache_snapshot(
-        &mut self,
-        key: &TraceKey,
-        first: u64,
-        snapshot: Arc<SpineSnapshot>,
-        evictions: &AtomicU64,
-    ) {
-        self.tick += 1;
-        let tick = self.tick;
-        let bytes = snapshot.state.dirty_len() + CHECKPOINT_FIXED_COST;
-        if self.snapshot_budget.is_some_and(|budget| bytes > budget) {
-            // Larger than the whole budget: caching it would immediately
-            // evict it (and possibly everything else first).
-            return;
-        }
-        match self.snapshots.entry((key.clone(), first)) {
-            std::collections::hash_map::Entry::Occupied(mut occupied) => {
-                // A concurrent worker computed the same snapshot; keep the
-                // stored one (both are deterministic replays of one spine).
-                occupied.get_mut().last_used = tick;
-            }
-            std::collections::hash_map::Entry::Vacant(vacant) => {
-                self.snapshot_bytes += bytes;
-                vacant.insert(SnapshotEntry {
-                    snapshot,
-                    last_used: tick,
-                    bytes,
-                });
-            }
-        }
-        self.enforce_snapshot_budget(evictions);
-    }
-
-    fn enforce_snapshot_budget(&mut self, evictions: &AtomicU64) {
-        let Some(budget) = self.snapshot_budget else {
-            return;
-        };
-        while self.snapshot_bytes > budget {
-            let Some(victim) = self
-                .snapshots
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
-            else {
-                break;
-            };
-            let entry = self.snapshots.remove(&victim).expect("victim exists");
-            self.snapshot_bytes -= entry.bytes;
-            evictions.fetch_add(1, Ordering::Relaxed);
-        }
-    }
 }
 
 /// A thread-safe memo of reference executions with hit/miss counters.
@@ -353,7 +253,9 @@ impl StoreInner {
 /// `(artifact, entry, args)` cell and only the first request per key pays
 /// for a recording. Entries are handed out as [`Arc`]s, so N concurrent
 /// campaigns share one recording: its trace, checkpoints and liveness
-/// index.
+/// index. References are all it holds: the executor's spine snapshots
+/// live only as long as the shard that takes them, so a repeated grid does
+/// exactly the work of its first run once the references are recorded.
 ///
 /// The store also carries the [`GridBackend`] through which the
 /// [`MatrixExecutor`](crate::MatrixExecutor) loads and writes completed
@@ -368,21 +270,17 @@ pub struct TraceStore {
 
 secbranch_obs::counters! {
     /// A point-in-time snapshot of a [`TraceStore`]'s counters: the memo's
-    /// hit/miss counters plus checkpoint and snapshot retention. The three
-    /// gauges are read under the store's lock by [`TraceStore::stats`].
+    /// hit/miss counters plus what its references retain. The two gauges
+    /// are read under the store's lock by [`TraceStore::stats`].
     pub struct TraceStoreStats(TraceStoreCounters) {
         /// Requests served from the in-memory memo.
         hits: counter("secbranch_trace_store_hits_total"),
         /// Requests that had to record (including failed recordings).
         misses: counter("secbranch_trace_store_misses_total"),
-        /// Spine snapshots the snapshot budget evicted.
-        snapshot_evictions: counter("secbranch_trace_store_snapshot_evictions_total"),
         /// Distinct traces currently stored.
         entries: gauge("secbranch_trace_store_entries"),
         /// Bytes currently retained by resume checkpoints.
         checkpoint_bytes: gauge("secbranch_trace_store_checkpoint_bytes"),
-        /// Bytes currently retained by cached spine snapshots.
-        snapshot_bytes: gauge("secbranch_trace_store_snapshot_bytes"),
     }
 }
 
@@ -407,41 +305,6 @@ impl TraceStore {
             .expect("trace store poisoned")
             .backend
             .clone()
-    }
-
-    /// Caches the spine snapshot of a grouped multi-fault batch — the
-    /// machine state right after the shared first fault at step `first` of
-    /// the trace `key` names — and enforces the snapshot byte budget by
-    /// evicting least-recently-used snapshots.
-    ///
-    /// Purely an accelerator: a later
-    /// [`TraceStore::spine_snapshot`] hit spares re-executing the
-    /// checkpoint-to-first-fault prefix, an eviction merely re-pays it.
-    /// Reports are byte-identical either way.
-    pub fn cache_spine_snapshot(&self, key: &TraceKey, first: u64, snapshot: Arc<SpineSnapshot>) {
-        let mut inner = self.inner.lock().expect("trace store poisoned");
-        inner.cache_snapshot(key, first, snapshot, &self.counters.snapshot_evictions);
-    }
-
-    /// The cached spine snapshot for `(key, first)`, if it survived the
-    /// budget.
-    #[must_use]
-    pub fn spine_snapshot(&self, key: &TraceKey, first: u64) -> Option<Arc<SpineSnapshot>> {
-        let mut inner = self.inner.lock().expect("trace store poisoned");
-        inner.tick += 1;
-        let tick = inner.tick;
-        let entry = inner.snapshots.get_mut(&(key.clone(), first))?;
-        entry.last_used = tick;
-        Some(Arc::clone(&entry.snapshot))
-    }
-
-    /// Caps the bytes retained by cached spine snapshots (`None` lifts the
-    /// cap; the default is [`DEFAULT_SNAPSHOT_BUDGET`]). Applies
-    /// immediately.
-    pub fn set_snapshot_budget(&self, budget: Option<usize>) {
-        let mut inner = self.inner.lock().expect("trace store poisoned");
-        inner.snapshot_budget = budget;
-        inner.enforce_snapshot_budget(&self.counters.snapshot_evictions);
     }
 
     /// The reference execution for `key`, recorded on first request and
@@ -537,7 +400,6 @@ impl TraceStore {
         TraceStoreStats {
             entries: inner.entries.len() as u64,
             checkpoint_bytes: inner.checkpoint_bytes as u64,
-            snapshot_bytes: inner.snapshot_bytes as u64,
             ..self.counters.snapshot()
         }
     }
@@ -697,52 +559,6 @@ mod tests {
             let cp = recorded.checkpoint_before(anchor).expect("found");
             assert!(cp.steps_done < anchor);
         }
-    }
-
-    #[test]
-    fn spine_snapshots_are_cached_lru_under_their_own_budget() {
-        let store = TraceStore::new();
-        let key = TraceKey::new("art", "max", &[7, 3]);
-        let other = TraceKey::new("art", "max", &[3, 9]);
-
-        let snap = |sim: &mut Simulator| {
-            Arc::new(SpineSnapshot {
-                pc: 1,
-                steps_done: 1,
-                state: sim.machine().snapshot(),
-            })
-        };
-        let mut sim = max_simulator();
-        sim.machine_mut().write_bytes(64, &[1, 2, 3, 4]);
-
-        assert!(store.spine_snapshot(&key, 1).is_none());
-        store.cache_spine_snapshot(&key, 1, snap(&mut sim));
-        store.cache_spine_snapshot(&key, 9, snap(&mut sim));
-        store.cache_spine_snapshot(&other, 1, snap(&mut sim));
-        let bytes = store.stats().snapshot_bytes;
-        assert!(bytes > 0, "snapshots are accounted");
-        let got = store.spine_snapshot(&key, 1).expect("cached");
-        assert_eq!(got.steps_done, 1);
-        assert!(store.spine_snapshot(&key, 2).is_none(), "keyed by first");
-
-        // A budget fitting two entries evicts the least recently used —
-        // (key, 9), since (key, 1) was just re-read.
-        let per_entry = bytes as usize / 3;
-        store.set_snapshot_budget(Some(2 * per_entry + 1));
-        assert_eq!(store.stats().snapshot_evictions, 1);
-        assert!(store.spine_snapshot(&key, 9).is_none(), "LRU evicted");
-        assert!(store.spine_snapshot(&key, 1).is_some());
-        assert!(store.spine_snapshot(&other, 1).is_some());
-
-        // A snapshot larger than the whole budget is not cached at all.
-        store.set_snapshot_budget(Some(1));
-        assert_eq!(
-            store.stats().snapshot_bytes,
-            0,
-            "budget drop evicts the rest"
-        );
-        store.cache_spine_snapshot(&key, 5, snap(&mut sim));
-        assert!(store.spine_snapshot(&key, 5).is_none());
     }
 
     /// A source whose simulators take a while to hand out: the delay

@@ -55,8 +55,8 @@ pub struct MatrixStats {
     /// instead of re-executing the shared prefix.
     pub snapshot_restores: u64,
     /// Reference-suffix steps the differential executor avoided executing
-    /// across all cells (liveness-pruned injections plus runs cut short at
-    /// a reconvergent checkpoint).
+    /// across all cells: liveness-pruned injections, each counted from the
+    /// checkpoint it would have resumed at to the end of the reference.
     pub suffix_steps_saved: u64,
     /// Artifacts whose program was decoded into micro-ops during (or
     /// before) this run. Decode happens once per `Arc<Program>` no matter

@@ -641,8 +641,6 @@ secbranch_store_writes_total 4
 secbranch_trace_store_hits_total 2
 # TYPE secbranch_trace_store_misses_total counter
 secbranch_trace_store_misses_total 2
-# TYPE secbranch_trace_store_snapshot_evictions_total counter
-secbranch_trace_store_snapshot_evictions_total 0
 # TYPE secbranch_gridd_protocol_version gauge
 secbranch_gridd_protocol_version 5
 # TYPE secbranch_pool_capacity gauge
@@ -657,8 +655,6 @@ secbranch_pool_workers 1
 secbranch_trace_store_checkpoint_bytes 192
 # TYPE secbranch_trace_store_entries gauge
 secbranch_trace_store_entries 2
-# TYPE secbranch_trace_store_snapshot_bytes gauge
-secbranch_trace_store_snapshot_bytes 956
 # TYPE secbranch_cell_compute_micros histogram
 secbranch_cell_compute_micros_bucket{model="double-skip",le="1"} <timing>
 secbranch_cell_compute_micros_bucket{model="double-skip",le="2"} <timing>

@@ -8,10 +8,12 @@ use std::sync::Arc;
 
 use secbranch::campaign::{
     BranchInversion, CampaignReport, CampaignRunner, DoubleInstructionSkip, FaultModel,
-    InstructionSkip, MatrixExecutor, MatrixJob, RegisterBitFlip, SharedModule, TraceFetch,
-    TraceStore,
+    InstructionSkip, MatrixExecutor, MatrixJob, MemoryBitFlip, RegisterBitFlip, SharedModule,
+    TraceFetch, TraceStore,
 };
-use secbranch::programs::{integer_compare_module, password_check_module};
+use secbranch::programs::{
+    crc32_table_module, integer_compare_module, password_check_module, pin_retry_module,
+};
 use secbranch::{Pipeline, ProtectionVariant, Session, Workload};
 
 fn grid_workloads() -> Vec<Workload> {
@@ -211,6 +213,86 @@ fn double_skip_fans_out_from_first_fault_snapshots() {
     assert!(
         report.stats.suffix_steps_saved > 0,
         "fan-out must eliminate re-executed prefix steps"
+    );
+}
+
+/// A cold grid run twice over one trace store — the shape of a daemon
+/// recomputing every cell from the references it already holds — does the
+/// same work both times: the store keeps references and nothing else, so
+/// the second run restores exactly as many spine snapshots and prunes
+/// exactly as many suffix steps as the first, and reports the same bytes.
+/// The grid is the 60-cell benchmark grid (`campaign --matrix`, the
+/// daemon's catalog) at 200 trials.
+#[test]
+fn a_repeated_cold_grid_does_the_same_work() {
+    let workloads = vec![
+        Workload::new(
+            "integer compare",
+            integer_compare_module(),
+            "integer_compare",
+            &[1234, 4321],
+        ),
+        Workload::new(
+            "password check",
+            password_check_module(8),
+            "password_check",
+            &[],
+        ),
+        Workload::new("crc32 x16", crc32_table_module(16), "crc32_check", &[]),
+        Workload::new("pin retry", pin_retry_module(4, 3), "pin_check", &[]),
+    ];
+    let pipelines: Vec<Pipeline> = [
+        ProtectionVariant::Unprotected,
+        ProtectionVariant::CfiOnly,
+        ProtectionVariant::AnCode,
+    ]
+    .iter()
+    .map(|v| {
+        Pipeline::for_variant(*v)
+            .with_memory_size(1 << 18)
+            .with_max_steps(200_000)
+    })
+    .collect();
+    let trials = 200;
+    let models: Vec<Box<dyn FaultModel>> = vec![
+        Box::new(InstructionSkip),
+        Box::new(DoubleInstructionSkip {
+            max_injections: trials,
+            seed: 0x2FA17,
+        }),
+        Box::new(RegisterBitFlip {
+            trials,
+            seed: 0xABCDEF,
+        }),
+        Box::new(MemoryBitFlip {
+            trials,
+            seed: 0xFEED,
+        }),
+        Box::new(BranchInversion),
+    ];
+    let model_refs: Vec<&dyn FaultModel> = models.iter().map(AsRef::as_ref).collect();
+
+    let mut session = Session::new();
+    let executor = MatrixExecutor::new().with_threads(2);
+    let first = session
+        .security_matrix_with(&executor, &workloads, &pipelines, &model_refs, None)
+        .expect("matrix runs");
+    assert_eq!(first.cells.len(), 60);
+    assert_eq!(first.stats.trace_misses, 12, "one recording per artifact");
+    assert!(first.stats.snapshot_restores > 0 && first.stats.suffix_steps_saved > 0);
+
+    let again = session
+        .security_matrix_with(&executor, &workloads, &pipelines, &model_refs, None)
+        .expect("matrix runs");
+    assert_eq!(again.stats.trace_misses, 0, "the references are held");
+    assert_eq!(again.to_json(), first.to_json(), "byte-identical reports");
+    assert_eq!(
+        again.stats.snapshot_restores, first.stats.snapshot_restores,
+        "a re-run restores exactly as often as the first run"
+    );
+    assert_eq!(
+        again.stats.suffix_steps_saved, first.stats.suffix_steps_saved,
+        "a re-run prunes exactly as much as the first run"
     );
 }
 
