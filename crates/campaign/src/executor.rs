@@ -1,28 +1,27 @@
-//! The [`MatrixExecutor`]: one global fault-space scheduler for a whole
-//! security matrix, with differential resume.
+//! The [`MatrixExecutor`]: a whole security matrix on one shared worker
+//! pool, with differential resume.
 //!
 //! The [`crate::CampaignRunner`] parallelises *one* campaign; a security
 //! matrix (workloads × protection variants × fault models) built on it runs
 //! its cells strictly one after another, re-records the same reference trace
 //! for every model attacking the same artifact, and serialises whenever one
-//! cell's fault space dwarfs the others. The executor instead compiles the
-//! *entire* matrix down to one job graph:
+//! cell's fault space dwarfs the others. The executor instead submits every
+//! cell to one [`ExecutorPool`](crate::ExecutorPool) scheduler and waits:
 //!
-//! 1. every cell's reference trace is fetched through a [`TraceStore`]
-//!    (recorded once per distinct `(artifact, entry, args)` key, in one
-//!    pass that also takes its checkpoints and builds its
-//!    [`SuffixIndex`](crate::SuffixIndex) for liveness pruning),
-//! 2. every cell's fault space is partitioned by its model's
-//!    [`FaultModel::plan`] into execution groups — multi-fault batches
-//!    sharing a first fault stay atomic, everything else splits freely —
-//!    and the groups are packed into fixed-size **shards** tagged with
-//!    their cell,
-//! 3. one shared worker pool self-schedules over the global shard list —
-//!    workers steal the next unclaimed shard regardless of which cell it
-//!    belongs to, so a single huge cell spreads across all workers instead
-//!    of serialising the tail of the run,
-//! 4. per-cell outcomes are stitched back together in canonical fault-space
-//!    order and assembled into ordinary [`CampaignReport`]s.
+//! * a worker **plans** each cell: it fetches the cell's reference through
+//!   a [`TraceStore`] (recorded once per distinct `(artifact, entry, args)`
+//!   key, in one pass that also takes its checkpoints and builds its
+//!   [`SuffixIndex`](crate::SuffixIndex) for liveness pruning), partitions
+//!   the fault space by the model's [`FaultModel::plan`] into execution
+//!   units — multi-fault batches sharing a first fault stay atomic,
+//!   everything else splits freely — and packs the units into fixed-size
+//!   **shards** ([`CellPlan`]);
+//! * the shards queue at the cell's rank, and idle workers claim them in
+//!   shrinking runs, so a single huge cell spreads across all workers
+//!   instead of serialising the tail of the run;
+//! * the worker that lands a cell's last shard stitches the outcomes back
+//!   in canonical fault-space order and assembles the ordinary
+//!   [`CampaignReport`].
 //!
 //! # Differential resume
 //!
@@ -51,8 +50,8 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
-use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread;
 use std::time::Instant;
@@ -65,10 +64,11 @@ use secbranch_armv7m::{
 use crate::accel;
 use crate::liveness::LivenessVerdict;
 use crate::model::{CampaignContext, FaultGroup, FaultModel};
-use crate::persist::CellKey;
+use crate::persist::GridBackend;
 use crate::point::{with_point_hook, FaultPoint, SkipHook};
 use crate::report::{classify, CampaignReport, Outcome};
 use crate::runner::{assemble_report, SimulatorSource};
+use crate::service::{Admission, CellRequest, PoolCore, PoolError};
 use crate::trace_store::{RecordedReference, TraceFetch, TraceKey, TraceStore};
 
 /// One cell of a security matrix, described as data: which target to attack
@@ -90,42 +90,14 @@ pub struct MatrixJob<'a> {
     pub model: &'a dyn FaultModel,
 }
 
-/// Why a matrix run failed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum MatrixError {
-    /// The fault-free reference run of a cell failed.
-    Sim(SimError),
-    /// The [`MatrixExecutor::run_with_deadline`] deadline passed mid-run;
-    /// workers stopped claiming shards and the batch was abandoned.
-    DeadlineExpired,
-}
-
-impl fmt::Display for MatrixError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            MatrixError::Sim(e) => write!(f, "reference run failed: {e}"),
-            MatrixError::DeadlineExpired => write!(f, "deadline passed during execution"),
-        }
-    }
-}
-
-impl std::error::Error for MatrixError {}
-
-impl From<SimError> for MatrixError {
-    fn from(e: SimError) -> Self {
-        MatrixError::Sim(e)
-    }
-}
-
 /// The result of one matrix cell: the ordinary campaign report plus
 /// execution metadata of the scheduler.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MatrixCellResult {
     /// The campaign report, byte-identical to the sequential path's.
     pub report: CampaignReport,
-    /// `true` if the whole cell was served from the trace store's
-    /// persistence backend — no reference fetch, no injection, zero
-    /// simulation.
+    /// `true` if the whole cell was served from the persistence backend —
+    /// no reference fetch, no injection, zero simulation.
     pub cell_hit: bool,
     /// How this cell's reference trace was obtained (`None` on a cell hit:
     /// a cached cell needs no reference at all).
@@ -152,6 +124,20 @@ pub struct MatrixCellResult {
 }
 
 impl MatrixCellResult {
+    /// A computed cell (`trace_fetch` set) or a cell hit (`None`).
+    fn new(report: CampaignReport, trace_fetch: Option<TraceFetch>, stats: ShardStats) -> Self {
+        MatrixCellResult {
+            report,
+            cell_hit: trace_fetch.is_none(),
+            trace_fetch,
+            compute_micros: stats.micros,
+            snapshot_restores: stats.snapshot_restores,
+            suffix_steps_saved: stats.suffix_steps_saved,
+            loop_proofs: stats.loop_proofs,
+            loop_steps_saved: stats.loop_steps_saved,
+        }
+    }
+
     /// `true` if this cell's reference trace was served from a cache
     /// (memory or disk) instead of recorded — vacuously true on a cell hit.
     #[must_use]
@@ -160,26 +146,15 @@ impl MatrixCellResult {
     }
 }
 
-/// One atomic execution unit: a contiguous slice of one job's fault space
+/// One atomic execution unit: a contiguous slice of one cell's fault space
 /// that must run on one worker. Grouped multi-fault batches (`shared_first`
 /// set) share a spine and stay whole; ungrouped slices are just scheduling
 /// chunks.
 #[derive(Debug, Clone, Copy)]
 struct Unit {
-    job: usize,
     start: usize,
     end: usize,
     shared_first: Option<u64>,
-}
-
-/// One scheduling claim: a contiguous run of units of one job, packed to
-/// roughly the configured shard size in points.
-#[derive(Debug, Clone, Copy)]
-struct Shard {
-    job: usize,
-    unit_start: usize,
-    unit_end: usize,
-    point_start: usize,
 }
 
 /// Per-shard execution counters, folded into the owning cell's result.
@@ -441,7 +416,7 @@ impl<H: FaultHook + ?Sized> FaultHook for CycleGuard<'_, H> {
 /// Everything the per-point execution paths of one cell need, bundled so
 /// the resume helpers stay readable.
 struct CellExec<'a> {
-    job: &'a MatrixJob<'a>,
+    cell: &'a CellRequest<'a>,
     reference: &'a RecordedReference,
     /// Prover scoreboard shared by every trial this shard runs, so loop
     /// shapes the prover keeps failing on stop being re-analysed.
@@ -506,8 +481,8 @@ impl CellExec<'_> {
             sim.machine_mut().restore(&cp.state);
             RunCursor::resumed(cp.pc as usize, cp.steps_done)
         } else {
-            self.job.source.reset(sim);
-            match sim.begin_call(&self.job.entry, &self.job.args) {
+            self.cell.source.reset(sim);
+            match sim.begin_call(&self.cell.entry, &self.cell.args) {
                 Ok(cursor) => cursor,
                 Err(e) => return (classify(&self.reference.trace.result, &Err(e)), 0),
             }
@@ -536,12 +511,12 @@ impl CellExec<'_> {
             hook,
             watch_from,
             Arc::clone(sim.shared_program()),
-            self.job.max_steps,
+            self.cell.max_steps,
             &self.prove_memo,
             &self.scratch,
-            self.job.source,
+            &*self.cell.source,
         );
-        match sim.run_segment(cursor, None, self.job.max_steps, &mut hook) {
+        match sim.run_segment(cursor, None, self.cell.max_steps, &mut hook) {
             Ok(SegmentEnd::Done(result)) => (classify(reference, &Ok(result)), result.return_value),
             Ok(SegmentEnd::Paused(_)) => unreachable!("no pause requested"),
             Err(e) => {
@@ -633,8 +608,8 @@ impl CellExec<'_> {
             sim.machine_mut().restore(&cp.state);
             RunCursor::resumed(cp.pc as usize, cp.steps_done)
         } else {
-            self.job.source.reset(sim);
-            match sim.begin_call(&self.job.entry, &self.job.args) {
+            self.cell.source.reset(sim);
+            match sim.begin_call(&self.cell.entry, &self.cell.args) {
                 Ok(cursor) => cursor,
                 Err(e) => {
                     fill(out, 0, (classify(reference, &Err(e)), 0));
@@ -648,7 +623,7 @@ impl CellExec<'_> {
             // also executes the shared prefix through the first skip.
             let target = second - 1;
             if cursor.steps_done() < target {
-                match sim.run_segment(cursor, Some(target), self.job.max_steps, &mut spine_hook) {
+                match sim.run_segment(cursor, Some(target), self.cell.max_steps, &mut spine_hook) {
                     Ok(SegmentEnd::Paused(next)) => cursor = next,
                     // The spine halted before any remaining member's second
                     // skip could fire: their runs are the spine's, verbatim.
@@ -721,11 +696,175 @@ fn fallback_plan(points_len: usize) -> Vec<FaultGroup> {
     }
 }
 
-/// Executes whole security matrices on one shared worker pool with a
-/// memoised trace store (the scheduling scheme — trace memoisation,
-/// plan-aware shard flattening, self-scheduling, canonical-order
-/// stitching — and the differential-resume mechanisms are described at the
-/// top of `executor.rs`).
+/// One planned cell: its reference, its fault space in canonical order,
+/// and that space packed into shards, plus one slot per shard for the
+/// outcomes the workers land.
+pub(crate) struct CellPlan {
+    reference: Arc<RecordedReference>,
+    fetch: TraceFetch,
+    points: Vec<FaultPoint>,
+    units: Vec<Unit>,
+    /// Each shard is a contiguous run of units, packed to roughly the shard
+    /// size in points, so spines never split across workers.
+    shards: Vec<Range<usize>>,
+    slots: Vec<OnceLock<ShardOutput>>,
+    /// Shards not landed yet.
+    unlanded: AtomicUsize,
+}
+
+impl CellPlan {
+    /// Plans `cell` over its fetched reference: the model's fault space,
+    /// partitioned into execution units by the model's plan (atomic groups
+    /// stay whole, splittable groups chunk to `shard_size`), the units
+    /// packed into shards.
+    pub(crate) fn new(
+        cell: &CellRequest<'_>,
+        reference: Arc<RecordedReference>,
+        fetch: TraceFetch,
+        shard_size: usize,
+    ) -> CellPlan {
+        let regions = cell.source.global_regions();
+        let ctx = CampaignContext {
+            trace: &reference.trace,
+            program: &reference.program,
+            global_regions: &regions,
+            memory_size: reference.memory_size,
+        };
+        let points = cell.model.fault_points(&ctx);
+        let mut units: Vec<Unit> = Vec::new();
+        for group in validated_plan(points.len(), cell.model.plan(&points)) {
+            match group.shared_first {
+                Some(first) => units.push(Unit {
+                    start: group.start,
+                    end: group.end,
+                    shared_first: Some(first),
+                }),
+                None => {
+                    for start in (group.start..group.end).step_by(shard_size) {
+                        units.push(Unit {
+                            start,
+                            end: (start + shard_size).min(group.end),
+                            shared_first: None,
+                        });
+                    }
+                }
+            }
+        }
+        let mut shards = Vec::new();
+        let mut unit_start = 0;
+        while unit_start < units.len() {
+            let mut points = 0;
+            let mut unit_end = unit_start;
+            while let Some(unit) = units.get(unit_end) {
+                let next = unit.end - unit.start;
+                if unit_end > unit_start && points + next > shard_size {
+                    break;
+                }
+                points += next;
+                unit_end += 1;
+            }
+            shards.push(unit_start..unit_end);
+            unit_start = unit_end;
+        }
+        CellPlan {
+            reference,
+            fetch,
+            points,
+            units,
+            slots: shards.iter().map(|_| OnceLock::new()).collect(),
+            unlanded: AtomicUsize::new(shards.len()),
+            shards,
+        }
+    }
+
+    /// How many shards the cell was packed into.
+    pub(crate) fn shards(&self) -> usize {
+        self.shards.len()
+    }
+
+    /// Runs shard `index` of `cell` on `sim` and stores its outcomes.
+    pub(crate) fn run_shard(&self, cell: &CellRequest<'_>, index: usize, sim: &mut Simulator) {
+        let _span = secbranch_obs::span_with("shard", || {
+            format!("{} {}", cell.key.artifact, cell.model.name())
+        });
+        let exec = CellExec {
+            cell,
+            reference: &self.reference,
+            prove_memo: RefCell::new(HashMap::new()),
+            scratch: RefCell::new(None),
+            ff_traced: Cell::new(false),
+            restore_traced: Cell::new(false),
+        };
+        let cpu_start = secbranch_obs::thread_cpu_micros();
+        let started = Instant::now();
+        let mut stats = ShardStats::default();
+        let mut outcomes: Vec<(Outcome, u32)> = Vec::new();
+        for unit in &self.units[self.shards[index].clone()] {
+            let points = &self.points[unit.start..unit.end];
+            match unit.shared_first {
+                Some(first) => outcomes.extend(exec.run_group(sim, first, points, &mut stats)),
+                None => {
+                    for point in points {
+                        outcomes.push(exec.run_single(sim, point, &mut stats));
+                    }
+                }
+            }
+        }
+        stats.micros = match (cpu_start, secbranch_obs::thread_cpu_micros()) {
+            // Meter shard compute on CPU time where the kernel exposes it:
+            // wall-clock timers overcount whenever workers oversubscribe the
+            // host, charging each shard for the time it spent preempted
+            // rather than executing.
+            (Some(begin), Some(end)) if end > 0 => end.saturating_sub(begin),
+            _ => started.elapsed().as_micros() as u64,
+        };
+        let _ = self.slots[index].set((outcomes, stats));
+    }
+
+    /// Counts one shard as landed (run, or skipped past the deadline);
+    /// `true` for the cell's last.
+    pub(crate) fn land(&self) -> bool {
+        // Each lander releases its slot write; the last one acquires them
+        // all before it stitches the slots together.
+        self.unlanded.fetch_sub(1, Ordering::AcqRel) == 1
+    }
+
+    /// Stitches the landed shards back in fault-space order and assembles
+    /// the cell's report.
+    pub(crate) fn result(&self, cell: &CellRequest<'_>) -> MatrixCellResult {
+        let mut outcomes = Vec::with_capacity(self.points.len());
+        let mut stats = ShardStats::default();
+        for slot in &self.slots {
+            let (shard_outcomes, shard) = slot.get().expect("every shard landed");
+            outcomes.extend_from_slice(shard_outcomes);
+            stats.micros += shard.micros;
+            stats.snapshot_restores += shard.snapshot_restores;
+            stats.suffix_steps_saved += shard.suffix_steps_saved;
+            stats.loop_proofs += shard.loop_proofs;
+            stats.loop_steps_saved += shard.loop_steps_saved;
+        }
+        let report = {
+            let _span = secbranch_obs::span_with("assemble", || {
+                format!("{} {}", cell.key.artifact, cell.model.name())
+            });
+            assemble_report(
+                cell.model.name(),
+                &cell.entry,
+                &cell.args,
+                &self.reference.trace,
+                &self.reference.program,
+                &self.points,
+                &outcomes,
+            )
+        };
+        MatrixCellResult::new(report, Some(self.fetch), stats)
+    }
+}
+
+/// Executes whole security matrices on one [`ExecutorPool`](crate::ExecutorPool)
+/// scheduler with a memoised trace store (the scheduling scheme and the
+/// differential-resume mechanisms are described at the top of
+/// `executor.rs`).
 ///
 /// # Example
 ///
@@ -775,7 +914,6 @@ fn fallback_plan(points_len: usize) -> Vec<FaultGroup> {
 pub struct MatrixExecutor {
     threads: usize,
     shard_size: usize,
-    ignore_cell_cache: bool,
 }
 
 impl Default for MatrixExecutor {
@@ -790,7 +928,7 @@ impl MatrixExecutor {
     pub const DEFAULT_SHARD_SIZE: usize = 64;
 
     /// An executor using all available parallelism (probed once per
-    /// process: the pool builds one executor per cell).
+    /// process).
     #[must_use]
     pub fn new() -> Self {
         static HOST_PARALLELISM: OnceLock<usize> = OnceLock::new();
@@ -798,7 +936,6 @@ impl MatrixExecutor {
             threads: *HOST_PARALLELISM
                 .get_or_init(|| thread::available_parallelism().map_or(1, usize::from)),
             shard_size: MatrixExecutor::DEFAULT_SHARD_SIZE,
-            ignore_cell_cache: false,
         }
     }
 
@@ -817,19 +954,6 @@ impl MatrixExecutor {
         self
     }
 
-    /// When set, the persistent cell cache is *ignored* (not deleted) on
-    /// load: every cell executes its fault space from scratch, but computed
-    /// cells are still written back, so the cache ends the run at least as
-    /// warm as it started. Output-invariant (cached reports are
-    /// byte-identical to recomputed ones by the backend's round-trip
-    /// contract); used by benchmark paths to measure genuine cold-path cost
-    /// against a pre-populated store.
-    #[must_use]
-    pub fn with_cell_cache_ignored(mut self, ignore: bool) -> Self {
-        self.ignore_cell_cache = ignore;
-        self
-    }
-
     /// The configured worker-thread count.
     #[must_use]
     pub fn threads(&self) -> usize {
@@ -842,341 +966,115 @@ impl MatrixExecutor {
         self.shard_size
     }
 
-    /// Runs every job's fault space on the shared pool and returns one
-    /// result per job, in job order.
+    /// Runs every job's fault space on one pool and returns one result per
+    /// job, in job order.
     ///
     /// Reference traces are fetched through `store` (and stay there: a
-    /// later matrix over the same artifacts hits the memo). Traces are
-    /// resolved in job order before any worker starts, so a failing
-    /// reference reports the *first* failing cell, exactly like the
-    /// sequential path.
+    /// later matrix over the same artifacts hits the memo).
     ///
-    /// When the store has a persistence backend attached
-    /// ([`TraceStore::attach_backend`]), each job is first probed against
-    /// the backend's **cell cache** keyed by
-    /// `(artifact fingerprint, model fingerprint, entry, args)`: a hit
+    /// # Errors
+    ///
+    /// Returns the [`SimError`] of the first failing reference run in job
+    /// order.
+    pub fn run(
+        &self,
+        jobs: &[MatrixJob<'_>],
+        store: &TraceStore,
+    ) -> Result<Vec<MatrixCellResult>, SimError> {
+        self.run_with_backend(jobs, store, None)
+    }
+
+    /// Like [`MatrixExecutor::run`], with an optional persistence backend:
+    /// each job is first probed against the backend's **cell cache** keyed
+    /// by `(artifact fingerprint, model fingerprint, entry, args)`. A hit
     /// serves the persisted [`CampaignReport`] verbatim — no reference
     /// fetch, no injections — and a computed cell is written back, so an
     /// unchanged grid re-run does zero simulation. Cached reports are
     /// byte-identical to recomputed ones (the backend's round-trip
     /// contract), so the executor's output invariant is unaffected.
     ///
+    /// Every job is submitted to a pool of [`MatrixExecutor::threads`]
+    /// workers (a one-thread run works on the calling thread and spawns
+    /// none), and the call returns once the pool has drained.
+    ///
     /// # Errors
     ///
-    /// Returns the [`SimError`] of the first failing reference run (cells
-    /// served from the cache never run their reference, so a warm store can
-    /// mask a failure a cold run would report).
-    pub fn run(
+    /// Returns the [`SimError`] of the first failing reference run in job
+    /// order (cells served from the cache never run their reference, so a
+    /// warm store can mask a failure a cold run would report).
+    pub fn run_with_backend(
         &self,
         jobs: &[MatrixJob<'_>],
         store: &TraceStore,
+        backend: Option<&Arc<dyn GridBackend>>,
     ) -> Result<Vec<MatrixCellResult>, SimError> {
-        match self.run_with_deadline(jobs, store, None) {
-            Ok(results) => Ok(results),
-            Err(MatrixError::Sim(e)) => Err(e),
-            Err(MatrixError::DeadlineExpired) => {
-                unreachable!("no deadline was configured")
+        let results: Vec<OnceLock<Result<MatrixCellResult, PoolError>>> =
+            jobs.iter().map(|_| OnceLock::new()).collect();
+        let pool = PoolCore::new(backend.cloned(), usize::MAX, self.shard_size);
+        // One shared handle per distinct source, so a worker recycles its
+        // simulator across every cell on one artifact.
+        let mut sources: HashMap<_, Arc<dyn SimulatorSource + Send + Sync + '_>> = HashMap::new();
+        thread::scope(|scope| {
+            let helpers = if self.threads > 1 { self.threads } else { 0 };
+            for _ in 0..helpers {
+                // A scope can return before a worker's thread-local
+                // destructors run, so the span buffer is flushed here
+                // rather than left to thread exit.
+                scope.spawn(|| {
+                    pool.work(store);
+                    secbranch_obs::flush_thread();
+                });
             }
-        }
-    }
-
-    /// Like [`MatrixExecutor::run`], but abandons the batch with
-    /// [`MatrixError::DeadlineExpired`] if `deadline` passes mid-run:
-    /// workers check the clock *between shards* (never mid-shard, so the
-    /// check adds no per-injection cost) and stop claiming once it has
-    /// passed.
-    ///
-    /// # Errors
-    ///
-    /// [`MatrixError::Sim`] for the first failing reference run,
-    /// [`MatrixError::DeadlineExpired`] when the deadline cut execution
-    /// short (partial results are discarded — a deadline failure is a
-    /// failure, not a truncated report).
-    pub fn run_with_deadline(
-        &self,
-        jobs: &[MatrixJob<'_>],
-        store: &TraceStore,
-        deadline: Option<Instant>,
-    ) -> Result<Vec<MatrixCellResult>, MatrixError> {
-        // Phase 0: the persistent cell cache. `cached[i]` is Some when job
-        // i needs no execution at all.
-        let backend = store.backend();
-        let cell_keys: Vec<Option<CellKey>> = jobs
-            .iter()
-            .map(|job| {
-                backend.as_ref().map(|_| {
-                    CellKey::new(
-                        job.key.artifact.clone(),
-                        job.model.fingerprint(),
-                        job.entry.clone(),
-                        &job.args,
-                    )
-                })
-            })
-            .collect();
-        let mut cached: Vec<Option<CampaignReport>> = cell_keys
-            .iter()
-            .map(|key| match (&backend, key) {
-                (Some(backend), Some(key)) if !self.ignore_cell_cache => backend.load_cell(key),
-                _ => None,
-            })
-            .collect();
-
-        // Phase 1: reference traces for the live (non-cached) jobs,
-        // memoised per key, each with the checkpoints and liveness index
-        // its recording produced.
-        let mut recorded: Vec<Option<Arc<RecordedReference>>> = vec![None; jobs.len()];
-        let mut fetches: Vec<Option<TraceFetch>> = vec![None; jobs.len()];
-        for (index, job) in jobs.iter().enumerate() {
-            if cached[index].is_some() {
-                continue;
-            }
-            let (reference, fetch) = store.reference_traced(
-                &job.key,
-                job.source,
-                &job.entry,
-                &job.args,
-                job.max_steps,
-            )?;
-            recorded[index] = Some(reference);
-            fetches[index] = Some(fetch);
-        }
-
-        // Phase 2: fault spaces in canonical per-model order (empty for
-        // cached jobs — they schedule nothing), partitioned into execution
-        // units by each model's plan. Atomic groups (shared first fault)
-        // stay whole; splittable groups chunk to the shard size.
-        let regions: Vec<Vec<(u32, u32)>> =
-            jobs.iter().map(|j| j.source.global_regions()).collect();
-        let spaces: Vec<Vec<FaultPoint>> = jobs
-            .iter()
-            .zip(&recorded)
-            .zip(&regions)
-            .map(|((job, reference), regions)| {
-                let Some(reference) = reference else {
-                    return Vec::new();
-                };
-                let ctx = CampaignContext {
-                    trace: &reference.trace,
-                    program: &reference.program,
-                    global_regions: regions,
-                    memory_size: reference.memory_size,
-                };
-                job.model.fault_points(&ctx)
-            })
-            .collect();
-        let mut units: Vec<Unit> = Vec::new();
-        for (job, points) in spaces.iter().enumerate() {
-            let plan = validated_plan(points.len(), jobs[job].model.plan(points));
-            for group in plan {
-                match group.shared_first {
-                    Some(first) => units.push(Unit {
-                        job,
-                        start: group.start,
-                        end: group.end,
-                        shared_first: Some(first),
-                    }),
-                    None => {
-                        for start in (group.start..group.end).step_by(self.shard_size) {
-                            units.push(Unit {
-                                job,
-                                start,
-                                end: (start + self.shard_size).min(group.end),
-                                shared_first: None,
-                            });
-                        }
-                    }
-                }
-            }
-        }
-
-        // Phase 3: the global shard list and the pool. Shards pack whole
-        // units (so spines never split across workers) up to roughly the
-        // shard size, and stay grouped by job in the list; self-scheduling
-        // interleaves them across workers dynamically, which is what lets
-        // one huge cell occupy every worker while small cells drain in
-        // between.
-        let mut shards: Vec<Shard> = Vec::new();
-        let mut unit_index = 0;
-        while unit_index < units.len() {
-            let first_unit = units[unit_index];
-            let mut points = first_unit.end - first_unit.start;
-            let mut unit_end = unit_index + 1;
-            while unit_end < units.len() && units[unit_end].job == first_unit.job {
-                let next = units[unit_end].end - units[unit_end].start;
-                if points + next > self.shard_size {
-                    break;
-                }
-                points += next;
-                unit_end += 1;
-            }
-            shards.push(Shard {
-                job: first_unit.job,
-                unit_start: unit_index,
-                unit_end,
-                point_start: first_unit.start,
-            });
-            unit_index = unit_end;
-        }
-        let slots: Vec<OnceLock<ShardOutput>> = shards.iter().map(|_| OnceLock::new()).collect();
-        let cursor = AtomicUsize::new(0);
-        let expired = AtomicBool::new(false);
-
-        // Identity of each job's simulator source (data-pointer address), so
-        // workers recycle one simulator across *every* model attacking one
-        // artifact, not just across one cell's shards.
-        let source_ids: Vec<usize> = jobs
-            .iter()
-            .map(|job| std::ptr::from_ref(job.source).cast::<()>() as usize)
-            .collect();
-
-        let run_shard = |shard: Shard, sim: &mut Option<(usize, Simulator)>| {
-            let job = &jobs[shard.job];
-            let _span = secbranch_obs::span_with("shard", || {
-                format!("{} {}", job.key.artifact, job.model.name())
-            });
-            // Reuse the worker's simulator when the previous shard was on
-            // the same artifact; rebuild otherwise. Reset/restore brings it
-            // back to pristine state either way.
-            match sim {
-                Some((owner, _)) if *owner == source_ids[shard.job] => {}
-                _ => *sim = Some((source_ids[shard.job], job.source.fresh_simulator())),
-            }
-            let (_, simulator) = sim.as_mut().expect("just installed");
-            let cell = CellExec {
-                job,
-                reference: recorded[shard.job]
-                    .as_ref()
-                    .expect("only live jobs have shards"),
-                prove_memo: RefCell::new(HashMap::new()),
-                scratch: RefCell::new(None),
-                ff_traced: Cell::new(false),
-                restore_traced: Cell::new(false),
-            };
-            let cpu_start = secbranch_obs::thread_cpu_micros();
-            let started = Instant::now();
-            let mut stats = ShardStats::default();
-            let mut outcomes: Vec<(Outcome, u32)> = Vec::new();
-            for unit in &units[shard.unit_start..shard.unit_end] {
-                let points = &spaces[shard.job][unit.start..unit.end];
-                match unit.shared_first {
-                    Some(first) => {
-                        outcomes.extend(cell.run_group(simulator, first, points, &mut stats));
-                    }
-                    None => {
-                        for point in points {
-                            outcomes.push(cell.run_single(simulator, point, &mut stats));
-                        }
-                    }
-                }
-            }
-            stats.micros = match (cpu_start, secbranch_obs::thread_cpu_micros()) {
-                // Meter shard compute on CPU time where the kernel exposes
-                // it: wall-clock timers overcount whenever workers
-                // oversubscribe the host, charging each shard for the time
-                // it spent preempted rather than executing.
-                (Some(begin), Some(end)) if end > 0 => end.saturating_sub(begin),
-                _ => started.elapsed().as_micros() as u64,
-            };
-            (outcomes, stats)
-        };
-        let worker = || {
-            let mut sim = None;
-            loop {
-                let index = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(&shard) = shards.get(index) else {
-                    break;
-                };
-                if deadline.is_some_and(|deadline| Instant::now() >= deadline) {
-                    expired.store(true, Ordering::Relaxed);
-                    break;
-                }
-                let outcome = run_shard(shard, &mut sim);
-                slots[index].set(outcome).expect("shard claimed twice");
-            }
-        };
-        let workers = self.threads.min(shards.len()).max(1);
-        if workers <= 1 {
-            worker();
-        } else {
-            thread::scope(|scope| {
-                for _ in 0..workers {
-                    // A scope can return before a worker's thread-local
-                    // destructors run, so the span buffer is flushed here
-                    // rather than left to thread exit.
-                    scope.spawn(move || {
-                        worker();
-                        secbranch_obs::flush_thread();
-                    });
-                }
-            });
-        }
-        if expired.load(Ordering::Relaxed) {
-            return Err(MatrixError::DeadlineExpired);
-        }
-
-        // Phase 4: stitch outcomes back per job (shards of one job appear in
-        // fault-space order in the global list), assemble the reports, and
-        // write freshly computed cells back to the backend.
-        let mut outcomes: Vec<Vec<(Outcome, u32)>> =
-            spaces.iter().map(|s| Vec::with_capacity(s.len())).collect();
-        let mut stats = vec![ShardStats::default(); jobs.len()];
-        for (shard, slot) in shards.iter().zip(&slots) {
-            let (shard_outcomes, shard_stats) = slot.get().expect("all shards executed");
-            debug_assert_eq!(outcomes[shard.job].len(), shard.point_start);
-            outcomes[shard.job].extend_from_slice(shard_outcomes);
-            stats[shard.job].micros += shard_stats.micros;
-            stats[shard.job].snapshot_restores += shard_stats.snapshot_restores;
-            stats[shard.job].suffix_steps_saved += shard_stats.suffix_steps_saved;
-            stats[shard.job].loop_proofs += shard_stats.loop_proofs;
-            stats[shard.job].loop_steps_saved += shard_stats.loop_steps_saved;
-        }
-        Ok(jobs
-            .iter()
-            .enumerate()
-            .map(|(index, job)| {
-                if let Some(report) = cached[index].take() {
-                    return MatrixCellResult {
-                        report,
-                        cell_hit: true,
-                        trace_fetch: None,
-                        compute_micros: 0,
-                        snapshot_restores: 0,
-                        suffix_steps_saved: 0,
-                        loop_proofs: 0,
-                        loop_steps_saved: 0,
+            for (job, slot) in jobs.iter().zip(&results) {
+                let source = sources
+                    .entry(std::ptr::from_ref(job.source).cast::<()>())
+                    .or_insert_with(|| Arc::new(job.source));
+                let submit = |cold| {
+                    let request = CellRequest {
+                        source: Arc::clone(source),
+                        key: job.key.clone(),
+                        entry: job.entry.clone(),
+                        args: job.args.clone(),
+                        max_steps: job.max_steps,
+                        model: Arc::new(job.model),
+                        deadline: None,
+                        cold,
                     };
-                }
-                let reference = recorded[index].as_ref().expect("live job");
-                let report = {
-                    let _span = secbranch_obs::span_with("assemble", || {
-                        format!("{} {}", job.key.artifact, job.model.name())
-                    });
-                    assemble_report(
-                        job.model.name(),
-                        &job.entry,
-                        &job.args,
-                        &reference.trace,
-                        &reference.program,
-                        &spaces[index],
-                        &outcomes[index],
+                    pool.submit(
+                        0,
+                        request,
+                        Box::new(move |outcome, _| {
+                            let _ = slot.set(outcome.map(|cell| Arc::unwrap_or_clone(cell).result));
+                        }),
                     )
                 };
-                if let (Some(backend), Some(key)) = (&backend, &cell_keys[index]) {
-                    backend.store_cell(key, &report);
+                if let Admission::Warm(bytes) = submit(false) {
+                    match backend.and_then(|backend| backend.decode_report(&bytes)) {
+                        Some(report) => {
+                            let hit = MatrixCellResult::new(report, None, ShardStats::default());
+                            let _ = slot.set(Ok(hit));
+                        }
+                        // Stored bytes that do not decode only cost a
+                        // recomputation.
+                        None => drop(submit(true)),
+                    }
                 }
-                MatrixCellResult {
-                    report,
-                    cell_hit: false,
-                    trace_fetch: fetches[index],
-                    compute_micros: stats[index].micros,
-                    snapshot_restores: stats[index].snapshot_restores,
-                    suffix_steps_saved: stats[index].suffix_steps_saved,
-                    loop_proofs: stats[index].loop_proofs,
-                    loop_steps_saved: stats[index].loop_steps_saved,
-                }
-            })
-            .collect())
+            }
+            pool.close();
+            if helpers == 0 {
+                pool.work(store);
+            }
+        });
+        drop(pool);
+        let into_sim = |e| match e {
+            PoolError::Sim(e) => e,
+            PoolError::DeadlineExpired => unreachable!("no deadline was set"),
+        };
+        results
+            .into_iter()
+            .map(|slot| slot.into_inner().expect("every cell completes"))
+            .map(|outcome| outcome.map_err(into_sim))
+            .collect()
     }
 }
 
@@ -1492,23 +1390,40 @@ mod tests {
 
     #[test]
     fn expired_deadline_aborts_between_shards() {
+        // Workers check a cell's deadline before planning it and between
+        // its shards: a passed deadline abandons the cell before anything
+        // is recorded, a generous one runs it to the end.
         let sim = max_simulator();
-        let models: Vec<&dyn FaultModel> = vec![&InstructionSkip];
-        let jobs = jobs_over(&sim, &models);
-        let past = Instant::now() - std::time::Duration::from_millis(1);
-        let err = MatrixExecutor::new().with_threads(2).run_with_deadline(
-            &jobs,
-            &TraceStore::new(),
-            Some(past),
-        );
-        assert_eq!(err.unwrap_err(), MatrixError::DeadlineExpired);
-        // No deadline (or a generous one) runs normally.
-        let future = Instant::now() + std::time::Duration::from_secs(3600);
-        let ok = MatrixExecutor::new()
-            .with_threads(2)
-            .run_with_deadline(&jobs, &TraceStore::new(), Some(future))
-            .expect("runs");
-        assert_eq!(ok.len(), 1);
+        let now = Instant::now();
+        let hour = std::time::Duration::from_secs(3600);
+        for (deadline, expires) in [(now - hour, true), (now + hour, false)] {
+            let store = TraceStore::new();
+            let outcome = OnceLock::new();
+            let pool = PoolCore::new(None, 1, 1);
+            let request = CellRequest {
+                source: Arc::new(&sim),
+                key: TraceKey::new("max-artifact", "max", &[7, 3]),
+                entry: "max".to_string(),
+                args: vec![7, 3],
+                max_steps: 100,
+                model: Arc::new(InstructionSkip),
+                deadline: Some(deadline),
+                cold: false,
+            };
+            let on_done = Box::new(|result: crate::service::CellOutcome, _| {
+                let _ = outcome.set(result.map(|cell| cell.result.report.clone()));
+            });
+            assert!(matches!(
+                pool.submit(0, request, on_done),
+                Admission::Queued
+            ));
+            pool.close();
+            pool.work(&store);
+            drop(pool);
+            let outcome = outcome.into_inner().expect("completed");
+            assert_eq!(matches!(outcome, Err(PoolError::DeadlineExpired)), expires);
+            assert_eq!(store.stats().misses, u64::from(!expires));
+        }
     }
 
     #[test]

@@ -22,18 +22,19 @@
 //!   attribution: which instruction each escaped fault was anchored at
 //!   ([`LocationReport`], [`EscapeRecord`]), a text heatmap and a
 //!   deterministic JSON serialisation.
-//! * **[`MatrixExecutor`] + [`TraceStore`]** — the matrix-scale layer: an
-//!   entire security matrix (many cells = artifact × fault-model pairs,
-//!   described as [`MatrixJob`]s) flattens into fixed-size shards scheduled
-//!   across *one* shared worker pool, with reference traces memoised per
-//!   `(artifact, entry, args)` ([`TraceKey`]) so N models attacking one
-//!   artifact record its trace once. Reports stay byte-identical to the
-//!   per-cell sequential path at any thread count.
+//! * **[`ExecutorPool`] + [`MatrixExecutor`] + [`TraceStore`]** — the
+//!   matrix-scale layer: the pool is the one scheduler. It coalesces
+//!   identical cells, plans each cell into fixed-size shards and drains
+//!   every cell's shards across *one* set of workers, with reference traces
+//!   memoised per `(artifact, entry, args)` ([`TraceKey`]) so N models
+//!   attacking one artifact record its trace once. The executor submits a
+//!   whole security matrix (many cells = artifact × fault-model pairs,
+//!   described as [`MatrixJob`]s) to a pool and waits. Reports stay
+//!   byte-identical to the per-cell sequential path at any thread count.
 //! * **[`persist`]** — the persistence interface: a [`GridBackend`]
-//!   (implemented by `secbranch-store`'s disk-backed `GridStore`) attaches
-//!   to a [`TraceStore`], and the executor serves whole cells
-//!   ([`CellKey`] → [`CampaignReport`]) from it, so an unchanged grid
-//!   re-run does zero simulation.
+//!   (implemented by `secbranch-store`'s disk-backed `GridStore`) handed to
+//!   the pool, which serves whole cells ([`CellKey`] → [`CampaignReport`])
+//!   from it, so an unchanged grid re-run does zero simulation.
 //! * **[`ConditionCampaign`]** — the other half of the Section VI
 //!   analysis: an arithmetic-level Monte-Carlo over the encoded condition
 //!   computation ([`ConditionOutcomeCounts`], [`FaultLocation`]), with no
@@ -90,7 +91,7 @@ mod service;
 pub mod trace_store;
 
 pub use condition::{ConditionCampaign, ConditionOutcomeCounts, FaultLocation};
-pub use executor::{MatrixCellResult, MatrixError, MatrixExecutor, MatrixJob};
+pub use executor::{MatrixCellResult, MatrixExecutor, MatrixJob};
 pub use liveness::{LivenessVerdict, SuffixIndex};
 pub use model::{
     BranchInversion, CampaignContext, DoubleInstructionSkip, FaultGroup, FaultModel,
@@ -102,7 +103,10 @@ pub use report::{
     classify, rate, CampaignReport, EscapeRecord, LocationReport, Outcome, OutcomeCounts,
 };
 pub use runner::{CampaignRunner, OwnedModule, SharedModule, SimulatorSource};
-pub use service::{CellRequest, Completion, ExecutorPool, PoolError, PoolStats};
+pub use service::{
+    Admission, CellOutcome, CellRequest, Completion, ComputedCell, ExecutorPool, PoolError,
+    PoolStats,
+};
 pub use trace_store::{
     record_reference, RecordedReference, TraceCheckpoint, TraceFetch, TraceKey, TraceStore,
     TraceStoreStats, CHECKPOINT_BUDGET,

@@ -155,6 +155,26 @@ pub trait FaultModel: Sync {
     }
 }
 
+/// A borrowed model is a model (see the same impl for
+/// [`SimulatorSource`](crate::SimulatorSource)).
+impl<T: FaultModel + ?Sized> FaultModel for &T {
+    fn name(&self) -> String {
+        (**self).name()
+    }
+
+    fn fault_points(&self, ctx: &CampaignContext<'_>) -> Vec<FaultPoint> {
+        (**self).fault_points(ctx)
+    }
+
+    fn fingerprint(&self) -> String {
+        (**self).fingerprint()
+    }
+
+    fn plan(&self, points: &[FaultPoint]) -> Vec<FaultGroup> {
+        (**self).plan(points)
+    }
+}
+
 /// Exhaustive single-instruction-skip model: every dynamic instruction of
 /// the reference execution is skipped once (Section II's instruction-skip
 /// attacker).

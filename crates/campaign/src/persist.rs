@@ -61,12 +61,14 @@ impl CellKey {
     }
 }
 
-/// A disk-backed store of completed campaign cells.
+/// A disk-backed store of completed campaign cells, holding each report in
+/// the backend's own encoding.
 ///
-/// A [`TraceStore`](crate::TraceStore) carries the attached backend; the
-/// [`MatrixExecutor`](crate::MatrixExecutor) probes it per cell, skips the
-/// whole fault space on a hit and writes computed cells back. All methods are
-/// best-effort: load failures surface as `None` (the engine recomputes) and
+/// An [`ExecutorPool`](crate::ExecutorPool) (and through it
+/// [`MatrixExecutor::run_with_backend`](crate::MatrixExecutor::run_with_backend))
+/// probes it once per submitted cell, skips the whole fault space on a hit
+/// and writes computed cells back, encoded once. Loads and stores are best
+/// effort: load failures surface as `None` (the engine recomputes) and
 /// store failures are swallowed by the implementation (persisting is an
 /// optimisation, never a correctness requirement) — implementations should
 /// count them in their own statistics.
@@ -74,12 +76,20 @@ pub trait GridBackend: Send + Sync {
     // (Object-safe by construction: the engine always holds backends as
     // `Arc<dyn GridBackend>`.)
 
-    /// Loads the persisted campaign report for `key`, or `None` when absent
+    /// The stored encoding of the report under `key`, or `None` when absent
     /// or not intact.
-    fn load_cell(&self, key: &CellKey) -> Option<CampaignReport>;
+    fn load_cell(&self, key: &CellKey) -> Option<Vec<u8>>;
 
-    /// Persists a completed campaign cell under `key` (best effort).
-    fn store_cell(&self, key: &CellKey, report: &CampaignReport);
+    /// Persists an encoded report under `key` (best effort).
+    fn store_cell(&self, key: &CellKey, encoded: &[u8]);
+
+    /// The encoding [`GridBackend::store_cell`] takes and
+    /// [`GridBackend::load_cell`] returns.
+    fn encode_report(&self, report: &CampaignReport) -> Vec<u8>;
+
+    /// The inverse of [`GridBackend::encode_report`]; `None` on bytes that
+    /// do not decode.
+    fn decode_report(&self, encoded: &[u8]) -> Option<CampaignReport>;
 }
 
 impl std::fmt::Debug for dyn GridBackend {

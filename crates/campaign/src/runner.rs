@@ -66,6 +66,22 @@ impl SimulatorSource for Simulator {
     }
 }
 
+/// A borrowed source is a source, so the executor can queue the sources its
+/// jobs borrow next to the ones a long-lived pool shares.
+impl<T: SimulatorSource + ?Sized> SimulatorSource for &T {
+    fn fresh_simulator(&self) -> Simulator {
+        (**self).fresh_simulator()
+    }
+
+    fn reset(&self, sim: &mut Simulator) {
+        (**self).reset(sim);
+    }
+
+    fn global_regions(&self) -> Vec<(u32, u32)> {
+        (**self).global_regions()
+    }
+}
+
 /// A [`SimulatorSource`] over an `Arc`-shared [`CompiledModule`]: fresh
 /// simulators cost one machine allocation plus the globals write, never a
 /// copy of the code.

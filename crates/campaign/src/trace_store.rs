@@ -38,7 +38,6 @@ use secbranch_armv7m::{FaultAction, FaultHook, Instr, Machine, MachineState, Pro
 
 use crate::liveness::SuffixIndex;
 use crate::model::ReferenceTrace;
-use crate::persist::GridBackend;
 use crate::runner::SimulatorSource;
 
 /// Upper bound on the number of machine checkpoints recorded along one
@@ -234,8 +233,18 @@ pub enum TraceFetch {
 const CHECKPOINT_FIXED_COST: usize = 96;
 
 /// The one recording of a missed key that is under way: its first
-/// requester fills the slot, concurrent requesters wait on it.
+/// claimant fills the slot, later claimants wait on it.
 type Flight = Arc<OnceLock<Result<Arc<RecordedReference>, SimError>>>;
+
+/// A request's place in a [`TraceStore`] fetch (see [`TraceStore::claim`]).
+pub(crate) enum TraceClaim {
+    /// Served from the memo.
+    Stored(Arc<RecordedReference>),
+    /// This request records the reference.
+    Record(Flight),
+    /// Another request is recording it.
+    Await(Flight),
+}
 
 /// The lock-guarded interior of a [`TraceStore`].
 #[derive(Debug, Default)]
@@ -243,7 +252,6 @@ struct StoreInner {
     entries: HashMap<TraceKey, Arc<RecordedReference>>,
     in_flight: HashMap<TraceKey, Flight>,
     checkpoint_bytes: usize,
-    backend: Option<Arc<dyn GridBackend>>,
 }
 
 /// A thread-safe memo of reference executions with hit/miss counters.
@@ -256,12 +264,8 @@ struct StoreInner {
 /// index. References are all it holds: the executor's spine snapshots
 /// live only as long as the shard that takes them, so a repeated grid does
 /// exactly the work of its first run once the references are recorded.
-///
-/// The store also carries the [`GridBackend`] through which the
-/// [`MatrixExecutor`](crate::MatrixExecutor) loads and writes completed
-/// cells ([`TraceStore::attach_backend`]). References themselves are never
-/// persisted: recording one costs about what reading it back from disk
-/// would.
+/// Nothing in it is persisted: recording a reference costs about what
+/// reading it back from disk would.
 #[derive(Debug, Default)]
 pub struct TraceStore {
     inner: Mutex<StoreInner>,
@@ -289,22 +293,6 @@ impl TraceStore {
     #[must_use]
     pub fn new() -> Self {
         TraceStore::default()
-    }
-
-    /// Attaches the persistence backend the matrix executor serves cached
-    /// cells from and writes computed ones to, replacing any earlier one.
-    pub fn attach_backend(&self, backend: Arc<dyn GridBackend>) {
-        self.inner.lock().expect("trace store poisoned").backend = Some(backend);
-    }
-
-    /// The currently attached persistence backend, if any.
-    #[must_use]
-    pub fn backend(&self) -> Option<Arc<dyn GridBackend>> {
-        self.inner
-            .lock()
-            .expect("trace store poisoned")
-            .backend
-            .clone()
     }
 
     /// The reference execution for `key`, recorded on first request and
@@ -350,46 +338,71 @@ impl TraceStore {
         args: &[u32],
         max_steps: u64,
     ) -> Result<(Arc<RecordedReference>, TraceFetch), SimError> {
-        let flight = {
-            let mut inner = self.inner.lock().expect("trace store poisoned");
-            if let Some(found) = inner.entries.get(key) {
-                let found = Arc::clone(found);
-                self.counters.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok((found, TraceFetch::Memory));
-            }
-            Arc::clone(inner.in_flight.entry(key.clone()).or_default())
-        };
-        // Single flight: the first requester of a missed key records it
-        // outside the lock, and concurrent requesters of the same key wait
-        // for that result instead of recording again — so the counters do
-        // not depend on thread timing.
-        let mut fetch = TraceFetch::Memory;
-        let result = flight.get_or_init(|| {
-            self.counters.misses.fetch_add(1, Ordering::Relaxed);
-            fetch = TraceFetch::Recorded;
-            let recorded = {
-                let _span =
-                    secbranch_obs::span_with("reference", || format!("{} {}", key.artifact, entry));
-                record_reference(source, entry, args, max_steps).map(Arc::new)
-            };
-            let mut inner = self.inner.lock().expect("trace store poisoned");
-            inner.in_flight.remove(key);
-            if let Ok(reference) = &recorded {
-                inner.checkpoint_bytes += reference
-                    .checkpoints
-                    .iter()
-                    .map(|cp| cp.state.dirty_len() + CHECKPOINT_FIXED_COST)
-                    .sum::<usize>();
-                inner.entries.insert(key.clone(), Arc::clone(reference));
-            }
-            recorded
-        });
-        let reference = result.clone()?;
-        if fetch == TraceFetch::Memory {
-            // Served by a concurrent request's recording.
+        self.settle(self.claim(key), key, source, entry, args, max_steps)
+    }
+
+    /// The first half of a fetch: a memo hit, or a place in the key's
+    /// single flight. The first claimant of a missed key records it, and
+    /// later claimants wait for that recording instead of recording again,
+    /// so which request records depends only on the order of the claims.
+    pub(crate) fn claim(&self, key: &TraceKey) -> TraceClaim {
+        let mut inner = self.inner.lock().expect("trace store poisoned");
+        if let Some(found) = inner.entries.get(key) {
             self.counters.hits.fetch_add(1, Ordering::Relaxed);
+            return TraceClaim::Stored(Arc::clone(found));
         }
-        Ok((reference, fetch))
+        match inner.in_flight.get(key) {
+            Some(flight) => TraceClaim::Await(Arc::clone(flight)),
+            None => {
+                let flight = Flight::default();
+                inner.in_flight.insert(key.clone(), Arc::clone(&flight));
+                TraceClaim::Record(flight)
+            }
+        }
+    }
+
+    /// The second half of a fetch: records the reference (outside the
+    /// lock) when `claim` made this request the recorder, waits for the
+    /// recorder otherwise.
+    pub(crate) fn settle(
+        &self,
+        claim: TraceClaim,
+        key: &TraceKey,
+        source: &dyn SimulatorSource,
+        entry: &str,
+        args: &[u32],
+        max_steps: u64,
+    ) -> Result<(Arc<RecordedReference>, TraceFetch), SimError> {
+        match claim {
+            TraceClaim::Stored(reference) => Ok((reference, TraceFetch::Memory)),
+            TraceClaim::Await(flight) => {
+                let reference = flight.wait().clone()?;
+                self.counters.hits.fetch_add(1, Ordering::Relaxed);
+                Ok((reference, TraceFetch::Memory))
+            }
+            TraceClaim::Record(flight) => {
+                self.counters.misses.fetch_add(1, Ordering::Relaxed);
+                let recorded = {
+                    let _span = secbranch_obs::span_with("reference", || {
+                        format!("{} {}", key.artifact, entry)
+                    });
+                    record_reference(source, entry, args, max_steps).map(Arc::new)
+                };
+                let mut inner = self.inner.lock().expect("trace store poisoned");
+                inner.in_flight.remove(key);
+                if let Ok(reference) = &recorded {
+                    inner.checkpoint_bytes += reference
+                        .checkpoints
+                        .iter()
+                        .map(|cp| cp.state.dirty_len() + CHECKPOINT_FIXED_COST)
+                        .sum::<usize>();
+                    inner.entries.insert(key.clone(), Arc::clone(reference));
+                }
+                drop(inner);
+                let _ = flight.set(recorded.clone());
+                Ok((recorded?, TraceFetch::Recorded))
+            }
+        }
     }
 
     /// A snapshot of the store's counters, with the retention gauges read

@@ -256,9 +256,8 @@ impl Artifact {
     /// at once.
     ///
     /// With `grid: Some(store)`, the campaign additionally persists: the
-    /// [`GridStore`] is attached to `store`, and the executor serves the
-    /// finished report from — and writes it to — the grid's cell cache
-    /// keyed by
+    /// executor serves the finished report from — and writes it to — the
+    /// [`GridStore`]'s cell cache keyed by
     /// `(artifact fingerprint, model fingerprint, entry, args)`. A warm
     /// cell returns without a single simulated instruction, byte-identical
     /// to a fresh computation.
@@ -275,10 +274,8 @@ impl Artifact {
         model: &dyn FaultModel,
         grid: Option<&Arc<GridStore>>,
     ) -> Result<CampaignReport, BuildError> {
-        if let Some(grid) = grid {
-            store.attach_backend(Arc::clone(grid) as Arc<dyn GridBackend>);
-        }
-        let mut reports = self.campaigns(executor, store, entry, args, &[model])?;
+        let backend = grid.map(|grid| Arc::clone(grid) as Arc<dyn GridBackend>);
+        let mut reports = self.run_campaigns(executor, store, entry, args, &[model], backend)?;
         Ok(reports.pop().expect("one report per model"))
     }
 
@@ -298,6 +295,18 @@ impl Artifact {
         args: &[u32],
         models: &[&dyn FaultModel],
     ) -> Result<Vec<CampaignReport>, BuildError> {
+        self.run_campaigns(executor, store, entry, args, models, None)
+    }
+
+    fn run_campaigns(
+        &self,
+        executor: &MatrixExecutor,
+        store: &TraceStore,
+        entry: &str,
+        args: &[u32],
+        models: &[&dyn FaultModel],
+        backend: Option<Arc<dyn GridBackend>>,
+    ) -> Result<Vec<CampaignReport>, BuildError> {
         let source = self.source();
         let jobs: Vec<MatrixJob<'_>> = models
             .iter()
@@ -310,7 +319,9 @@ impl Artifact {
                 model,
             })
             .collect();
-        let results = executor.run(&jobs, store).map_err(BuildError::Simulation)?;
+        let results = executor
+            .run_with_backend(&jobs, store, backend.as_ref())
+            .map_err(BuildError::Simulation)?;
         Ok(results.into_iter().map(|result| result.report).collect())
     }
 

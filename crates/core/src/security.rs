@@ -58,6 +58,11 @@ pub struct MatrixStats {
     /// across all cells: liveness-pruned injections, each counted from the
     /// checkpoint it would have resumed at to the end of the reference.
     pub suffix_steps_saved: u64,
+    /// Faulted runs across all cells that a divergence proof ended early
+    /// instead of running them to the step limit.
+    pub loop_proofs: u64,
+    /// Steps those divergence proofs avoided executing, across all cells.
+    pub loop_steps_saved: u64,
     /// Artifacts whose program was decoded into micro-ops during (or
     /// before) this run. Decode happens once per `Arc<Program>` no matter
     /// how many workers share it; the decoded form is derived data and
@@ -80,7 +85,8 @@ impl MatrixStats {
 
 secbranch_obs::impl_to_json! { MatrixStats |s|
     threads, trace_hits, trace_misses, cell_hits, cell_misses, total_wall_micros,
-    cell_compute_micros, store_checkpoint_bytes, snapshot_restores, suffix_steps_saved, decoded_programs, decoded_uops, decode_micros,
+    cell_compute_micros, store_checkpoint_bytes, snapshot_restores, suffix_steps_saved,
+    loop_proofs, loop_steps_saved, decoded_programs, decoded_uops, decode_micros,
 }
 
 /// The structured result of a variants × fault-models security evaluation:
@@ -193,8 +199,10 @@ mod tests {
             total_wall_micros: 123_456,
             cell_compute_micros: vec![7, 0, 90_001],
             store_checkpoint_bytes: 65_536,
-            snapshot_restores: 3_607,
-            suffix_steps_saved: 4_047_424,
+            snapshot_restores: 4_475,
+            suffix_steps_saved: 2_887_535,
+            loop_proofs: 56,
+            loop_steps_saved: 10_662_326,
             decoded_programs: 12,
             decoded_uops: 9_876,
             decode_micros: 55,
@@ -205,8 +213,8 @@ mod tests {
                 r#"{"threads":4,"trace_hits":48,"trace_misses":12,"#,
                 r#""cell_hits":2,"cell_misses":58,"total_wall_micros":123456,"#,
                 r#""cell_compute_micros":[7,0,90001],"store_checkpoint_bytes":65536,"#,
-                r#""snapshot_restores":3607,"#,
-                r#""suffix_steps_saved":4047424,"decoded_programs":12,"#,
+                r#""snapshot_restores":4475,"suffix_steps_saved":2887535,"#,
+                r#""loop_proofs":56,"loop_steps_saved":10662326,"decoded_programs":12,"#,
                 r#""decoded_uops":9876,"decode_micros":55}"#,
             )
         );

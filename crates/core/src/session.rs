@@ -95,6 +95,7 @@ pub struct Session {
     builds: u64,
     cache_hits: u64,
     traces: TraceStore,
+    grid: Option<Arc<GridStore>>,
 }
 
 impl Session {
@@ -135,13 +136,12 @@ impl Session {
         &self.traces
     }
 
-    /// Attaches a persistent [`GridStore`] to the session's trace store:
-    /// the matrix executor serves whole cells from it and writes computed
-    /// ones back. Equivalent to passing the store to every
+    /// Attaches a persistent [`GridStore`] to the session: its security
+    /// matrices serve whole cells from it and write computed ones back.
+    /// Equivalent to passing the store to every
     /// [`Session::security_matrix_with`] call.
     pub fn attach_grid(&mut self, grid: &Arc<GridStore>) {
-        self.traces
-            .attach_backend(Arc::clone(grid) as Arc<dyn GridBackend>);
+        self.grid = Some(Arc::clone(grid));
     }
 
     fn cached_artifact(
@@ -301,8 +301,8 @@ impl Session {
     /// executor (e.g. a fixed thread count or shard size) and an optional
     /// persistent [`GridStore`].
     ///
-    /// With `grid: Some(store)`, the store is attached to the session's
-    /// trace store (see [`Session::attach_grid`]) before the run: whole
+    /// With `grid: Some(store)`, the store is attached to the session
+    /// (see [`Session::attach_grid`]) before the run: whole
     /// cells keyed by
     /// `(artifact fingerprint, model fingerprint, entry, args)` are served
     /// from — and written to — the store, so re-running an unchanged grid
@@ -368,9 +368,13 @@ impl Session {
             }
         }
 
+        let backend = self
+            .grid
+            .as_ref()
+            .map(|grid| Arc::clone(grid) as Arc<dyn GridBackend>);
         let started = Instant::now();
         let results = executor
-            .run(&jobs, &self.traces)
+            .run_with_backend(&jobs, &self.traces, backend.as_ref())
             .map_err(BuildError::Simulation)?;
         let total_wall_micros = started.elapsed().as_micros() as u64;
 
@@ -398,6 +402,8 @@ impl Session {
                     stats.cell_compute_micros.push(result.compute_micros);
                     stats.snapshot_restores += result.snapshot_restores;
                     stats.suffix_steps_saved += result.suffix_steps_saved;
+                    stats.loop_proofs += result.loop_proofs;
+                    stats.loop_steps_saved += result.loop_steps_saved;
                     cells.push(SecurityCell {
                         workload: workload_name.clone(),
                         pipeline: label.clone(),

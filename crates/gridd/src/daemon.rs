@@ -1,29 +1,26 @@
 //! The [`GridDaemon`]: many clients, one fault-space grid.
 //!
-//! One daemon owns one [`ExecutorPool`] (over one shared trace store,
-//! optionally backed by a persistent [`GridStore`]) and serves grid
-//! requests from any number of concurrent connections. Per requested cell,
-//! admission takes exactly one of three paths, decided under one lock so
-//! the paths cannot race each other:
+//! One daemon owns one [`ExecutorPool`] (over one shared trace store and,
+//! optionally, a persistent [`GridStore`] as the pool's backend) and serves
+//! grid requests from any number of concurrent connections. It submits
+//! every requested cell to the pool, which admits it on exactly one of
+//! three paths (see [`secbranch::campaign::ExecutorPool`]):
 //!
-//! 1. **warm** — the persistent store already holds the cell: its stored
-//!    report bytes stream to the client immediately, with zero simulation
-//!    and without being decoded;
+//! 1. **warm** — the store already holds the cell: its stored report bytes
+//!    stream to the client immediately, with zero simulation and without
+//!    being decoded (a request flagged `cold` skips this probe);
 //! 2. **coalesced** — an identical cell (same artifact fingerprint, model
 //!    fingerprint, entry, arguments) is already in flight for another
-//!    request: this request subscribes to that computation instead of
-//!    submitting its own (single-flight);
-//! 3. **cold** — the cell is submitted to the pool at the request's
-//!    priority, with the pool's own store probe switched off (admission
-//!    just missed); on completion the result, encoded once, fans out to
-//!    every subscriber and the in-flight entry is removed.
+//!    request: this request subscribes to that computation;
+//! 3. **computed** — the cell is queued at the request's priority; the pool
+//!    spreads its shards over the workers, writes it back to the store and
+//!    completes every subscriber with the report encoded once.
 //!
-//! The ordering makes "each cold cell is computed exactly once" strict for
-//! one daemon over one store: the executor writes a computed cell back to
-//! the store *before* the completion callback runs, and the callback
-//! removes the in-flight entry *before* any later admission can probe the
-//! store — so a cell is either in flight (subsequent requests coalesce) or
-//! persisted (they hit the store), never neither.
+//! The pool decides the three paths under one lock and writes a computed
+//! cell back before it stops being in flight, so each cold cell is
+//! computed exactly once by one daemon over one store. A shared cell runs
+//! until the latest of its subscribers' deadlines (no deadline if one has
+//! none); each request's own deadline only ends its own wait.
 //!
 //! The daemon never assembles or renders the grid's report: each cell's
 //! report travels once, in its cell frame, and the completion frame
@@ -37,7 +34,7 @@
 //! content-addressed, a client retrying after any of these is idempotent —
 //! whatever was computed before the failure is served warm on the retry.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -45,8 +42,8 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use secbranch::campaign::{
-    CellKey, CellRequest, ExecutorPool, FaultModel, GridBackend, MatrixCellResult, OwnedModule,
-    PoolError, SimulatorSource, TraceFetch, TraceKey, TraceStore,
+    Admission, CellOutcome, CellRequest, ComputedCell, ExecutorPool, FaultModel, GridBackend,
+    OwnedModule, SimulatorSource, TraceFetch, TraceKey, TraceStore,
 };
 use secbranch::obs::{Histogram, Registry};
 use secbranch::store::{codec::encode_report, GridStore};
@@ -98,33 +95,12 @@ impl Default for DaemonConfig {
     }
 }
 
-/// What a completed cold cell fans out to its subscribers.
-#[derive(Clone)]
-struct Delivered {
-    /// The report as `encode_report` writes it, encoded once for every
-    /// subscriber.
-    report: Arc<[u8]>,
-    compute_micros: u64,
-    /// The executor had to record the reference trace.
-    recorded: bool,
-}
-
-type CellOutcome = (u32, Result<Delivered, String>);
-
-struct Waiter {
-    index: u32,
-    tx: mpsc::Sender<CellOutcome>,
-}
-
 struct Shared {
     config: DaemonConfig,
     pool: ExecutorPool,
     /// Build cache: each catalog artifact is compiled once per daemon.
     session: Mutex<Session>,
     grid: Option<Arc<GridStore>>,
-    /// Single-flight registry: cell identity → subscribers of the one
-    /// in-flight computation.
-    inflight: Mutex<HashMap<CellKey, Vec<Waiter>>>,
     shutdown: AtomicBool,
     addr: String,
     counters: DaemonCounters,
@@ -168,16 +144,17 @@ impl GridDaemon {
             })?)),
             None => None,
         };
-        let store = Arc::new(TraceStore::new());
-        if let Some(grid) = &grid {
-            store.attach_backend(Arc::clone(grid) as Arc<dyn GridBackend>);
-        }
         let workers = if config.workers == 0 {
             std::thread::available_parallelism().map_or(1, usize::from)
         } else {
             config.workers
         };
-        let pool = ExecutorPool::new(store, workers, config.queue_capacity);
+        let pool = ExecutorPool::new(
+            Arc::new(TraceStore::new()),
+            grid.clone().map(|grid| grid as Arc<dyn GridBackend>),
+            workers,
+            config.queue_capacity,
+        );
         let (listener, addr) = Listener::bind(addr)?;
         Ok(GridDaemon {
             listener,
@@ -186,7 +163,6 @@ impl GridDaemon {
                 pool,
                 session: Mutex::new(Session::new()),
                 grid,
-                inflight: Mutex::new(HashMap::new()),
                 shutdown: AtomicBool::new(false),
                 addr,
                 counters: DaemonCounters::default(),
@@ -404,114 +380,60 @@ fn handle_grid(shared: &Arc<Shared>, stream: &mut Stream, payload: &[u8]) -> io:
     counters
         .cells_requested
         .fetch_add(u64::from(total), Ordering::Relaxed);
-    let (tx, rx) = mpsc::channel::<CellOutcome>();
+    let (tx, rx) = mpsc::channel::<(u32, CellOutcome)>();
     let mut roles: Vec<Served> = Vec::with_capacity(total as usize);
     let mut pending = 0u32;
     let mut admission_failure: Option<String> = None;
-    // The request's deadline governs both sides of a cold cell: the pool
-    // expires still-queued jobs past it, and the drain loop below stops
-    // waiting at the same instant.
+    // The request's deadline bounds the cells it queues or joins (the pool
+    // runs a shared cell until its latest subscriber's deadline), and the
+    // drain loop below stops waiting at the same instant.
     let deadline = (request.deadline_millis > 0)
         .then(|| started + Duration::from_millis(request.deadline_millis));
 
     // Admission, in canonical (workload-major, pipeline-then-model) order.
     let admission_span = secbranch::obs::span_with("admission", || format!("{total} cells"));
-    'admission: for (windex, workload) in plan.workloads.iter().enumerate() {
-        for (pindex, pipeline) in plan.pipelines.iter().enumerate() {
-            let artifact_index = windex * plan.pipelines.len() + pindex;
-            let (source, fingerprint, trace_key) = &plan.artifacts[artifact_index];
-            for (mindex, model) in plan.models.iter().enumerate() {
-                let index = (artifact_index * plan.models.len() + mindex) as u32;
-                let cell_key = CellKey::new(
-                    fingerprint.clone(),
-                    model.fingerprint(),
-                    workload.entry.clone(),
-                    &workload.args,
-                );
-                // One lock hold covers the in-flight check, the store
-                // probe and the registration — the three admission paths
-                // cannot interleave for one cell identity.
-                let mut inflight = shared.inflight.lock().expect("inflight poisoned");
-                if let Some(waiters) = inflight.get_mut(&cell_key) {
-                    waiters.push(Waiter {
-                        index,
-                        tx: tx.clone(),
-                    });
-                    drop(inflight);
-                    roles.push(Served::Coalesced);
-                    counters.coalesced_cells.fetch_add(1, Ordering::Relaxed);
-                    pending += 1;
-                } else if let Some(report) = shared
-                    .grid
-                    .as_deref()
-                    .filter(|_| !request.cold)
-                    .and_then(|grid| grid.get_cell_bytes(&cell_key))
-                {
-                    drop(inflight);
-                    roles.push(Served::StoreWarm);
-                    counters.warm_cells.fetch_add(1, Ordering::Relaxed);
-                    let head = CellHead {
-                        cell_index: index,
-                        total_cells: total,
-                        served: Served::StoreWarm,
-                        workload: &workload.name,
-                        pipeline: pipeline.label(),
-                        model: &model.name(),
-                        compute_micros: 0,
-                    };
-                    write_frame(stream, RESP_CELL, &encode_cell_bytes(&head, &report))?;
-                } else {
-                    inflight.insert(
-                        cell_key.clone(),
-                        vec![Waiter {
-                            index,
-                            tx: tx.clone(),
-                        }],
-                    );
-                    drop(inflight);
-                    roles.push(Served::Computed);
-                    pending += 1;
-                    // Admission has just missed the store (or was told to
-                    // ignore it), so the pool does not probe it again; the
-                    // computed cell is still written back.
-                    let cell_request = CellRequest {
-                        source: Arc::clone(source) as Arc<dyn SimulatorSource + Send + Sync>,
-                        key: trace_key.clone(),
-                        entry: workload.entry.clone(),
-                        args: workload.args.clone(),
-                        max_steps: request.max_steps,
-                        model: Arc::clone(model),
-                        deadline,
-                        cold: true,
-                    };
-                    let callback_shared = Arc::clone(shared);
-                    let callback_key = cell_key.clone();
-                    let callback_model = model.name();
-                    let accepted = shared.pool.submit(
-                        request.priority,
-                        cell_request,
-                        Box::new(move |result| {
-                            complete_cell(&callback_shared, &callback_key, &callback_model, result);
-                        }),
-                    );
-                    if !accepted {
-                        // Unregister the cell and fail anyone who coalesced
-                        // onto it in the meantime — an in-flight entry with
-                        // no job behind it would strand its subscribers.
-                        let stranded = shared
-                            .inflight
-                            .lock()
-                            .expect("inflight poisoned")
-                            .remove(&cell_key)
-                            .unwrap_or_default();
-                        let message = "daemon is shutting down".to_string();
-                        for waiter in stranded {
-                            let _ = waiter.tx.send((waiter.index, Err(message.clone())));
-                        }
-                        admission_failure = Some(message);
-                        break 'admission;
-                    }
-                }
+    for index in 0..total {
+        let (workload, _, model) = cell_labels(&plan, index);
+        let (source, fingerprint, trace_key) = &plan.artifacts[index as usize / plan.models.len()];
+        let cell_request = CellRequest {
+            source: Arc::clone(source) as Arc<dyn SimulatorSource + Send + Sync>,
+            key: trace_key.clone(),
+            entry: workload.entry.clone(),
+            args: workload.args.clone(),
+            max_steps: request.max_steps,
+            model: Arc::clone(model),
+            deadline,
+            cold: request.cold,
+        };
+        let callback_shared = Arc::clone(shared);
+        let callback_artifact = fingerprint.clone();
+        let callback_tx = tx.clone();
+        let on_done = Box::new(move |outcome: CellOutcome, queued_it: bool| {
+            if let (true, Ok(cell)) = (queued_it, &outcome) {
+                account_cell(&callback_shared, &callback_artifact, cell);
+            }
+            // A request that already failed (deadline, transport) has
+            // dropped its receiver; the send just fails.
+            let _ = callback_tx.send((index, outcome));
+        });
+        match shared.pool.submit(request.priority, cell_request, on_done) {
+            Admission::Warm(report) => {
+                roles.push(Served::StoreWarm);
+                counters.warm_cells.fetch_add(1, Ordering::Relaxed);
+                write_cell(stream, &plan, index, Served::StoreWarm, 0, &report)?;
+            }
+            Admission::Coalesced => {
+                roles.push(Served::Coalesced);
+                counters.coalesced_cells.fetch_add(1, Ordering::Relaxed);
+                pending += 1;
+            }
+            Admission::Queued => {
+                roles.push(Served::Computed);
+                pending += 1;
+            }
+            Admission::Refused => {
+                admission_failure = Some("daemon is shutting down".to_string());
+                break;
             }
         }
     }
@@ -524,64 +446,32 @@ fn handle_grid(shared: &Arc<Shared>, stream: &mut Stream, payload: &[u8]) -> io:
     let mut failure = admission_failure;
     let mut recordings = 0u32;
     while failure.is_none() && pending > 0 {
-        let outcome = match deadline {
-            Some(deadline) => {
-                let now = Instant::now();
-                if now >= deadline {
-                    failure = Some(deadline_message(&request));
-                    break;
-                }
-                match rx.recv_timeout(deadline - now) {
-                    Ok(outcome) => outcome,
-                    Err(mpsc::RecvTimeoutError::Timeout) => {
-                        failure = Some(deadline_message(&request));
-                        break;
-                    }
-                    Err(mpsc::RecvTimeoutError::Disconnected) => {
-                        failure = Some("cell computation abandoned".to_string());
-                        break;
-                    }
-                }
-            }
-            None => match rx.recv() {
-                Ok(outcome) => outcome,
-                Err(_) => {
-                    failure = Some("cell computation abandoned".to_string());
-                    break;
-                }
-            },
+        let received = match deadline {
+            Some(deadline) => rx.recv_timeout(deadline.saturating_duration_since(Instant::now())),
+            None => rx.recv().map_err(|_| mpsc::RecvTimeoutError::Disconnected),
         };
         pending -= 1;
-        let (index, result) = outcome;
-        match result {
-            Ok(delivered) => {
+        match received {
+            Ok((index, Ok(cell))) => {
                 let served = roles[index as usize];
                 let computed = served == Served::Computed;
-                if computed && delivered.recorded {
+                if computed && cell.result.trace_fetch == Some(TraceFetch::Recorded) {
                     recordings += 1;
                 }
-                let (workload, pipeline, model) = cell_labels(&plan, index);
-                let head = CellHead {
-                    cell_index: index,
-                    total_cells: total,
-                    served,
-                    workload: &workload.name,
-                    pipeline: pipeline.label(),
-                    model: &model.name(),
-                    compute_micros: if computed {
-                        delivered.compute_micros
-                    } else {
-                        0
-                    },
+                let micros = if computed {
+                    cell.result.compute_micros
+                } else {
+                    0
                 };
-                write_frame(
-                    stream,
-                    RESP_CELL,
-                    &encode_cell_bytes(&head, &delivered.report),
-                )?;
+                let report = cell.encoded(encode_report);
+                write_cell(stream, &plan, index, served, micros, report)?;
             }
-            Err(message) => {
-                failure = Some(message);
+            // `Display` for `PoolError` already distinguishes a failing
+            // reference run from a deadline expiry.
+            Ok((_, Err(e))) => failure = Some(e.to_string()),
+            Err(mpsc::RecvTimeoutError::Timeout) => failure = Some(deadline_message(&request)),
+            Err(mpsc::RecvTimeoutError::Disconnected) => {
+                failure = Some("cell computation abandoned".to_string());
             }
         }
     }
@@ -630,14 +520,39 @@ fn handle_grid(shared: &Arc<Shared>, stream: &mut Stream, payload: &[u8]) -> io:
 }
 
 /// The axes of cell `index` (workload-major, pipeline-then-model order).
-fn cell_labels(plan: &Plan, index: u32) -> (&Workload, &Pipeline, &dyn FaultModel) {
+fn cell_labels(
+    plan: &Plan,
+    index: u32,
+) -> (&Workload, &Pipeline, &Arc<dyn FaultModel + Send + Sync>) {
     let index = index as usize;
     let per_workload = plan.pipelines.len() * plan.models.len();
     (
         &plan.workloads[index / per_workload],
         &plan.pipelines[(index % per_workload) / plan.models.len()],
-        &*plan.models[index % plan.models.len()],
+        &plan.models[index % plan.models.len()],
     )
+}
+
+/// Streams cell `index`'s report bytes to the client.
+fn write_cell(
+    stream: &mut Stream,
+    plan: &Plan,
+    index: u32,
+    served: Served,
+    compute_micros: u64,
+    report: &[u8],
+) -> io::Result<()> {
+    let (workload, pipeline, model) = cell_labels(plan, index);
+    let head = CellHead {
+        cell_index: index,
+        total_cells: (plan.workloads.len() * plan.pipelines.len() * plan.models.len()) as u32,
+        served,
+        workload: &workload.name,
+        pipeline: pipeline.label(),
+        model: &model.name(),
+        compute_micros,
+    };
+    write_frame(stream, RESP_CELL, &encode_cell_bytes(&head, report))
 }
 
 fn deadline_message(request: &GridRequest) -> String {
@@ -656,75 +571,49 @@ fn refuse(shared: &Shared, stream: &mut Stream, message: &str) -> io::Result<()>
     write_frame(stream, RESP_ERROR, message.as_bytes())
 }
 
-/// Pool-callback side of single-flight: take the subscriber list (making
-/// the cell's identity free again — the store already holds the result,
-/// written back before this callback ran), account the outcome, fan out.
-fn complete_cell(
-    shared: &Shared,
-    key: &CellKey,
-    model_name: &str,
-    result: Result<MatrixCellResult, PoolError>,
-) {
-    let waiters = shared
-        .inflight
-        .lock()
-        .expect("inflight poisoned")
-        .remove(key)
-        .unwrap_or_default();
+/// Accounts one computed cell, once, in the completion of the request
+/// whose submission queued it.
+fn account_cell(shared: &Shared, artifact: &str, cell: &ComputedCell) {
     let counters = &shared.counters;
-    let outcome: Result<Delivered, String> = match result {
-        Ok(cell) => {
-            counters.computed_cells.fetch_add(1, Ordering::Relaxed);
-            let recorded = cell.trace_fetch == Some(TraceFetch::Recorded);
-            if recorded {
-                counters.recordings.fetch_add(1, Ordering::Relaxed);
-            }
-            counters
-                .snapshot_restores
-                .fetch_add(cell.snapshot_restores, Ordering::Relaxed);
-            counters
-                .suffix_steps_saved
-                .fetch_add(cell.suffix_steps_saved, Ordering::Relaxed);
-            shared
-                .model_micros
-                .lock()
-                .expect("model_micros poisoned")
-                .entry(model_name.to_string())
-                .or_insert_with(|| Arc::new(Histogram::new()))
-                .observe(cell.compute_micros);
-            let slow_after = shared.config.slow_cell_micros;
-            if slow_after > 0 && cell.compute_micros >= slow_after {
-                let trace_source = match cell.trace_fetch {
-                    Some(TraceFetch::Memory) => "memory",
-                    Some(TraceFetch::Recorded) => "recorded",
-                    None => "none",
-                };
-                eprintln!(
-                    "slow-cell artifact={} model={} entry={} args={:?} \
-                     compute_micros={} trace_source={} snapshot_restores={}",
-                    key.artifact,
-                    model_name,
-                    key.entry,
-                    key.args,
-                    cell.compute_micros,
-                    trace_source,
-                    cell.snapshot_restores,
-                );
-            }
-            Ok(Delivered {
-                report: encode_report(&cell.report).into(),
-                compute_micros: cell.compute_micros,
-                recorded,
-            })
-        }
-        // `Display` for `PoolError` already distinguishes a failing
-        // reference run from a queue-deadline expiry.
-        Err(e) => Err(e.to_string()),
-    };
-    for waiter in waiters {
-        // A waiter whose request already failed (deadline, transport) has
-        // dropped its receiver; the send just fails.
-        let _ = waiter.tx.send((waiter.index, outcome.clone()));
+    let cell = &cell.result;
+    counters.computed_cells.fetch_add(1, Ordering::Relaxed);
+    if cell.trace_fetch == Some(TraceFetch::Recorded) {
+        counters.recordings.fetch_add(1, Ordering::Relaxed);
+    }
+    for (counter, work) in [
+        (&counters.snapshot_restores, cell.snapshot_restores),
+        (&counters.suffix_steps_saved, cell.suffix_steps_saved),
+        (&counters.loop_proofs, cell.loop_proofs),
+        (&counters.loop_steps_saved, cell.loop_steps_saved),
+    ] {
+        counter.fetch_add(work, Ordering::Relaxed);
+    }
+    let report = &cell.report;
+    shared
+        .model_micros
+        .lock()
+        .expect("model_micros poisoned")
+        .entry(report.model.clone())
+        .or_insert_with(|| Arc::new(Histogram::new()))
+        .observe(cell.compute_micros);
+    let slow_after = shared.config.slow_cell_micros;
+    if slow_after > 0 && cell.compute_micros >= slow_after {
+        let trace_source = match cell.trace_fetch {
+            Some(TraceFetch::Memory) => "memory",
+            Some(TraceFetch::Recorded) => "recorded",
+            None => "none",
+        };
+        eprintln!(
+            "slow-cell artifact={} model={} entry={} args={:?} \
+             compute_micros={} trace_source={} snapshot_restores={}",
+            artifact,
+            report.model,
+            report.entry,
+            report.args,
+            cell.compute_micros,
+            trace_source,
+            cell.snapshot_restores,
+        );
     }
 }
 

@@ -15,11 +15,12 @@
 //!   [`GridStore`](secbranch::store::GridStore) streams to the client
 //!   immediately, byte-identical to a freshly computed one (and to a local
 //!   `Session::security_matrix_with` run of the same grid).
-//! * **Cold cells are computed exactly once.** Identical cells requested
-//!   concurrently by different clients coalesce onto one in-flight
-//!   computation (single-flight); everything cold is scheduled onto one
+//! * **Cold cells are computed exactly once.** Every cell goes to one
 //!   shared, bounded, priority-ordered
-//!   [`ExecutorPool`](secbranch::campaign::ExecutorPool).
+//!   [`ExecutorPool`](secbranch::campaign::ExecutorPool): identical cells
+//!   requested concurrently by different clients coalesce onto one
+//!   in-flight computation (single-flight), and each cold cell's shards
+//!   spread over all of the pool's workers.
 //! * **Degradation is per-request.** Unknown names, over-budget grids,
 //!   failing builds, blown deadlines and foreign protocol versions each
 //!   answer one request (or one connection) with a structured error while

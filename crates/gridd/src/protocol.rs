@@ -582,6 +582,10 @@ secbranch::obs::counters! {
         /// Reference-suffix steps the differential executors avoided
         /// executing.
         suffix_steps_saved: counter("secbranch_gridd_suffix_steps_saved_total"),
+        /// Faulted runs a divergence proof ended before the step limit.
+        loop_proofs: counter("secbranch_gridd_loop_proofs_total"),
+        /// Steps those divergence proofs avoided executing.
+        loop_steps_saved: counter("secbranch_gridd_loop_steps_saved_total"),
         /// Distinct programs decoded into micro-ops by the daemon's
         /// executors.
         decoded_programs: counter("secbranch_gridd_decoded_programs_total"),

@@ -522,29 +522,48 @@ fn unix_socket_transport_serves_and_cleans_up() {
 #[test]
 fn cold_grid_work_counters_match_a_local_run() {
     // The executor's work counters measure the code, not the path: a cold
-    // grid served by the daemon restores as many spine snapshots and skips
-    // as many reference-suffix steps as the same grid run locally.
-    let store = TempDir::new("work-counters");
-    let daemon = RunningDaemon::start(DaemonConfig {
-        store_dir: Some(store.0.clone()),
-        ..DaemonConfig::default()
-    });
+    // grid served by a daemon of 1, 2 or 4 pool workers restores as many
+    // spine snapshots, skips as many reference-suffix steps, and proves as
+    // many runaway loops (saving as many steps) as the same grid run
+    // locally.
     let grid = request(
         &["integer_compare", "password_check"],
         &["unprotected", "prototype"],
         &["skip", "double-skip", "register-flip", "branch-invert"],
         100,
     );
-    let done = daemon
-        .client()
-        .request_grid(&grid, |_| {})
-        .expect("cold grid serves");
-    assert_eq!(done.computed_cells, 16);
-    let stats = daemon.stop();
     let local = local_report(&grid).stats;
     assert!(local.snapshot_restores > 0 && local.suffix_steps_saved > 0);
-    assert_eq!(stats.snapshot_restores, local.snapshot_restores);
-    assert_eq!(stats.suffix_steps_saved, local.suffix_steps_saved);
+    assert!(local.loop_proofs > 0 && local.loop_steps_saved > 0);
+    for workers in [1, 2, 4] {
+        let store = TempDir::new("work-counters");
+        let daemon = RunningDaemon::start(DaemonConfig {
+            workers,
+            store_dir: Some(store.0.clone()),
+            ..DaemonConfig::default()
+        });
+        let done = daemon
+            .client()
+            .request_grid(&grid, |_| {})
+            .expect("cold grid serves");
+        assert_eq!(done.computed_cells, 16);
+        let stats = daemon.stop();
+        assert_eq!(
+            [
+                stats.snapshot_restores,
+                stats.suffix_steps_saved,
+                stats.loop_proofs,
+                stats.loop_steps_saved
+            ],
+            [
+                local.snapshot_restores,
+                local.suffix_steps_saved,
+                local.loop_proofs,
+                local.loop_steps_saved
+            ],
+            "{workers} workers"
+        );
+    }
 }
 
 /// The `STATS` exposition of a storeful one-worker daemon after one fixed
@@ -599,6 +618,10 @@ secbranch_gridd_computed_cells_total 4
 secbranch_gridd_decode_micros_total <timing>
 # TYPE secbranch_gridd_decoded_programs_total counter
 secbranch_gridd_decoded_programs_total 2
+# TYPE secbranch_gridd_loop_proofs_total counter
+secbranch_gridd_loop_proofs_total 0
+# TYPE secbranch_gridd_loop_steps_saved_total counter
+secbranch_gridd_loop_steps_saved_total 0
 # TYPE secbranch_gridd_recordings_total counter
 secbranch_gridd_recordings_total 2
 # TYPE secbranch_gridd_request_errors_total counter

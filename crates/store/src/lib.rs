@@ -48,12 +48,11 @@
 //! # Wiring
 //!
 //! [`GridStore`] implements
-//! [`secbranch_campaign::GridBackend`]; attach it to a
-//! [`secbranch_campaign::TraceStore`] (the facade's
+//! [`secbranch_campaign::GridBackend`]; hand it to an `ExecutorPool` or to
+//! `MatrixExecutor::run_with_backend` (the facade's
 //! `Session::security_matrix_with` and `Artifact::campaign_with_store` take
 //! an `Option<&Arc<GridStore>>` and do this for you) and cells flow
-//! through the `MatrixExecutor`'s cell cache, which every campaign runs
-//! on.
+//! through the pool's cell cache, which every campaign runs on.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -443,9 +442,16 @@ impl GridStore {
     /// Persists a completed cell under `key` (skipped when an intact record
     /// already exists).
     pub fn put_cell(&self, key: &CellKey, report: &CampaignReport) {
+        self.put_cell_bytes(key, &codec::encode_report(report));
+    }
+
+    /// Persists a completed cell from its [`codec::encode_report`] bytes —
+    /// the bytes [`GridStore::get_cell_bytes`] returns for it.
+    pub fn put_cell_bytes(&self, key: &CellKey, report: &[u8]) {
         let _span = secbranch_obs::span_with("store_write", || format!("cell {}", key.artifact));
-        let payload = codec::encode_cell_payload(key, report);
-        let path = self.cell_path(&codec::encode_cell_key(key));
+        let mut payload = codec::encode_cell_key(key);
+        let path = self.cell_path(&payload);
+        payload.extend_from_slice(report);
         self.put_record(&path, &payload);
     }
 
@@ -627,12 +633,20 @@ fn sweep_stale_staging(tmp: &Path) {
 /// back to `None` (recompute) and store failures are only counted — the
 /// grid store is an accelerator, never a correctness dependency.
 impl GridBackend for GridStore {
-    fn load_cell(&self, key: &CellKey) -> Option<CampaignReport> {
-        self.get_cell(key)
+    fn load_cell(&self, key: &CellKey) -> Option<Vec<u8>> {
+        self.get_cell_bytes(key)
     }
 
-    fn store_cell(&self, key: &CellKey, report: &CampaignReport) {
-        self.put_cell(key, report);
+    fn store_cell(&self, key: &CellKey, encoded: &[u8]) {
+        self.put_cell_bytes(key, encoded);
+    }
+
+    fn encode_report(&self, report: &CampaignReport) -> Vec<u8> {
+        codec::encode_report(report)
+    }
+
+    fn decode_report(&self, encoded: &[u8]) -> Option<CampaignReport> {
+        codec::decode_report(encoded).ok()
     }
 }
 

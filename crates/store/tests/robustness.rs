@@ -503,7 +503,7 @@ fn stores_written_with_trace_records_keep_serving_their_cells() {
 
     // The executor serves both cells warm: no reference, no simulation.
     let store = TraceStore::new();
-    store.attach_backend(Arc::clone(&grid) as Arc<dyn GridBackend>);
+    let backend = Arc::clone(&grid) as Arc<dyn GridBackend>;
     let jobs: Vec<MatrixJob> = models
         .iter()
         .map(|model| MatrixJob {
@@ -515,7 +515,9 @@ fn stores_written_with_trace_records_keep_serving_their_cells() {
             model: *model,
         })
         .collect();
-    let results = MatrixExecutor::new().run(&jobs, &store).expect("runs");
+    let results = MatrixExecutor::new()
+        .run_with_backend(&jobs, &store, Some(&backend))
+        .expect("runs");
     for (result, model) in results.iter().zip(models) {
         assert!(result.cell_hit, "{} served warm", model.name());
         let fresh = runner.run(&sim, "max", &[7, 3], 100, model).expect("runs");
