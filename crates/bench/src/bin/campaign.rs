@@ -776,10 +776,7 @@ fn run_matrix_benchmark(
                     .field("cell_hits", &first.cell_hits)
                     .field("cell_misses", &first.cell_misses)
                     .field("cell_compute_micros", &stats.cell_compute_micros)
-                    .field("snapshot_restores", &stats.snapshot_restores)
-                    .field("suffix_steps_saved", &stats.suffix_steps_saved)
-                    .field("loop_proofs", &stats.loop_proofs)
-                    .field("loop_steps_saved", &stats.loop_steps_saved)
+                    .field("work", &stats.work)
                     .field("decoded_programs", &stats.decoded_programs)
                     .field("decoded_uops", &stats.decoded_uops)
                     .field("decode_micros", &stats.decode_micros)

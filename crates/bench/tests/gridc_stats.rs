@@ -93,7 +93,7 @@ fn every_metrics_series_matches_stats_json_and_the_typed_view() {
 
     let view = client.stats().expect("stats serve");
     assert_eq!(view.series, series, "the view keeps every series");
-    assert_eq!(view.computed_cells, 4);
+    assert_eq!(view.daemon.computed_cells, 4);
     assert_eq!(view.pool.workers, 2);
     let store_stats = view.store.expect("a store is attached");
     assert_eq!(
@@ -108,6 +108,7 @@ fn every_metrics_series_matches_stats_json_and_the_typed_view() {
     );
     view.daemon.register_into(&mut typed);
     view.pool.register_into(&mut typed);
+    view.work.register_into(&mut typed);
     view.traces.register_into(&mut typed);
     store_stats.register_into(&mut typed);
     let typed = parse_prometheus(&typed.render_prometheus()).expect("parses");

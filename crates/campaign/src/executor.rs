@@ -68,7 +68,7 @@ use crate::persist::GridBackend;
 use crate::point::{with_point_hook, FaultPoint, SkipHook};
 use crate::report::{classify, CampaignReport, Outcome};
 use crate::runner::{assemble_report, SimulatorSource};
-use crate::service::{Admission, CellRequest, PoolCore, PoolError};
+use crate::service::{Admission, CellRequest, PoolCore, PoolError, WorkCounters};
 use crate::trace_store::{RecordedReference, TraceFetch, TraceKey, TraceStore};
 
 /// One cell of a security matrix, described as data: which target to attack
@@ -107,20 +107,8 @@ pub struct MatrixCellResult {
     /// cells overlap in wall time, so these sum to roughly
     /// `threads × elapsed wall time`). Zero on a cell hit.
     pub compute_micros: u64,
-    /// How many times this cell's workers restored a first-fault spine
-    /// snapshot instead of re-executing the shared prefix of a grouped
-    /// multi-fault batch.
-    pub snapshot_restores: u64,
-    /// Reference-suffix steps this cell *avoided* executing: for each
-    /// liveness-pruned injection, the steps from the checkpoint it would
-    /// have resumed at to the end of the reference.
-    pub suffix_steps_saved: u64,
-    /// Runaway runs ended early by a divergence proof (an exact-state cycle
-    /// match or a verified affine loop acceleration) instead of burning the
-    /// remaining step budget.
-    pub loop_proofs: u64,
-    /// Steps those divergence proofs avoided executing.
-    pub loop_steps_saved: u64,
+    /// The work this cell's shards did and avoided (zero on a cell hit).
+    pub work: WorkCounters,
 }
 
 impl MatrixCellResult {
@@ -131,15 +119,12 @@ impl MatrixCellResult {
             cell_hit: trace_fetch.is_none(),
             trace_fetch,
             compute_micros: stats.micros,
-            snapshot_restores: stats.snapshot_restores,
-            suffix_steps_saved: stats.suffix_steps_saved,
-            loop_proofs: stats.loop_proofs,
-            loop_steps_saved: stats.loop_steps_saved,
+            work: stats.work,
         }
     }
 
-    /// `true` if this cell's reference trace was served from a cache
-    /// (memory or disk) instead of recorded — vacuously true on a cell hit.
+    /// `true` if this cell's reference trace was served from the trace
+    /// store's memory instead of recorded — vacuously true on a cell hit.
     #[must_use]
     pub fn trace_hit(&self) -> bool {
         self.trace_fetch != Some(TraceFetch::Recorded)
@@ -161,10 +146,7 @@ struct Unit {
 #[derive(Debug, Default, Clone, Copy)]
 struct ShardStats {
     micros: u64,
-    snapshot_restores: u64,
-    suffix_steps_saved: u64,
-    loop_proofs: u64,
-    loop_steps_saved: u64,
+    work: WorkCounters,
 }
 
 /// What one shard produces: its outcomes in fault-space order plus its
@@ -463,13 +445,14 @@ impl CellExec<'_> {
         &self,
         sim: &mut Simulator,
         point: &FaultPoint,
-        stats: &mut ShardStats,
+        work: &mut WorkCounters,
     ) -> (Outcome, u32) {
         if matches!(
             self.reference.suffix.verdict(point),
             LivenessVerdict::Dead { .. }
         ) {
-            stats.suffix_steps_saved += self.prune_saving(point.anchor_step());
+            work.suffix_steps_saved += self.prune_saving(point.anchor_step());
+            work.points_pruned += 1;
             return self.reference_outcome();
         }
         let cursor = if let Some(cp) = self.reference.checkpoint_before(point.anchor_step()) {
@@ -488,7 +471,7 @@ impl CellExec<'_> {
             }
         };
         with_point_hook!(point, hook => {
-            self.run_from_cursor(sim, cursor, &mut hook, point.last_fault_step(), stats)
+            self.run_from_cursor(sim, cursor, &mut hook, point.last_fault_step(), work)
         })
     }
 
@@ -503,7 +486,7 @@ impl CellExec<'_> {
         cursor: RunCursor,
         hook: &mut H,
         last_fault_step: u64,
-        stats: &mut ShardStats,
+        work: &mut WorkCounters,
     ) -> (Outcome, u32) {
         let reference = &self.reference.trace.result;
         let watch_from = last_fault_step.max(self.reference.trace.steps()) + 1;
@@ -520,8 +503,8 @@ impl CellExec<'_> {
             Ok(SegmentEnd::Done(result)) => (classify(reference, &Ok(result)), result.return_value),
             Ok(SegmentEnd::Paused(_)) => unreachable!("no pause requested"),
             Err(e) => {
-                stats.loop_proofs += hook.proofs;
-                stats.loop_steps_saved += hook.steps_saved;
+                work.loop_proofs += hook.proofs;
+                work.loop_steps_saved += hook.steps_saved;
                 (classify(reference, &Err(e)), 0)
             }
         }
@@ -536,7 +519,7 @@ impl CellExec<'_> {
         sim: &mut Simulator,
         first: u64,
         points: &[FaultPoint],
-        stats: &mut ShardStats,
+        work: &mut WorkCounters,
     ) -> Vec<(Outcome, u32)> {
         let mut out: Vec<Option<(Outcome, u32)>> = vec![None; points.len()];
         let suffix = &self.reference.suffix;
@@ -551,12 +534,13 @@ impl CellExec<'_> {
                 // points, or a pair listed out of order): the single path
                 // runs it from scratch rather than corrupting the batch.
                 _ => {
-                    out[slot] = Some(self.run_single(sim, point, stats));
+                    out[slot] = Some(self.run_single(sim, point, work));
                     continue;
                 }
             };
             if matches!(suffix.verdict(point), LivenessVerdict::Dead { .. }) {
-                stats.suffix_steps_saved += self.prune_saving(first);
+                work.suffix_steps_saved += self.prune_saving(first);
+                work.points_pruned += 1;
                 out[slot] = Some(self.reference_outcome());
                 continue;
             }
@@ -566,7 +550,7 @@ impl CellExec<'_> {
                     // the second fires: the pair is exactly a single skip of
                     // `second`.
                     out[slot] =
-                        Some(self.run_single(sim, &FaultPoint::Skip { step: second }, stats));
+                        Some(self.run_single(sim, &FaultPoint::Skip { step: second }, work));
                     continue;
                 }
             }
@@ -574,7 +558,7 @@ impl CellExec<'_> {
         }
         if !fan.is_empty() {
             fan.sort_by_key(|&(_, second)| second);
-            self.run_spine_fan(sim, first, points, &fan, &mut out, stats);
+            self.run_spine_fan(sim, first, points, &fan, &mut out, work);
         }
         out.into_iter()
             .map(|outcome| outcome.expect("every group member resolved"))
@@ -594,7 +578,7 @@ impl CellExec<'_> {
         points: &[FaultPoint],
         fan: &[(usize, u64)],
         out: &mut [Option<(Outcome, u32)>],
-        stats: &mut ShardStats,
+        work: &mut WorkCounters,
     ) {
         let reference = &self.reference.trace.result;
         let mut spine_hook = SkipHook { step: first };
@@ -644,14 +628,14 @@ impl CellExec<'_> {
             if index + 1 == fan.len() {
                 // No later member restores this position: run in place.
                 out[slot] = Some(with_point_hook!(&points[slot], hook => {
-                    self.run_from_cursor(sim, cursor, &mut hook, second, stats)
+                    self.run_from_cursor(sim, cursor, &mut hook, second, work)
                 }));
                 return;
             }
             let snap_state = sim.machine().snapshot();
             let snap_cursor = cursor;
             out[slot] = Some(with_point_hook!(&points[slot], hook => {
-                self.run_from_cursor(sim, cursor, &mut hook, second, stats)
+                self.run_from_cursor(sim, cursor, &mut hook, second, work)
             }));
             {
                 let _span = if secbranch_obs::enabled() && !self.restore_traced.replace(true) {
@@ -662,7 +646,7 @@ impl CellExec<'_> {
                 sim.machine_mut().restore(&snap_state);
             }
             cursor = snap_cursor;
-            stats.snapshot_restores += 1;
+            work.snapshot_restores += 1;
         }
     }
 }
@@ -802,10 +786,10 @@ impl CellPlan {
         for unit in &self.units[self.shards[index].clone()] {
             let points = &self.points[unit.start..unit.end];
             match unit.shared_first {
-                Some(first) => outcomes.extend(exec.run_group(sim, first, points, &mut stats)),
+                Some(first) => outcomes.extend(exec.run_group(sim, first, points, &mut stats.work)),
                 None => {
                     for point in points {
-                        outcomes.push(exec.run_single(sim, point, &mut stats));
+                        outcomes.push(exec.run_single(sim, point, &mut stats.work));
                     }
                 }
             }
@@ -838,10 +822,7 @@ impl CellPlan {
             let (shard_outcomes, shard) = slot.get().expect("every shard landed");
             outcomes.extend_from_slice(shard_outcomes);
             stats.micros += shard.micros;
-            stats.snapshot_restores += shard.snapshot_restores;
-            stats.suffix_steps_saved += shard.suffix_steps_saved;
-            stats.loop_proofs += shard.loop_proofs;
-            stats.loop_steps_saved += shard.loop_steps_saved;
+            stats.work += shard.work;
         }
         let report = {
             let _span = secbranch_obs::span_with("assemble", || {
@@ -1375,15 +1356,15 @@ mod tests {
             .run(&jobs, &store)
             .expect("runs");
         assert!(
-            results[0].suffix_steps_saved > 0,
+            results[0].work.suffix_steps_saved > 0,
             "skip cell: dead stores must be pruned"
         );
         assert!(
-            results[1].snapshot_restores > 0,
+            results[1].work.snapshot_restores > 0,
             "double-skip cell: grouped members must fan out from snapshots"
         );
         assert!(
-            results[1].suffix_steps_saved > 0,
+            results[1].work.suffix_steps_saved > 0,
             "double-skip cell: dead pairs must be pruned"
         );
     }

@@ -105,7 +105,7 @@ pub use report::{
 pub use runner::{CampaignRunner, OwnedModule, SharedModule, SimulatorSource};
 pub use service::{
     Admission, CellOutcome, CellRequest, Completion, ComputedCell, ExecutorPool, PoolError,
-    PoolStats,
+    PoolStats, WorkCounters,
 };
 pub use trace_store::{
     record_reference, RecordedReference, TraceCheckpoint, TraceFetch, TraceKey, TraceStore,

@@ -248,6 +248,32 @@ secbranch_obs::counters! {
     }
 }
 
+secbranch_obs::counters! {
+    /// The executor's work counters: what it executed and what it proved it
+    /// need not execute. They depend on the code, the grid and the shard
+    /// size alone, never on the thread count or the host. Summed per cell into
+    /// [`MatrixCellResult::work`], per run into the matrix statistics and
+    /// over a pool's lifetime into its `secbranch_pool_*_total` series.
+    pub struct WorkCounters(AtomicWorkCounters) {
+        /// Times a first-fault spine snapshot was restored instead of
+        /// re-executing the shared prefix of a grouped multi-fault batch.
+        snapshot_restores: counter("secbranch_pool_snapshot_restores_total"),
+        /// Reference-suffix steps avoided: for each liveness-pruned
+        /// injection, the steps from the checkpoint it would have resumed
+        /// at to the end of the reference.
+        suffix_steps_saved: counter("secbranch_pool_suffix_steps_saved_total"),
+        /// Runaway runs ended early by a divergence proof (an exact-state
+        /// cycle match or a verified affine loop acceleration) instead of
+        /// burning the remaining step budget.
+        loop_proofs: counter("secbranch_pool_loop_proofs_total"),
+        /// Steps those divergence proofs avoided executing.
+        loop_steps_saved: counter("secbranch_pool_loop_steps_saved_total"),
+        /// Fault points answered from the reference with zero execution,
+        /// because liveness proved every location they corrupt dead.
+        points_pruned: counter("secbranch_pool_points_pruned_total"),
+    }
+}
+
 /// The scheduler shared by a pool's workers (see the module docs).
 #[derive(Default)]
 pub(crate) struct PoolCore<'a> {
@@ -263,6 +289,8 @@ pub(crate) struct PoolCore<'a> {
     capacity: usize,
     shard_size: usize,
     counters: PoolCounters,
+    /// The work counters summed over every completed cell.
+    work: AtomicWorkCounters,
 }
 
 /// A worker's recycled simulator and the source it came from (held, so
@@ -502,6 +530,7 @@ impl<'a> PoolCore<'a> {
             Ok(computed) => {
                 let micros = computed.result.compute_micros;
                 counters.compute_micros.fetch_add(micros, Ordering::Relaxed);
+                self.work.add(&computed.result.work);
                 &counters.completed
             }
             Err(PoolError::DeadlineExpired) => &counters.expired,
@@ -600,6 +629,12 @@ impl ExecutorPool {
             queued: self.core.state().unplanned as u64,
             ..self.core.counters.snapshot()
         }
+    }
+
+    /// The work counters summed over every cell the pool has computed.
+    #[must_use]
+    pub fn work(&self) -> WorkCounters {
+        self.core.work.snapshot()
     }
 }
 

@@ -3,7 +3,7 @@
 
 use std::fmt::Write as _;
 
-use secbranch_campaign::CampaignReport;
+use secbranch_campaign::{CampaignReport, WorkCounters};
 use secbranch_obs::json;
 
 /// One cell of a security matrix: one workload under one pipeline attacked
@@ -50,19 +50,9 @@ pub struct MatrixStats {
     /// Bytes currently held by resume checkpoints in the session's trace
     /// store (after this run).
     pub store_checkpoint_bytes: u64,
-    /// Spine-snapshot restores across all cells: grouped multi-fault
-    /// batches that resumed from a saved post-first-fault machine state
-    /// instead of re-executing the shared prefix.
-    pub snapshot_restores: u64,
-    /// Reference-suffix steps the differential executor avoided executing
-    /// across all cells: liveness-pruned injections, each counted from the
-    /// checkpoint it would have resumed at to the end of the reference.
-    pub suffix_steps_saved: u64,
-    /// Faulted runs across all cells that a divergence proof ended early
-    /// instead of running them to the step limit.
-    pub loop_proofs: u64,
-    /// Steps those divergence proofs avoided executing, across all cells.
-    pub loop_steps_saved: u64,
+    /// The executor's work counters summed over all cells (also reachable
+    /// directly, through `Deref`).
+    pub work: WorkCounters,
     /// Artifacts whose program was decoded into micro-ops during (or
     /// before) this run. Decode happens once per `Arc<Program>` no matter
     /// how many workers share it; the decoded form is derived data and
@@ -75,18 +65,51 @@ pub struct MatrixStats {
     pub decode_micros: u64,
 }
 
+impl std::ops::Deref for MatrixStats {
+    type Target = WorkCounters;
+
+    fn deref(&self) -> &WorkCounters {
+        &self.work
+    }
+}
+
 impl MatrixStats {
     /// A latency histogram of this run's per-cell injection compute times.
     #[must_use]
     pub fn compute_histogram(&self) -> secbranch_obs::HistogramSnapshot {
         secbranch_obs::HistogramSnapshot::from_samples(&self.cell_compute_micros)
     }
+
+    /// Adds the decode cost of each program among `programs` that has
+    /// decoded and is not in `seen` (keyed by address), and marks it seen.
+    /// A program decodes into micro-ops at most once (cached in the
+    /// `Arc<Program>` every worker shares), so `seen` decides the scope: a
+    /// fresh set counts each program of one run once, a set kept for a
+    /// service's lifetime counts each program once ever. A program whose
+    /// cells were all served from a warm store has not decoded yet and
+    /// stays unmarked, so the run that decodes it counts it.
+    pub fn add_decode_costs<'p>(
+        &mut self,
+        seen: &mut std::collections::HashSet<usize>,
+        programs: impl IntoIterator<Item = &'p secbranch_armv7m::Program>,
+    ) {
+        let fresh = programs.into_iter().filter_map(|program| {
+            let cost = program.decode_cost()?;
+            seen.insert(std::ptr::from_ref(program) as usize)
+                .then_some(cost)
+        });
+        for (uops, micros) in fresh {
+            self.decoded_programs += 1;
+            self.decoded_uops += uops;
+            self.decode_micros += micros;
+        }
+    }
 }
 
 secbranch_obs::impl_to_json! { MatrixStats |s|
     threads, trace_hits, trace_misses, cell_hits, cell_misses, total_wall_micros,
-    cell_compute_micros, store_checkpoint_bytes, snapshot_restores, suffix_steps_saved,
-    loop_proofs, loop_steps_saved, decoded_programs, decoded_uops, decode_micros,
+    cell_compute_micros, store_checkpoint_bytes, work, decoded_programs, decoded_uops,
+    decode_micros,
 }
 
 /// The structured result of a variants × fault-models security evaluation:
@@ -199,10 +222,13 @@ mod tests {
             total_wall_micros: 123_456,
             cell_compute_micros: vec![7, 0, 90_001],
             store_checkpoint_bytes: 65_536,
-            snapshot_restores: 4_475,
-            suffix_steps_saved: 2_887_535,
-            loop_proofs: 56,
-            loop_steps_saved: 10_662_326,
+            work: WorkCounters {
+                snapshot_restores: 4_475,
+                suffix_steps_saved: 2_887_535,
+                loop_proofs: 56,
+                loop_steps_saved: 10_662_326,
+                points_pruned: 17,
+            },
             decoded_programs: 12,
             decoded_uops: 9_876,
             decode_micros: 55,
@@ -213,8 +239,9 @@ mod tests {
                 r#"{"threads":4,"trace_hits":48,"trace_misses":12,"#,
                 r#""cell_hits":2,"cell_misses":58,"total_wall_micros":123456,"#,
                 r#""cell_compute_micros":[7,0,90001],"store_checkpoint_bytes":65536,"#,
-                r#""snapshot_restores":4475,"suffix_steps_saved":2887535,"#,
-                r#""loop_proofs":56,"loop_steps_saved":10662326,"decoded_programs":12,"#,
+                r#""work":{"snapshot_restores":4475,"suffix_steps_saved":2887535,"#,
+                r#""loop_proofs":56,"loop_steps_saved":10662326,"points_pruned":17},"#,
+                r#""decoded_programs":12,"#,
                 r#""decoded_uops":9876,"decode_micros":55}"#,
             )
         );

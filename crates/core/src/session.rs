@@ -400,10 +400,7 @@ impl Session {
                         None => {} // cell hit: no reference was needed
                     }
                     stats.cell_compute_micros.push(result.compute_micros);
-                    stats.snapshot_restores += result.snapshot_restores;
-                    stats.suffix_steps_saved += result.suffix_steps_saved;
-                    stats.loop_proofs += result.loop_proofs;
-                    stats.loop_steps_saved += result.loop_steps_saved;
+                    stats.work += result.work;
                     cells.push(SecurityCell {
                         workload: workload_name.clone(),
                         pipeline: label.clone(),
@@ -414,7 +411,10 @@ impl Session {
             }
         }
         stats.store_checkpoint_bytes = self.traces.stats().checkpoint_bytes;
-        add_decode_costs(&mut stats, &artifacts);
+        stats.add_decode_costs(
+            &mut HashSet::new(),
+            artifacts.iter().map(|a| &*a.compiled().program),
+        );
         Ok(SecurityReport {
             workloads: workload_names,
             pipelines: labels,
@@ -454,7 +454,7 @@ impl Session {
             ..MatrixStats::default()
         };
         let mut cells = Vec::with_capacity(workloads.len() * pipelines.len() * models.len());
-        let mut artifacts = Vec::with_capacity(workloads.len() * pipelines.len());
+        let mut decoded = HashSet::new();
         for (workload, workload_name) in workloads.iter().zip(&workload_names) {
             for (pipeline, label) in pipelines.iter().zip(&labels) {
                 let artifact = self
@@ -476,10 +476,10 @@ impl Session {
                         report,
                     });
                 }
-                artifacts.push(artifact);
+                // Counted once its cells have run, and once per program.
+                stats.add_decode_costs(&mut decoded, [&*artifact.compiled().program]);
             }
         }
-        add_decode_costs(&mut stats, &artifacts);
         stats.total_wall_micros = started.elapsed().as_micros() as u64;
         Ok(SecurityReport {
             workloads: workload_names,
@@ -488,25 +488,6 @@ impl Session {
             cells,
             stats,
         })
-    }
-}
-
-/// Adds the decode cost of each distinct program among `artifacts` to
-/// `stats`. A program decodes into micro-ops at most once (cached in the
-/// `Arc<Program>` every worker shares), and one whose cells were all served
-/// from a warm store has not decoded at all.
-fn add_decode_costs(stats: &mut MatrixStats, artifacts: &[Artifact]) {
-    let mut seen = HashSet::new();
-    for artifact in artifacts {
-        let program = &artifact.compiled().program;
-        if !seen.insert(Arc::as_ptr(program)) {
-            continue;
-        }
-        if let Some((uops, micros)) = program.decode_cost() {
-            stats.decoded_programs += 1;
-            stats.decoded_uops += uops;
-            stats.decode_micros += micros;
-        }
     }
 }
 

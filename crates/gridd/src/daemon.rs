@@ -47,12 +47,12 @@ use secbranch::campaign::{
 };
 use secbranch::obs::{Histogram, Registry};
 use secbranch::store::{codec::encode_report, GridStore};
-use secbranch::{Pipeline, Session, Workload};
+use secbranch::{MatrixStats, Pipeline, Session, Workload};
 
 use crate::catalog;
 use crate::protocol::{
     decode_grid_request, encode_cell_bytes, encode_done, encode_reject, read_frame, write_frame,
-    CellHead, DaemonCounters, DoneFrame, GridRequest, RejectFrame, Served, WireError,
+    CellHead, DaemonCounters, DaemonStats, DoneFrame, GridRequest, RejectFrame, Served, WireError,
     PROTOCOL_VERSION, REQ_GRID, REQ_SHUTDOWN, REQ_STATS, RESP_CELL, RESP_DONE, RESP_ERROR,
     RESP_REJECT, RESP_STATS,
 };
@@ -77,8 +77,8 @@ pub struct DaemonConfig {
     pub max_steps_cap: u64,
     /// When non-zero, every computed cell whose injection compute time
     /// reaches this many microseconds is logged to stderr as one
-    /// structured line (cell key, compute µs, trace source, snapshot
-    /// restores). `0` (the default) disables the log.
+    /// structured line (cell key, compute µs, trace source, work
+    /// counters). `0` (the default) disables the log.
     pub slow_cell_micros: u64,
 }
 
@@ -480,27 +480,20 @@ fn handle_grid(shared: &Arc<Shared>, stream: &mut Stream, payload: &[u8]) -> io:
         return refuse(shared, stream, &message);
     }
 
-    // Decode-cost accounting, exactly like a local matrix run: each
-    // build-cached program decodes at most once no matter how many
-    // requests exercise it, so the counters only move the first time a
-    // decoded program is seen.
-    {
-        let mut seen = shared.decode_seen.lock().expect("decode_seen poisoned");
-        for (source, _, _) in &plan.artifacts {
-            let program = &source.compiled.program;
-            let identity = Arc::as_ptr(program) as *const () as usize;
-            if seen.contains(&identity) {
-                continue;
-            }
-            // A program served entirely warm has not decoded yet; leave it
-            // unmarked so the request that eventually decodes it counts it.
-            if let Some((_, micros)) = program.decode_cost() {
-                seen.insert(identity);
-                counters.decoded_programs.fetch_add(1, Ordering::Relaxed);
-                counters.decode_micros.fetch_add(micros, Ordering::Relaxed);
-            }
-        }
-    }
+    // Decode costs, counted as a local matrix run counts them but over the
+    // daemon's lifetime: each build-cached program counts once, in the
+    // first request after it decoded.
+    let programs = plan.artifacts.iter().map(|(s, _, _)| &*s.compiled.program);
+    let mut decoded = MatrixStats::default();
+    decoded.add_decode_costs(
+        &mut shared.decode_seen.lock().expect("decode_seen poisoned"),
+        programs,
+    );
+    counters.add(&DaemonStats {
+        decoded_programs: decoded.decoded_programs,
+        decode_micros: decoded.decode_micros,
+        ..DaemonStats::default()
+    });
 
     let wall_micros = started.elapsed().as_micros() as u64;
     let count = |served: Served| roles.iter().filter(|&&role| role == served).count() as u32;
@@ -580,14 +573,6 @@ fn account_cell(shared: &Shared, artifact: &str, cell: &ComputedCell) {
     if cell.trace_fetch == Some(TraceFetch::Recorded) {
         counters.recordings.fetch_add(1, Ordering::Relaxed);
     }
-    for (counter, work) in [
-        (&counters.snapshot_restores, cell.snapshot_restores),
-        (&counters.suffix_steps_saved, cell.suffix_steps_saved),
-        (&counters.loop_proofs, cell.loop_proofs),
-        (&counters.loop_steps_saved, cell.loop_steps_saved),
-    ] {
-        counter.fetch_add(work, Ordering::Relaxed);
-    }
     let report = &cell.report;
     shared
         .model_micros
@@ -605,14 +590,14 @@ fn account_cell(shared: &Shared, artifact: &str, cell: &ComputedCell) {
         };
         eprintln!(
             "slow-cell artifact={} model={} entry={} args={:?} \
-             compute_micros={} trace_source={} snapshot_restores={}",
+             compute_micros={} trace_source={} work={}",
             artifact,
             report.model,
             report.entry,
             report.args,
             cell.compute_micros,
             trace_source,
-            cell.snapshot_restores,
+            cell.work.to_json(),
         );
     }
 }
@@ -631,6 +616,7 @@ fn registry(shared: &Shared) -> Registry {
     );
     shared.counters.snapshot().register_into(&mut registry);
     shared.pool.stats().register_into(&mut registry);
+    shared.pool.work().register_into(&mut registry);
     shared.pool.store().stats().register_into(&mut registry);
     if let Some(grid) = &shared.grid {
         grid.stats().register_into(&mut registry);

@@ -32,7 +32,7 @@ use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
 
 use secbranch::obs::metrics::series_value;
-use secbranch_campaign::{CampaignReport, PoolStats, TraceStoreStats};
+use secbranch_campaign::{CampaignReport, PoolStats, TraceStoreStats, WorkCounters};
 use secbranch_store::format::{crc32, Reader, RecordError, Writer};
 use secbranch_store::StoreStats;
 
@@ -557,7 +557,7 @@ pub fn decode_reject(payload: &[u8]) -> Result<RejectFrame, RecordError> {
 // --- observability --------------------------------------------------------
 
 secbranch::obs::counters! {
-    /// The daemon's own request, cell and executor counters.
+    /// The daemon's own request, cell and decode counters.
     pub struct DaemonStats(DaemonCounters) {
         /// Grid requests admitted.
         requests: counter("secbranch_gridd_requests_total"),
@@ -577,15 +577,6 @@ secbranch::obs::counters! {
         request_errors: counter("secbranch_gridd_request_errors_total"),
         /// Connections rejected for speaking a foreign protocol version.
         version_rejects: counter("secbranch_gridd_version_rejects_total"),
-        /// Spine-snapshot restores across all computed cells.
-        snapshot_restores: counter("secbranch_gridd_snapshot_restores_total"),
-        /// Reference-suffix steps the differential executors avoided
-        /// executing.
-        suffix_steps_saved: counter("secbranch_gridd_suffix_steps_saved_total"),
-        /// Faulted runs a divergence proof ended before the step limit.
-        loop_proofs: counter("secbranch_gridd_loop_proofs_total"),
-        /// Steps those divergence proofs avoided executing.
-        loop_steps_saved: counter("secbranch_gridd_loop_steps_saved_total"),
         /// Distinct programs decoded into micro-ops by the daemon's
         /// executors.
         decoded_programs: counter("secbranch_gridd_decoded_programs_total"),
@@ -594,9 +585,10 @@ secbranch::obs::counters! {
     }
 }
 
-/// A typed view of the daemon's statistics: its own counters (also
-/// reachable directly, through `Deref`), the job queue, the shared trace
-/// store, and the persistent store's counters when one is attached. Built
+/// A typed view of the daemon's statistics: its own counters, the job
+/// queue, the pool's work counters (also reachable directly, through
+/// `Deref`), the shared trace store, and the persistent store's counters
+/// when one is attached. Built
 /// from the parsed `STATS` exposition by [`StatsSnapshot::from_series`],
 /// which also keeps the whole series map (per-model histograms included)
 /// in [`StatsSnapshot::series`].
@@ -604,10 +596,12 @@ secbranch::obs::counters! {
 pub struct StatsSnapshot {
     /// The daemon's protocol version.
     pub protocol_version: u32,
-    /// The daemon's own request, cell and executor counters.
+    /// The daemon's own request, cell and decode counters.
     pub daemon: DaemonStats,
     /// The worker pool's queue and job counters.
     pub pool: PoolStats,
+    /// The work counters summed over every cell the pool computed.
+    pub work: WorkCounters,
     /// The shared in-memory trace store's counters.
     pub traces: TraceStoreStats,
     /// The attached grid store's runtime counters (`None` when the daemon
@@ -618,10 +612,10 @@ pub struct StatsSnapshot {
 }
 
 impl std::ops::Deref for StatsSnapshot {
-    type Target = DaemonStats;
+    type Target = WorkCounters;
 
-    fn deref(&self) -> &DaemonStats {
-        &self.daemon
+    fn deref(&self) -> &WorkCounters {
+        &self.work
     }
 }
 
@@ -641,6 +635,7 @@ impl StatsSnapshot {
                 .map_err(|_| "the protocol version overflows u32".to_string())?,
             daemon: DaemonStats::from_series(&series)?,
             pool: PoolStats::from_series(&series)?,
+            work: WorkCounters::from_series(&series)?,
             traces: TraceStoreStats::from_series(&series)?,
             store: has_store
                 .then(|| StoreStats::from_series(&series))
@@ -804,9 +799,10 @@ mod tests {
 
         // A statistics payload is a rendered registry; the typed view reads
         // every counter set back from its own series.
-        let (daemon, pool, traces, store) = (
+        let (daemon, pool, work, traces, store) = (
             distinct!(DaemonStats, 100),
             distinct!(PoolStats, 200),
+            distinct!(WorkCounters, 500),
             distinct!(TraceStoreStats, 300),
             distinct!(StoreStats, 400),
         );
@@ -817,14 +813,16 @@ mod tests {
             );
             daemon.register_into(registry);
             pool.register_into(registry);
+            work.register_into(registry);
             traces.register_into(registry);
             store.register_into(registry);
         });
         let stats = StatsSnapshot::from_series(series.clone()).expect("complete");
         assert_eq!(stats.protocol_version, PROTOCOL_VERSION);
         assert_eq!(stats.daemon, daemon);
-        assert_eq!(stats.requests, daemon.requests, "the view derefs to it");
         assert_eq!(stats.pool, pool);
+        assert_eq!(stats.work, work);
+        assert_eq!(*stats, work, "the view derefs to the work counters");
         assert_eq!(stats.traces, traces);
         assert_eq!(stats.store, Some(store));
         assert_eq!(stats.series, series, "the view keeps every series");
@@ -844,6 +842,7 @@ mod tests {
     fn counter_sets_round_trip_through_the_exposition() {
         check_counter_set!(DaemonStats, 100);
         check_counter_set!(PoolStats, 200);
+        check_counter_set!(WorkCounters, 500);
         check_counter_set!(TraceStoreStats, 300);
         check_counter_set!(StoreStats, 400);
     }
@@ -857,6 +856,7 @@ mod tests {
             );
             DaemonStats::default().register_into(registry);
             PoolStats::default().register_into(registry);
+            WorkCounters::default().register_into(registry);
             TraceStoreStats::default().register_into(registry);
             StoreStats::default().register_into(registry);
         });

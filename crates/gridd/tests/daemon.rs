@@ -177,10 +177,10 @@ fn cold_then_warm_requests_match_a_local_run_byte_for_byte() {
     }
 
     let stats = daemon.stop();
-    assert_eq!(stats.requests, 2);
-    assert_eq!(stats.cells_requested, 8);
-    assert_eq!(stats.computed_cells, 4);
-    assert_eq!(stats.warm_cells, 4);
+    assert_eq!(stats.daemon.requests, 2);
+    assert_eq!(stats.daemon.cells_requested, 8);
+    assert_eq!(stats.daemon.computed_cells, 4);
+    assert_eq!(stats.daemon.warm_cells, 4);
     assert!(stats.store.is_some(), "store counters surface in STATS");
 }
 
@@ -345,22 +345,22 @@ fn concurrent_clients_get_identical_reports_with_single_flight_computation() {
     }
 
     let stats = daemon.stop();
-    assert_eq!(stats.requests, CLIENTS as u64);
-    assert_eq!(stats.cells_requested, 16);
+    assert_eq!(stats.daemon.requests, CLIENTS as u64);
+    assert_eq!(stats.daemon.cells_requested, 16);
     assert_eq!(
-        stats.computed_cells, 4,
+        stats.daemon.computed_cells, 4,
         "each cold cell is computed exactly once across all clients"
     );
     assert_eq!(
-        stats.recordings, 4,
+        stats.daemon.recordings, 4,
         "each cold cell's reference trace is recorded exactly once"
     );
     assert_eq!(
-        stats.warm_cells + stats.coalesced_cells,
+        stats.daemon.warm_cells + stats.daemon.coalesced_cells,
         12,
         "every other serving was store-warm or coalesced, never recomputed"
     );
-    assert_eq!(stats.request_errors, 0);
+    assert_eq!(stats.daemon.request_errors, 0);
 }
 
 #[test]
@@ -391,7 +391,7 @@ fn foreign_protocol_versions_are_rejected_with_both_versions() {
     }
 
     let stats = daemon.stop();
-    assert_eq!(stats.version_rejects, 2);
+    assert_eq!(stats.daemon.version_rejects, 2);
 }
 
 #[test]
@@ -447,8 +447,11 @@ fn request_failures_degrade_per_request_not_per_daemon() {
     assert_eq!(done.report_json, local_report(&valid).to_json());
 
     let stats = daemon.stop();
-    assert_eq!(stats.request_errors, 4);
-    assert_eq!(stats.requests, 1, "refused requests are not admitted");
+    assert_eq!(stats.daemon.request_errors, 4);
+    assert_eq!(
+        stats.daemon.requests, 1,
+        "refused requests are not admitted"
+    );
 }
 
 #[test]
@@ -481,14 +484,14 @@ fn metrics_expose_pool_store_and_executor_series() {
     // of the same statistics carries the executor counters end to end.
     let stats = client.stats().expect("stats serve");
     assert!(
-        stats.decoded_programs >= 1,
+        stats.daemon.decoded_programs >= 1,
         "the computed cell decoded its program"
     );
     for name in [
         "secbranch_gridd_decoded_programs_total",
         "secbranch_gridd_decode_micros_total",
-        "secbranch_gridd_snapshot_restores_total",
-        "secbranch_gridd_suffix_steps_saved_total",
+        "secbranch_pool_snapshot_restores_total",
+        "secbranch_pool_suffix_steps_saved_total",
     ] {
         assert!(stats.series.contains_key(name), "{name}");
     }
@@ -513,7 +516,7 @@ fn unix_socket_transport_serves_and_cleans_up() {
     assert_eq!(done.report_json, local_report(&grid).to_json());
     let stats = client.stats().expect("stats serve");
     assert_eq!(stats.protocol_version, protocol::PROTOCOL_VERSION);
-    assert_eq!(stats.computed_cells, 1);
+    assert_eq!(stats.daemon.computed_cells, 1);
 
     daemon.stop();
     assert!(!socket.exists(), "socket file is removed on shutdown");
@@ -521,11 +524,9 @@ fn unix_socket_transport_serves_and_cleans_up() {
 
 #[test]
 fn cold_grid_work_counters_match_a_local_run() {
-    // The executor's work counters measure the code, not the path: a cold
-    // grid served by a daemon of 1, 2 or 4 pool workers restores as many
-    // spine snapshots, skips as many reference-suffix steps, and proves as
-    // many runaway loops (saving as many steps) as the same grid run
-    // locally.
+    // The executor's work counters measure the code, not the path: every
+    // pool series of a cold grid served by a daemon of 1, 2 or 4 pool
+    // workers equals the same-named field of the same grid run locally.
     let grid = request(
         &["integer_compare", "password_check"],
         &["unprotected", "prototype"],
@@ -535,6 +536,7 @@ fn cold_grid_work_counters_match_a_local_run() {
     let local = local_report(&grid).stats;
     assert!(local.snapshot_restores > 0 && local.suffix_steps_saved > 0);
     assert!(local.loop_proofs > 0 && local.loop_steps_saved > 0);
+    assert!(local.points_pruned > 0);
     for workers in [1, 2, 4] {
         let store = TempDir::new("work-counters");
         let daemon = RunningDaemon::start(DaemonConfig {
@@ -548,21 +550,7 @@ fn cold_grid_work_counters_match_a_local_run() {
             .expect("cold grid serves");
         assert_eq!(done.computed_cells, 16);
         let stats = daemon.stop();
-        assert_eq!(
-            [
-                stats.snapshot_restores,
-                stats.suffix_steps_saved,
-                stats.loop_proofs,
-                stats.loop_steps_saved
-            ],
-            [
-                local.snapshot_restores,
-                local.suffix_steps_saved,
-                local.loop_proofs,
-                local.loop_steps_saved
-            ],
-            "{workers} workers"
-        );
+        assert_eq!(stats.work, local.work, "{workers} workers");
     }
 }
 
@@ -618,20 +606,12 @@ secbranch_gridd_computed_cells_total 4
 secbranch_gridd_decode_micros_total <timing>
 # TYPE secbranch_gridd_decoded_programs_total counter
 secbranch_gridd_decoded_programs_total 2
-# TYPE secbranch_gridd_loop_proofs_total counter
-secbranch_gridd_loop_proofs_total 0
-# TYPE secbranch_gridd_loop_steps_saved_total counter
-secbranch_gridd_loop_steps_saved_total 0
 # TYPE secbranch_gridd_recordings_total counter
 secbranch_gridd_recordings_total 2
 # TYPE secbranch_gridd_request_errors_total counter
 secbranch_gridd_request_errors_total 0
 # TYPE secbranch_gridd_requests_total counter
 secbranch_gridd_requests_total 1
-# TYPE secbranch_gridd_snapshot_restores_total counter
-secbranch_gridd_snapshot_restores_total 65
-# TYPE secbranch_gridd_suffix_steps_saved_total counter
-secbranch_gridd_suffix_steps_saved_total 247
 # TYPE secbranch_gridd_version_rejects_total counter
 secbranch_gridd_version_rejects_total 0
 # TYPE secbranch_gridd_warm_cells_total counter
@@ -644,8 +624,18 @@ secbranch_pool_compute_micros_total <timing>
 secbranch_pool_errored_total 0
 # TYPE secbranch_pool_expired_total counter
 secbranch_pool_expired_total 0
+# TYPE secbranch_pool_loop_proofs_total counter
+secbranch_pool_loop_proofs_total 0
+# TYPE secbranch_pool_loop_steps_saved_total counter
+secbranch_pool_loop_steps_saved_total 0
+# TYPE secbranch_pool_points_pruned_total counter
+secbranch_pool_points_pruned_total 7
+# TYPE secbranch_pool_snapshot_restores_total counter
+secbranch_pool_snapshot_restores_total 65
 # TYPE secbranch_pool_submitted_total counter
 secbranch_pool_submitted_total 4
+# TYPE secbranch_pool_suffix_steps_saved_total counter
+secbranch_pool_suffix_steps_saved_total 247
 # TYPE secbranch_store_cell_hits_total counter
 secbranch_store_cell_hits_total 0
 # TYPE secbranch_store_cell_misses_total counter

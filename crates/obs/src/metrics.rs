@@ -2,7 +2,8 @@
 //! and a deterministic Prometheus-style text renderer.
 //!
 //! The runtime counter sets (`StoreStats`, `PoolStats`, `TraceStoreStats`,
-//! the daemon's `DaemonStats`) are each declared once with
+//! the executor's `WorkCounters`, the daemon's `DaemonStats`) are each
+//! declared once with
 //! [`crate::counters!`], which derives the set's atomics, JSON,
 //! `register_into(&mut Registry)` and `from_series` from that one
 //! declaration; exporters then render the registry instead of every layer
@@ -348,7 +349,9 @@ impl HistogramSnapshot {
 ///
 /// * the plain snapshot struct (`Copy + Default + Eq`, one `pub u64` field
 ///   per entry, with the entry's doc);
-/// * its `AtomicU64` twin, whose `snapshot()` loads every field (relaxed);
+/// * its `AtomicU64` twin, whose `snapshot()` loads every field and
+///   `add(&snapshot)` adds to every field (both relaxed);
+/// * `+=` on the snapshot struct, field by field;
 /// * `ToJson` and `to_json`, the fields in declared order, through
 ///   [`crate::impl_to_json!`];
 /// * `register_into(&mut Registry)`, each field under its series name;
@@ -409,6 +412,17 @@ macro_rules! counters {
                 $name {
                     $($field: self.$field.load(::std::sync::atomic::Ordering::Relaxed),)*
                 }
+            }
+
+            /// Adds every field of `other` to its live counter.
+            pub fn add(&self, other: &$name) {
+                $(self.$field.fetch_add(other.$field, ::std::sync::atomic::Ordering::Relaxed);)*
+            }
+        }
+
+        impl ::std::ops::AddAssign for $name {
+            fn add_assign(&mut self, other: $name) {
+                $(self.$field += other.$field;)*
             }
         }
 
@@ -499,6 +513,9 @@ pub fn parse_prometheus(text: &str) -> Result<BTreeMap<String, u64>, String> {
 }
 
 #[cfg(test)]
+// The test's private counter set gets the borrowing `to_json` every exported
+// set has; the lint spares only exported types.
+#[allow(clippy::wrong_self_convention)]
 mod tests {
     use super::*;
 
@@ -656,6 +673,33 @@ mod tests {
         let series = parse_prometheus("# TYPE a counter\n\na 7\nb{x=\"1 2\"} 8\n").expect("ok");
         assert_eq!(series["a"], 7);
         assert_eq!(series["b{x=\"1 2\"}"], 8);
+    }
+
+    crate::counters! {
+        /// A two-field set for the arithmetic tests.
+        struct PairStats(PairCounters) {
+            /// First.
+            a: counter("pair_a_total"),
+            /// Second.
+            b: gauge("pair_b"),
+        }
+    }
+
+    #[test]
+    fn counter_sets_add_field_by_field() {
+        let mut sum = PairStats { a: 1, b: 20 };
+        sum += PairStats { a: 2, b: 30 };
+        assert_eq!(sum, PairStats { a: 3, b: 50 });
+
+        let live = PairCounters::default();
+        live.add(&sum);
+        live.add(&PairStats { a: 4, b: 0 });
+        assert_eq!(live.snapshot(), PairStats { a: 7, b: 50 });
+
+        let mut registry = Registry::new();
+        live.snapshot().register_into(&mut registry);
+        let series = parse_prometheus(&registry.render_prometheus()).expect("parses");
+        assert_eq!(PairStats::from_series(&series), Ok(live.snapshot()));
     }
 
     #[test]

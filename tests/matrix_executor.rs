@@ -287,12 +287,8 @@ fn a_repeated_cold_grid_does_the_same_work() {
     assert_eq!(again.stats.trace_misses, 0, "the references are held");
     assert_eq!(again.to_json(), first.to_json(), "byte-identical reports");
     assert_eq!(
-        again.stats.snapshot_restores, first.stats.snapshot_restores,
-        "a re-run restores exactly as often as the first run"
-    );
-    assert_eq!(
-        again.stats.suffix_steps_saved, first.stats.suffix_steps_saved,
-        "a re-run prunes exactly as much as the first run"
+        again.stats.work, first.stats.work,
+        "a re-run does exactly the work of the first run"
     );
 }
 
