@@ -53,7 +53,9 @@ mod uop;
 pub use error::SimError;
 pub use instr::{Cond, Instr, Operand2, Reg, Target};
 pub use machine::{Flags, Machine, MachineState};
-pub use program::{Program, ProgramBuilder, DEFAULT_ORIGIN, SKIP_DUP_ORIGIN};
+pub use program::{
+    AtomicDecodeCounters, DecodeCounters, Program, ProgramBuilder, DEFAULT_ORIGIN, SKIP_DUP_ORIGIN,
+};
 pub use secbranch_cfi::CfiMonitor;
 pub use simulator::{
     ExecResult, FaultAction, FaultHook, NoFaults, RunCursor, SegmentEnd, Simulator,

@@ -444,33 +444,7 @@ impl Machine {
     /// compare states with it.
     #[must_use]
     pub fn state_matches(&self, state: &MachineState) -> bool {
-        self.cfi == state.cfi && self.core_state_matches(state)
-    }
-
-    /// `true` if the machine's *program-observable* state equals `state`:
-    /// like [`Machine::state_matches`], except the CFI unit is compared only
-    /// through what its MMIO window exposes — the signature state and the
-    /// violation count. The check counter (and the first-violation detail it
-    /// latches) has no load address, so it cannot influence where execution
-    /// goes next.
-    ///
-    /// Within a single run this is the periodicity test of endless-loop
-    /// detection: seeing the same program counter twice with
-    /// observably-equal state, and no fault hook left to fire, proves the
-    /// execution has entered a cycle it can never leave — every input to
-    /// the interpreter's next transition is equal, and the only bits
-    /// allowed to differ are monotone counters the program cannot read.
-    #[must_use]
-    pub fn state_repeats(&self, state: &MachineState) -> bool {
-        self.cfi.state() == state.cfi.state()
-            && self.cfi.violations() == state.cfi.violations()
-            && self.core_state_matches(state)
-    }
-
-    /// The CFI-agnostic part of [`Machine::state_matches`]: registers,
-    /// flags and every RAM byte.
-    fn core_state_matches(&self, state: &MachineState) -> bool {
-        if self.regs != state.regs || self.flags != state.flags {
+        if self.cfi != state.cfi || self.regs != state.regs || self.flags != state.flags {
             return false;
         }
         for (base, bytes) in &state.segments {

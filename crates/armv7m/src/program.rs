@@ -1,7 +1,7 @@
 //! Program construction and assembly (label resolution, size accounting,
 //! per-instruction provenance).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::sync::OnceLock;
 
 use crate::error::SimError;
@@ -214,6 +214,47 @@ impl Program {
             offset += self.sizes[i];
         }
         out
+    }
+}
+
+secbranch_obs::counters! {
+    /// Micro-op decode costs summed over distinct programs ([`Program::decode_cost`]).
+    /// The decoded form is derived data and never part of a report.
+    pub struct DecodeCounters(AtomicDecodeCounters) {
+        /// Distinct programs decoded into micro-ops.
+        programs: counter("secbranch_decode_programs_total"),
+        /// Micro-ops across those programs (equals their total instruction
+        /// count — the decoder is 1:1).
+        uops: counter("secbranch_decode_uops_total"),
+        /// Wall-clock microseconds spent decoding them.
+        micros: counter("secbranch_decode_micros_total"),
+    }
+}
+
+impl DecodeCounters {
+    /// Adds the decode cost of each program among `programs` that has
+    /// decoded and is not in `seen` (keyed by address), and marks it seen.
+    /// A program decodes into micro-ops at most once (cached in the
+    /// `Arc<Program>` every worker shares), so `seen` decides the scope: a
+    /// fresh set counts each program of one run once, a set kept for a
+    /// service's lifetime counts each program once ever. A program whose
+    /// cells were all served from a warm store has not decoded yet and
+    /// stays unmarked, so the run that decodes it counts it.
+    pub fn add_decoded<'p>(
+        &mut self,
+        seen: &mut HashSet<usize>,
+        programs: impl IntoIterator<Item = &'p Program>,
+    ) {
+        for program in programs {
+            let Some((uops, micros)) = program.decode_cost() else {
+                continue;
+            };
+            if seen.insert(std::ptr::from_ref(program) as usize) {
+                self.programs += 1;
+                self.uops += uops;
+                self.micros += micros;
+            }
+        }
     }
 }
 

@@ -129,10 +129,12 @@ impl RunCursor {
     /// A cursor resuming at instruction index `pc` after `steps_done`
     /// dynamic steps, for a machine restored from a mid-run snapshot.
     ///
-    /// The CFI baselines are zero — snapshots carry the prefix's monitor
-    /// counters, so the eventual [`ExecResult`] reports full-run CFI deltas
-    /// while `cycles`/`instructions` count only the resumed suffix, exactly
-    /// like [`Simulator::resume_with_faults`].
+    /// The step counter continues from `steps_done`, so fault hooks see
+    /// the same step numbers as in a full run and `max_steps` bounds the
+    /// *total* dynamic length. The CFI baselines are zero — snapshots carry
+    /// the prefix's monitor counters, so the eventual [`ExecResult`] reports
+    /// full-run CFI deltas while `cycles`/`instructions` count only the
+    /// resumed suffix.
     #[must_use]
     pub fn resumed(pc: usize, steps_done: u64) -> Self {
         RunCursor {
@@ -369,36 +371,6 @@ impl Simulator {
         faults: &mut F,
     ) -> Result<SegmentEnd, SimError> {
         self.run_from(cursor, pause_after, max_steps, faults)
-    }
-
-    /// Resumes execution mid-call: the machine must already hold the
-    /// architectural state of a run paused before executing dynamic step
-    /// `steps_done + 1` at instruction index `pc` (normally restored from a
-    /// [`crate::MachineState`] snapshot taken during a recorded run).
-    ///
-    /// The step counter continues from `steps_done`, so fault hooks see the
-    /// same step numbers as in a full run and `max_steps` bounds the
-    /// *total* dynamic length, exactly as [`Simulator::call_with_faults`]
-    /// would. The reported CFI deltas count from the machine's zero point
-    /// (snapshots carry the prefix's counters), so a resumed run's CFI
-    /// verdict matches the full run's; `cycles`/`instructions` however
-    /// count only the resumed suffix — callers that need full-run counters
-    /// must take them from the recording.
-    ///
-    /// # Errors
-    ///
-    /// See [`Simulator::call`].
-    pub fn resume_with_faults<F: FaultHook + ?Sized>(
-        &mut self,
-        pc: usize,
-        steps_done: u64,
-        max_steps: u64,
-        faults: &mut F,
-    ) -> Result<ExecResult, SimError> {
-        match self.run_from(RunCursor::resumed(pc, steps_done), None, max_steps, faults)? {
-            SegmentEnd::Done(result) => Ok(result),
-            SegmentEnd::Paused(_) => unreachable!("no pause requested"),
-        }
     }
 
     /// The interpreter entry point, shared by fresh calls, resumed runs
@@ -1338,9 +1310,13 @@ mod tests {
             .expect("runs");
         let mut resumed_sim = Simulator::new(program.clone(), 4096);
         resumed_sim.machine_mut().restore(&state);
-        let resumed = resumed_sim
-            .resume_with_faults(pc, 8, 1_000, &mut SkipAt(20))
-            .expect("runs");
+        let resumed = match resumed_sim
+            .run_segment(RunCursor::resumed(pc, 8), None, 1_000, &mut SkipAt(20))
+            .expect("runs")
+        {
+            SegmentEnd::Done(result) => result,
+            SegmentEnd::Paused(_) => unreachable!("no pause requested"),
+        };
         assert_eq!(resumed.return_value, full.return_value);
         assert_ne!(full.return_value, reference.return_value, "fault visible");
 
@@ -1351,7 +1327,8 @@ mod tests {
         let full_err = limited_full.call_with_faults("sum", &[10], 30, &mut SkipAt(17));
         let mut limited_resumed = Simulator::new(program, 4096);
         limited_resumed.machine_mut().restore(&state);
-        let resumed_err = limited_resumed.resume_with_faults(pc, 8, 30, &mut SkipAt(17));
+        let resumed_err =
+            limited_resumed.run_segment(RunCursor::resumed(pc, 8), None, 30, &mut SkipAt(17));
         match (full_err, resumed_err) {
             (
                 Err(SimError::StepLimitExceeded { limit: a }),

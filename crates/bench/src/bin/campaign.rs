@@ -777,9 +777,7 @@ fn run_matrix_benchmark(
                     .field("cell_misses", &first.cell_misses)
                     .field("cell_compute_micros", &stats.cell_compute_micros)
                     .field("work", &stats.work)
-                    .field("decoded_programs", &stats.decoded_programs)
-                    .field("decoded_uops", &stats.decoded_uops)
-                    .field("decode_micros", &stats.decode_micros)
+                    .field("decode", &stats.decode)
                     .field("compute_histogram", &stats.compute_histogram());
                 if options.per_model {
                     m.array("per_model", |a| {

@@ -107,6 +107,7 @@ fn every_metrics_series_matches_stats_json_and_the_typed_view() {
         u64::from(view.protocol_version),
     );
     view.daemon.register_into(&mut typed);
+    view.decode.register_into(&mut typed);
     view.pool.register_into(&mut typed);
     view.work.register_into(&mut typed);
     view.traces.register_into(&mut typed);

@@ -2,11 +2,10 @@
 //!
 //! Runaway faulted runs — a skipped bound check leaving a loop spinning —
 //! burn the entire step budget to produce an outcome that is already
-//! determined: `Err(StepLimitExceeded)`. Exact-state cycle detection
-//! (`Machine::state_repeats`) misses most of them, because the loop
-//! carries a marching value: a counter in a stack slot, a pointer walking
-//! memory. The state never repeats bit-for-bit, but it evolves *affinely*
-//! from period to period.
+//! determined: `Err(StepLimitExceeded)`. Such a loop usually carries a
+//! marching value — a counter in a stack slot, a pointer walking memory —
+//! so its state never repeats bit-for-bit, but it evolves *affinely* from
+//! period to period.
 //!
 //! [`prove_divergence`] exploits that. Called at a program counter the
 //! run has visited before, it walks ONE loop period symbolically, with
@@ -53,24 +52,12 @@ use secbranch_armv7m::{
     SimError, Simulator,
 };
 
-/// Instruction budget for a first (shallow) discovery walk — enough to
-/// expose a flat loop's period several times over. Kept short: most
-/// attempts are false alarms on terminating runs, and the walk is pure
-/// overhead for those.
-const SHALLOW_WALK: usize = 1_536;
-
-/// Instruction budget for an escalated discovery walk, and the longest
-/// candidate period a proof walk will attempt to close. A nested loop's
-/// outer period (inner trip count × inner body) can run to tens of
-/// thousands of instructions; the deep walk must see it two or three
-/// times before `candidates` can vouch for it.
-const DEEP_WALK: usize = 40_000;
-
-/// Arrivals back at the start pc the discovery walk collects before it
-/// stops; a deep walk anchored inside the inner loop of a nest arrives
-/// once per inner iteration, so confirming the outer period twice takes
-/// hundreds of arrivals.
-const MAX_ARRIVALS: usize = 2_048;
+/// Instruction budget of the discovery walk — enough to expose a flat
+/// loop's period several times over, and so also the longest candidate
+/// period a proof walk will attempt to close. Kept short: most attempts
+/// are false alarms on terminating runs, and the walk is pure overhead
+/// for those.
+const DISCOVERY_WALK: usize = 1_536;
 
 /// Candidate periods tried per proof attempt, cheapest first.
 const MAX_CANDIDATES: usize = 3;
@@ -91,14 +78,6 @@ enum Val {
     /// `base + slope·k` as an exact integer, guaranteed by construction
     /// to stay within `u32` for every period in the horizon.
     Affine { base: u32, slope: i64 },
-    /// `(base + slope·k) / modulus` — the exact quotient of an affine
-    /// value, produced by `UDIV` with a constant divisor.
-    Quot { base: u32, slope: i64, modulus: u32 },
-    /// `(base + slope·k) % modulus` — the exact remainder of an affine
-    /// value, produced by the `UDIV`+`MLS` remainder idiom. Equality
-    /// against a constant is decidable by modular congruence even though
-    /// the sequence itself is not affine.
-    Mod { base: u32, slope: i64, modulus: u32 },
     /// Unknown, but within `[lo, hi]` for every period.
     Top { lo: u32, hi: u32 },
 }
@@ -129,19 +108,6 @@ impl Val {
                 let b = a + i128::from(slope) * k_max;
                 (a.min(b), a.max(b))
             }
-            Val::Quot {
-                base,
-                slope,
-                modulus,
-            } => {
-                let a = i128::from(base);
-                let b = a + i128::from(slope) * k_max;
-                (
-                    a.min(b) / i128::from(modulus),
-                    a.max(b) / i128::from(modulus),
-                )
-            }
-            Val::Mod { modulus, .. } => (0, i128::from(modulus) - 1),
             Val::Top { lo, hi } => (i128::from(lo), i128::from(hi)),
         }
     }
@@ -281,11 +247,6 @@ fn udiv(n: Val, d: Val, k: i128) -> Val {
             Val::Affine { base, slope } if slope % i64::from(dc) == 0 => {
                 mk(i128::from(base / dc), i128::from(slope / i64::from(dc)), k)
             }
-            Val::Affine { base, slope } => Val::Quot {
-                base,
-                slope,
-                modulus: dc,
-            },
             _ => {
                 let (lo, hi) = n.range(k);
                 top_range(lo / i128::from(dc), hi / i128::from(dc))
@@ -386,16 +347,7 @@ fn asr(a: Val, sh: u32, k: i128) -> Val {
 /// period `0..=k_max`: `Some(taken)` if so, `None` when the decision
 /// flips inside the horizon or an operand is not affine.
 fn invariant_decision(cond: Cond, lhs: Val, rhs: Val, k_max: i128) -> Option<bool> {
-    let decide = |d: i128| match cond {
-        Cond::Eq => d == 0,
-        Cond::Ne => d != 0,
-        Cond::Lo => d < 0,
-        Cond::Hs => d >= 0,
-        Cond::Hi => d > 0,
-        Cond::Ls => d <= 0,
-    };
-    // Exact affine path: d = lhs - rhs is linear in k.
-    if let (
+    let (
         Val::Affine {
             base: lb,
             slope: ls,
@@ -405,123 +357,36 @@ fn invariant_decision(cond: Cond, lhs: Val, rhs: Val, k_max: i128) -> Option<boo
             slope: rs,
         },
     ) = (lhs, rhs)
-    {
-        // CMP sets Z = (lhs == rhs) and C = (lhs >= rhs unsigned); every
-        // condition code is a predicate on d = lhs - rhs as an exact
-        // integer.
-        let d0 = i128::from(lb) - i128::from(rb);
-        let ds = i128::from(ls) - i128::from(rs);
-        let dk = d0 + ds * k_max;
-        if decide(d0) != decide(dk) {
-            return None;
-        }
-        // d is linear in k, so matching sign predicates at the endpoints
-        // pin every period in between — except (in)equality, where an
-        // interior integer root flips exactly one period.
-        if matches!(cond, Cond::Eq | Cond::Ne) && ds != 0 {
-            let hits_zero = (-d0) % ds == 0 && (0..=k_max).contains(&(-d0 / ds));
-            if hits_zero {
-                return None;
-            }
-        }
-        return Some(decide(d0));
-    }
-    // Remainder vs constant: (in)equality is a modular congruence.
-    if matches!(cond, Cond::Eq | Cond::Ne) {
-        let pair = match (lhs, rhs) {
-            (
-                Val::Mod {
-                    base,
-                    slope,
-                    modulus,
-                },
-                other,
-            )
-            | (
-                other,
-                Val::Mod {
-                    base,
-                    slope,
-                    modulus,
-                },
-            ) => other.as_const().map(|c| (base, slope, modulus, c)),
-            _ => None,
-        };
-        if let Some((base, slope, modulus, c)) = pair {
-            let eq = mod_eq_decision(base, slope, modulus, c, k_max)?;
-            return Some(if matches!(cond, Cond::Eq) { eq } else { !eq });
-        }
-    }
-    // Interval fallback: disjoint or ordered ranges pin the decision for
-    // every period even when the operands themselves are unknown.
-    let (llo, lhi) = lhs.range(k_max);
-    let (rlo, rhi) = rhs.range(k_max);
-    if lhi < rlo {
-        // lhs < rhs for every period.
-        return Some(decide(-1));
-    }
-    if llo > rhi {
-        // lhs > rhs for every period.
-        return Some(decide(1));
-    }
-    if llo >= rhi && matches!(cond, Cond::Lo | Cond::Hs) {
-        // lhs >= rhs for every period (d in {0, positive}).
-        return Some(matches!(cond, Cond::Hs));
-    }
-    if lhi <= rlo && matches!(cond, Cond::Hi | Cond::Ls) {
-        // lhs <= rhs for every period.
-        return Some(matches!(cond, Cond::Ls));
-    }
-    None
-}
-
-/// Whether `(base + slope·k) % modulus == c` holds for every period in
-/// `0..=k_max` (`Some(true)`), for none (`Some(false)`), or varies
-/// (`None`).
-fn mod_eq_decision(base: u32, slope: i64, modulus: u32, c: u32, k_max: i128) -> Option<bool> {
-    let m = i128::from(modulus);
-    if m == 0 {
+    else {
+        return None;
+    };
+    let decide = |d: i128| match cond {
+        Cond::Eq => d == 0,
+        Cond::Ne => d != 0,
+        Cond::Lo => d < 0,
+        Cond::Hs => d >= 0,
+        Cond::Hi => d > 0,
+        Cond::Ls => d <= 0,
+    };
+    // CMP sets Z = (lhs == rhs) and C = (lhs >= rhs unsigned); every
+    // condition code is a predicate on d = lhs - rhs as an exact integer,
+    // and d is linear in k.
+    let d0 = i128::from(lb) - i128::from(rb);
+    let ds = i128::from(ls) - i128::from(rs);
+    let dk = d0 + ds * k_max;
+    if decide(d0) != decide(dk) {
         return None;
     }
-    if i128::from(c) >= m {
-        return Some(false); // a remainder is always below the modulus
+    // Matching sign predicates at the endpoints pin every period in
+    // between — except (in)equality, where an interior integer root flips
+    // exactly one period.
+    if matches!(cond, Cond::Eq | Cond::Ne) && ds != 0 {
+        let hits_zero = (-d0) % ds == 0 && (0..=k_max).contains(&(-d0 / ds));
+        if hits_zero {
+            return None;
+        }
     }
-    let s = i128::from(slope).rem_euclid(m);
-    let t = (i128::from(c) - i128::from(base)).rem_euclid(m);
-    if s == 0 {
-        return Some(t == 0);
-    }
-    let g = gcd(s, m);
-    if t % g != 0 {
-        return Some(false); // the congruence has no solution at all
-    }
-    // Solutions are k ≡ k0 (mod m/g); the smallest is decisive.
-    let mg = m / g;
-    let k0 = (t / g * mod_inv(s / g, mg)).rem_euclid(mg);
-    if k0 > k_max {
-        Some(false) // first solution lies beyond the horizon
-    } else {
-        None // the decision flips at period k0
-    }
-}
-
-fn gcd(a: i128, b: i128) -> i128 {
-    if b == 0 {
-        a
-    } else {
-        gcd(b, a % b)
-    }
-}
-
-/// Modular inverse of `a` modulo `m` (requires `gcd(a, m) == 1`).
-fn mod_inv(a: i128, m: i128) -> i128 {
-    let (mut t, mut new_t, mut r, mut new_r) = (0i128, 1i128, m, a.rem_euclid(m));
-    while new_r != 0 {
-        let q = r / new_r;
-        (t, new_t) = (new_t, t - q * new_t);
-        (r, new_r) = (new_r, r - q * new_r);
-    }
-    t.rem_euclid(m)
+    Some(decide(d0))
 }
 
 /// Per-value model carried across refinement passes.
@@ -632,18 +497,6 @@ impl<'a> Pass<'a> {
         }
     }
 
-    /// Current concrete memory at `(addr, width)`; `None` out of bounds.
-    fn concrete(&self, addr: u32, width: u8) -> Option<u32> {
-        if u64::from(addr) + u64::from(width) > u64::from(self.msize) {
-            return None;
-        }
-        let bytes = self.machine.read_bytes(addr, u32::from(width));
-        Some(match width {
-            1 => u32::from(bytes[0]),
-            _ => u32::from_le_bytes(bytes.try_into().expect("word read")),
-        })
-    }
-
     /// Reads the period-entry value at a fixed address (overlay first).
     fn read_entry(&mut self, addr: u32, width: u8) -> Option<Val> {
         if let Some(v) = self.overlay.get(&(addr, width)) {
@@ -652,7 +505,7 @@ impl<'a> Pass<'a> {
         if self.overlay.keys().any(|key| overlaps(*key, (addr, width))) {
             return None; // mixed-width aliasing: not modelled
         }
-        let base = self.concrete(addr, width)?;
+        let base = concrete_mem(self.machine, addr, width)?;
         let v = match self
             .mem_models
             .get(&(addr, width))
@@ -687,7 +540,7 @@ impl<'a> Pass<'a> {
                 }
                 self.read_entry(base, width)
             }
-            Val::Affine { .. } => {
+            Val::Affine { base, slope } => {
                 // A marching load: the address advances every period. The
                 // proof needs the loaded value for *every* period, so probe
                 // the whole stride concretely — sound because end-of-pass
@@ -700,14 +553,11 @@ impl<'a> Pass<'a> {
                     return None;
                 }
                 self.probes += self.k + 1;
-                let Val::Affine { base, slope } = addr else {
-                    unreachable!()
-                };
-                let first = self.concrete(base, width)?;
+                let first = concrete_mem(self.machine, base, width)?;
                 let mut uniform = true;
                 for kk in 1..=self.k {
                     let a = (i128::from(base) + i128::from(slope) * kk) as u32;
-                    if self.concrete(a, width)? != first {
+                    if concrete_mem(self.machine, a, width)? != first {
                         uniform = false;
                         break;
                     }
@@ -722,7 +572,7 @@ impl<'a> Pass<'a> {
                     TOP
                 })
             }
-            Val::Quot { .. } | Val::Mod { .. } | Val::Top { .. } => {
+            Val::Top { .. } => {
                 let (lo, hi) = addr.range(self.k);
                 let (Ok(lo), Ok(hi)) = (u32::try_from(lo), u32::try_from(hi)) else {
                     return None;
@@ -793,7 +643,6 @@ impl<'a> Pass<'a> {
     /// soundness checks holding. `None` on anything unprovable.
     fn run(mut self, start_pc: usize, lambda: usize) -> Option<PassEnd> {
         let instructions = self.program.instructions();
-        let limit = lambda.min(DEEP_WALK);
         let mut pc = start_pc;
         let mut steps = 0usize;
         loop {
@@ -816,32 +665,8 @@ impl<'a> Pass<'a> {
                     self.regs[rd.index()] = mul(self.regs[rn.index()], self.regs[rm.index()], k);
                 }
                 Instr::Mls { rd, rn, rm, ra } => {
-                    // `UDIV q, v, m` + `MLS r, q, m, v` is the remainder
-                    // idiom: when the quotient's value and divisor match
-                    // exactly, the result is the exact modular sequence
-                    // `(base + slope·k) % m`.
-                    let q = self.regs[rn.index()];
-                    let m = self.regs[rm.index()];
-                    let v = self.regs[ra.index()];
-                    self.regs[rd.index()] = match (q, m, v) {
-                        (
-                            Val::Quot {
-                                base: qb,
-                                slope: qs,
-                                modulus,
-                            },
-                            Val::Affine { base: mb, slope: 0 },
-                            Val::Affine {
-                                base: vb,
-                                slope: vs,
-                            },
-                        ) if qb == vb && qs == vs && modulus == mb => Val::Mod {
-                            base: vb,
-                            slope: vs,
-                            modulus,
-                        },
-                        _ => sub(v, mul(q, m, k), k),
-                    };
+                    let product = mul(self.regs[rn.index()], self.regs[rm.index()], k);
+                    self.regs[rd.index()] = sub(self.regs[ra.index()], product, k);
                 }
                 Instr::Udiv { rd, rn, rm } => {
                     self.regs[rd.index()] = udiv(self.regs[rn.index()], self.regs[rm.index()], k);
@@ -944,7 +769,7 @@ impl<'a> Pass<'a> {
                 Instr::Nop => {}
             }
             pc = next_pc;
-            if steps >= limit {
+            if steps >= lambda {
                 if pc != start_pc {
                     return None; // the candidate period does not close
                 }
@@ -1034,8 +859,7 @@ fn refine(model: Model, base_now: u32, end: Val) -> (Model, bool) {
 }
 
 /// Records `(steps since walk start, registers)` at every return to the
-/// start pc of a scratch-simulator discovery walk, aborting the walk once
-/// the log is full (the abort surfaces as the walk's step-limit error).
+/// start pc of a scratch-simulator discovery walk.
 struct ArrivalLog {
     start_pc: usize,
     base: u64,
@@ -1053,9 +877,6 @@ impl FaultHook for ArrivalLog {
         if pc == self.start_pc {
             let regs = std::array::from_fn(|i| machine.reg(Reg::ALL[i]));
             self.arrivals.push((step - self.base, regs));
-            if self.arrivals.len() > MAX_ARRIVALS {
-                return FaultAction::DivergenceProven;
-            }
         }
         FaultAction::Continue
     }
@@ -1104,25 +925,11 @@ fn candidates(arrivals: &[(u64, [u32; 16])]) -> Vec<usize> {
     strict
 }
 
-/// What a [`prove_divergence`] attempt learned, beyond its verdict: the
-/// caller uses this to decide whether a deeper walk could still help.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ProveOutcome {
-    /// The run provably exhausts its step budget.
-    Proved,
-    /// The discovery walk saw an irregular arrival pattern (or ran out
-    /// of arrival slots): a longer walk may expose an outer period.
-    Irregular,
-    /// The walk was regular and every candidate failed — a longer walk
-    /// would rediscover the same periods, so further attempts are moot.
-    Flat,
-}
-
 /// Tries to prove that the run now at `pc` (about to execute its
 /// `step`-th instruction, hook numbering) can never halt before
-/// exhausting `max_steps`. [`ProveOutcome::Proved`] means the caller may
-/// answer `FaultAction::DivergenceProven` — see the module docs for the
-/// proof obligations.
+/// exhausting `max_steps`. `true` means the caller may answer
+/// `FaultAction::DivergenceProven` — see the module docs for the proof
+/// obligations.
 pub(crate) fn prove_divergence(
     program: &Program,
     machine: &Machine,
@@ -1130,18 +937,16 @@ pub(crate) fn prove_divergence(
     pc: usize,
     step: u64,
     max_steps: u64,
-    deep: bool,
-) -> ProveOutcome {
+) -> bool {
     if pc >= program.len() {
-        return ProveOutcome::Flat;
+        return false;
     }
     // Steps the run may still execute, counting the current one: the run
     // errors when the counter reaches `max_steps` at the top of the loop.
     let remaining = max_steps.saturating_sub(step.saturating_sub(1));
     if remaining < MIN_REMAINING {
-        return ProveOutcome::Flat;
+        return false;
     }
-    let walk = if deep { DEEP_WALK } else { SHALLOW_WALK };
 
     // Phase 1: replay the run's own future on a scratch simulator — exact
     // by construction (deterministic machine, every fault already
@@ -1154,24 +959,19 @@ pub(crate) fn prove_divergence(
         arrivals: Vec::new(),
     };
     scratch.machine_mut().restore(&machine.snapshot());
-    let budget = (step - 1).saturating_add(walk as u64).min(max_steps - 1);
+    let budget = (step - 1)
+        .saturating_add(DISCOVERY_WALK as u64)
+        .min(max_steps - 1);
     let walked = scratch.run_segment(RunCursor::resumed(pc, step - 1), None, budget, &mut hook);
     if !matches!(walked, Err(SimError::StepLimitExceeded { .. })) {
-        return ProveOutcome::Flat;
+        return false;
     }
-    let arrivals = hook.arrivals;
-    // Distinct arrival gaps — or an arrival log truncated at its cap —
-    // hint at an outer period a longer walk could still expose.
-    let gaps_vary = arrivals.len() > MAX_ARRIVALS
-        || arrivals
-            .windows(3)
-            .any(|w| w[1].0 - w[0].0 != w[2].0 - w[1].0);
 
     // Phase 2, per candidate: fixed-point refinement over the full
     // horizon. The walk's path never changes between passes (period-0
     // values are concrete), only the slope models do; a pass with nothing
     // left to refine is the inductive proof.
-    'candidate: for lambda in candidates(&arrivals) {
+    'candidate: for lambda in candidates(&hook.arrivals) {
         let Ok(lambda_steps) = u64::try_from(lambda) else {
             continue;
         };
@@ -1218,15 +1018,11 @@ pub(crate) fn prove_divergence(
                 changed |= delta;
             }
             if !changed {
-                return ProveOutcome::Proved;
+                return true;
             }
         }
     }
-    if gaps_vary {
-        ProveOutcome::Irregular
-    } else {
-        ProveOutcome::Flat
-    }
+    false
 }
 
 /// Current concrete memory at `(addr, width)`; `None` out of bounds.
@@ -1243,15 +1039,188 @@ fn concrete_mem(machine: &Machine, addr: u32, width: u8) -> Option<u32> {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
     use std::sync::Arc;
 
+    use rand::rngs::StdRng;
+    use rand::{Rng, RngCore, SeedableRng};
     use secbranch_armv7m::program::ProgramBuilder;
     use secbranch_armv7m::{
-        Cond, FaultAction, FaultHook, Instr, Machine, Operand2, Program, Reg, SimError, Simulator,
-        Target,
+        Cond, FaultAction, FaultHook, Instr, Machine, NoFaults, Operand2, Program, Reg, RunCursor,
+        SegmentEnd, SimError, Simulator, Target,
     };
 
-    use super::{prove_divergence, ProveOutcome, CFI_UPDATE_ADDR};
+    use super::{concrete_mem, prove_divergence, udiv, Model, Pass, Val, CFI_UPDATE_ADDR};
+
+    /// Registers the random code reads and writes; `r8` is the fixed base
+    /// of its loads and stores and is never written.
+    const CODE_REGS: [Reg; 8] = [
+        Reg::R0,
+        Reg::R1,
+        Reg::R2,
+        Reg::R3,
+        Reg::R4,
+        Reg::R5,
+        Reg::R6,
+        Reg::R7,
+    ];
+
+    /// Base address held in `r8`: eight words at offsets `0..32`, sixteen
+    /// bytes at offsets `256..272`, so no access aliases one of another
+    /// width.
+    const MEM_BASE: u32 = 0x100;
+
+    /// A random value: zero, a small number or a full word, so that
+    /// divisions by zero and small divisors both occur.
+    fn random_value(rng: &mut StdRng) -> u32 {
+        match rng.gen_range(0..3u32) {
+            0 => 0,
+            1 => rng.gen_range(0..40u32),
+            _ => rng.next_u32(),
+        }
+    }
+
+    fn random_reg(rng: &mut StdRng) -> Reg {
+        CODE_REGS[rng.gen_range(0..CODE_REGS.len())]
+    }
+
+    fn random_op2(rng: &mut StdRng) -> Operand2 {
+        if rng.gen_range(0..2u32) == 0 {
+            Operand2::Reg(random_reg(rng))
+        } else {
+            Operand2::Imm(random_value(rng))
+        }
+    }
+
+    /// One random straight-line instruction: ALU ops with register and
+    /// immediate operands, `mul`, `udiv`, `mls`, `cmp`, and word and byte
+    /// loads and stores at in-bounds constant addresses.
+    fn random_instr(rng: &mut StdRng) -> Instr {
+        let rd = random_reg(rng);
+        let (rn, rm, ra) = (random_reg(rng), random_reg(rng), random_reg(rng));
+        let op2 = random_op2(rng);
+        let word = 4 * rng.gen_range(0..8u32) as i32;
+        let byte = 256 + rng.gen_range(0..16u32) as i32;
+        match rng.gen_range(0..18u32) {
+            0 => Instr::MovImm {
+                rd,
+                imm: random_value(rng),
+            },
+            1 => Instr::Mov { rd, rm },
+            2 => Instr::Add { rd, rn, op2 },
+            3 => Instr::Sub { rd, rn, op2 },
+            4 => Instr::And { rd, rn, op2 },
+            5 => Instr::Orr { rd, rn, op2 },
+            6 => Instr::Eor { rd, rn, op2 },
+            7 => Instr::Lsl { rd, rn, op2 },
+            8 => Instr::Lsr { rd, rn, op2 },
+            9 => Instr::Asr { rd, rn, op2 },
+            10 => Instr::Mul { rd, rn, rm },
+            11 => Instr::Udiv { rd, rn, rm },
+            12 => Instr::Mls { rd, rn, rm, ra },
+            13 => Instr::Cmp { rn, op2 },
+            14 => Instr::Ldr {
+                rt: rd,
+                rn: Reg::R8,
+                offset: word,
+            },
+            15 => Instr::Str {
+                rt: rd,
+                rn: Reg::R8,
+                offset: word,
+            },
+            16 => Instr::Ldrb {
+                rt: rd,
+                rn: Reg::R8,
+                offset: byte,
+            },
+            _ => Instr::Strb {
+                rt: rd,
+                rn: Reg::R8,
+                offset: byte,
+            },
+        }
+    }
+
+    #[test]
+    fn one_pass_over_constants_matches_the_simulator() {
+        for seed in 0..400u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let body: Vec<Instr> = (0..rng.gen_range(1..=24usize))
+                .map(|_| random_instr(&mut rng))
+                .collect();
+            let mut p = ProgramBuilder::new();
+            p.label("body");
+            for instr in &body {
+                p.push(instr.clone());
+            }
+            p.push(Instr::B {
+                target: Target::label("body"),
+            });
+            let mut sim = Simulator::new(p.assemble().expect("assembles"), 4096);
+            for reg in CODE_REGS {
+                let value = random_value(&mut rng);
+                sim.machine_mut().set_reg(reg, value);
+            }
+            sim.machine_mut().set_reg(Reg::R8, MEM_BASE);
+            let words: Vec<u8> = (0..32).map(|_| rng.next_u32() as u8).collect();
+            let bytes: Vec<u8> = (0..16).map(|_| rng.next_u32() as u8).collect();
+            sim.machine_mut().write_bytes(MEM_BASE, &words);
+            sim.machine_mut().write_bytes(MEM_BASE + 256, &bytes);
+
+            let reg_models = [Model::Slope(0); 16];
+            let mem_models = BTreeMap::new();
+            let end = Pass::new(
+                sim.shared_program(),
+                sim.machine(),
+                1_000,
+                &reg_models,
+                &mem_models,
+            )
+            .run(0, body.len() + 1)
+            .unwrap_or_else(|| panic!("seed {seed}: the walk closes\n{body:?}"));
+
+            let steps = body.len() as u64;
+            let ran = sim.run_segment(RunCursor::resumed(0, 0), Some(steps), 1_000, &mut NoFaults);
+            assert!(matches!(ran, Ok(SegmentEnd::Paused(_))), "seed {seed}");
+            let machine = sim.machine();
+            for (i, reg) in Reg::ALL.iter().enumerate() {
+                assert_eq!(
+                    end.regs[i],
+                    Val::con(machine.reg(*reg)),
+                    "seed {seed}: {reg:?}\n{body:?}"
+                );
+            }
+            for (&(addr, width), value) in &end.overlay {
+                let expected = concrete_mem(machine, addr, width).expect("in bounds");
+                assert_eq!(
+                    *value,
+                    Val::con(expected),
+                    "seed {seed}: [{addr:#x}] width {width}\n{body:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn quotient_of_a_non_dividing_slope_bounds_every_period() {
+        // 7 is not a multiple of 5, so the quotient is not affine: it must
+        // fall to an interval that holds the true quotient at every period.
+        let k_max = 1_000u32;
+        let Val::Top { lo, hi } = udiv(
+            Val::Affine {
+                base: 12_345,
+                slope: 7,
+            },
+            Val::con(5),
+            i128::from(k_max),
+        ) else {
+            panic!("a non-dividing slope has no exact quotient");
+        };
+        for k in 0..=k_max {
+            assert!((lo..=hi).contains(&((12_345 + 7 * k) / 5)), "period {k}");
+        }
+    }
 
     /// Calls `prove_divergence` once, at hook step 64, with whatever
     /// pc/machine the run has reached there — exactly how the executor's
@@ -1273,17 +1242,14 @@ mod tests {
             if step == 64 {
                 let mut scratch =
                     Simulator::from_shared(Arc::clone(&self.program), machine.memory_size());
-                self.verdict = Some(
-                    prove_divergence(
-                        &self.program,
-                        machine,
-                        &mut scratch,
-                        pc,
-                        step,
-                        self.max_steps,
-                        true,
-                    ) == ProveOutcome::Proved,
-                );
+                self.verdict = Some(prove_divergence(
+                    &self.program,
+                    machine,
+                    &mut scratch,
+                    pc,
+                    step,
+                    self.max_steps,
+                ));
             }
             FaultAction::Continue
         }

@@ -57,8 +57,7 @@ use std::thread;
 use std::time::Instant;
 
 use secbranch_armv7m::{
-    FaultAction, FaultHook, Instr, Machine, MachineState, Program, RunCursor, SegmentEnd, SimError,
-    Simulator,
+    FaultAction, FaultHook, Instr, Machine, Program, RunCursor, SegmentEnd, SimError, Simulator,
 };
 
 use crate::accel;
@@ -156,69 +155,39 @@ type ShardOutput = (Vec<(Outcome, u32)>, ShardStats);
 /// Most failed symbolic-prover attempts a single run will fund; a run
 /// whose loop keeps resisting the analysis falls back to plain concrete
 /// execution rather than paying for a doomed proof at every re-anchor.
-/// Attempts use the prover's cheap shallow walk; a single deep walk is
-/// spent only when a shallow attempt reports an irregular arrival
-/// pattern that a longer look could still resolve into an outer period.
 const MAX_PROVE_FAILURES: u32 = 3;
-
-/// Failed attempts at one anchor pc (with no success anywhere in the
-/// shard) before the whole shard stops trying that pc. Faulted trials of
-/// one cell keep diverging into the same few loops; there is no point
-/// re-analysing a shape the prover has already given up on trial after
-/// trial. Skipping an attempt can only cost a missed proof, never change
-/// an outcome, so reports stay byte-identical.
-const MEMO_FAIL_CAP: u32 = 6;
-
-/// Deep discovery walks one anchor pc may burn per shard — they are two
-/// orders of magnitude pricier than shallow ones.
-const MEMO_DEEP_CAP: u32 = 2;
 
 /// Steps a run must overshoot its watch point by before the prover is
 /// consulted at all: most overshoots are terminating runs a few thousand
 /// steps from their exit, and even a failed proof attempt costs a
 /// discovery walk. A true runaway pays this once against the ~200k steps
-/// a proof saves; the memo caps keep mis-fired attempts bounded per
-/// shard, so a short fuse costs little even on prover-resistant loops.
+/// a proof saves; [`MAX_PROVE_FAILURES`] keeps mis-fired attempts bounded
+/// per run, so a short fuse costs little even on prover-resistant loops.
 const PROVE_OVERSHOOT: u64 = 8_192;
 
-/// Per-shard record of how the prover has fared at one anchor pc.
-#[derive(Default, Clone, Copy)]
-struct ProveMemo {
-    fails: u32,
-    proves: u32,
-    deeps: u32,
-}
-
-/// Starting window (in steps) of [`CycleGuard`]'s periodicity probe; doubles
-/// on every re-anchor, so a cycle of length `λ` entered after `μ` steps is
-/// proven within `O(μ + λ)` steps of the watch point whatever `λ` is.
+/// Starting window (in steps) of [`CycleGuard`]'s anchor; doubles on every
+/// re-anchor, so a loop of length `λ` entered after `μ` steps is bracketed
+/// within `O(μ + λ)` steps of the watch point whatever `λ` is.
 const CYCLE_GUARD_WINDOW: u64 = 64;
 
 /// An endless-loop prover wrapped around a fault hook: once a faulted run
 /// overshoots both its last fault step and the reference length, the guard
-/// anchors a snapshot of the machine and watches for the anchor's program
-/// counter to come back. Two provers fire on a revisit:
+/// anchors a moment of the run — its program counter and step — and
+/// watches for that program counter to come back. On a revisit,
+/// [`accel::prove_divergence`] walks one loop period symbolically and
+/// proves the loop spins to the step limit, even when a counter or pointer
+/// marches so that the state never exactly repeats.
 ///
-/// * exact periodicity — observably-equal state
-///   ([`Machine::state_repeats`]) proves the run cycles bit-for-bit;
-/// * affine divergence — [`accel::prove_divergence`] walks one loop
-///   period symbolically and proves the loop spins to the step limit even
-///   when a counter or pointer marches (so the state never exactly
-///   repeats).
+/// A proof lets the guard answer [`FaultAction::DivergenceProven`], ending
+/// the run with the exact step-limit error it was guaranteed to produce —
+/// the inner hook is inert from the watch point on, so nothing can ever
+/// break the loop. Anchors are re-taken Brent-style (at doubling step
+/// windows), so the loop's entry point and length are eventually bracketed
+/// whatever they are; the prover runs at most once per anchor generation
+/// and at most [`MAX_PROVE_FAILURES`] times without success per run.
 ///
-/// Either proof lets the guard answer [`FaultAction::DivergenceProven`],
-/// ending the run with the exact step-limit error it was guaranteed to
-/// produce — the inner hook is inert from the watch point on, so nothing
-/// can ever break the loop. Anchors are re-taken Brent-style (at doubling
-/// step windows), so the loop's entry point and length are eventually
-/// bracketed whatever they are; the symbolic prover runs at most once per
-/// anchor generation, which caps its total cost per run at
-/// `O(log max_steps)` attempts.
-///
-/// Healthy runs halt before the watch point and never pay for a snapshot.
+/// Healthy runs halt before the watch point and never consult the prover.
 struct CycleGuard<'h, H: FaultHook + ?Sized> {
-    /// Shared prover scoreboard for the shard, keyed by anchor pc.
-    memo: &'h RefCell<HashMap<usize, ProveMemo>>,
     /// Shard-shared scratch simulator for the prover's discovery walks,
     /// created from `source` on the shard's first proof attempt.
     scratch: &'h RefCell<Option<Simulator>>,
@@ -233,18 +202,16 @@ struct CycleGuard<'h, H: FaultHook + ?Sized> {
     program: Arc<Program>,
     /// The run's step budget (the horizon divergence is proven against).
     max_steps: u64,
-    /// A previously observed moment of the run: `(pc, step, state)`.
-    anchor: Option<(usize, u64, MachineState)>,
+    /// A previously observed moment of the run: `(pc, step)`.
+    anchor: Option<(usize, u64)>,
     /// Steps the current anchor stays valid before it is re-taken.
     window: u64,
     /// Whether the symbolic prover already ran for the current anchor.
     tried_prove: bool,
-    /// Whether this run has spent its single deep discovery walk.
-    deep_done: bool,
     /// Failed prover attempts so far; the run stops paying for the
     /// analysis after [`MAX_PROVE_FAILURES`].
     failed_proves: u32,
-    /// Divergence proofs fired (both kinds), for the cell's stats.
+    /// Divergence proofs fired, for the cell's stats.
     proofs: u64,
     /// Steps the proofs avoided executing, for the cell's stats.
     steps_saved: u64,
@@ -256,12 +223,10 @@ impl<'h, H: FaultHook + ?Sized> CycleGuard<'h, H> {
         watch_from: u64,
         program: Arc<Program>,
         max_steps: u64,
-        memo: &'h RefCell<HashMap<usize, ProveMemo>>,
         scratch: &'h RefCell<Option<Simulator>>,
         source: &'h dyn SimulatorSource,
     ) -> Self {
         CycleGuard {
-            memo,
             scratch,
             source,
             inner,
@@ -271,17 +236,10 @@ impl<'h, H: FaultHook + ?Sized> CycleGuard<'h, H> {
             anchor: None,
             window: CYCLE_GUARD_WINDOW,
             tried_prove: false,
-            deep_done: false,
             failed_proves: 0,
             proofs: 0,
             steps_saved: 0,
         }
-    }
-
-    fn proven(&mut self, step: u64) -> FaultAction {
-        self.proofs += 1;
-        self.steps_saved += self.max_steps.saturating_sub(step.saturating_sub(1));
-        FaultAction::DivergenceProven
     }
 
     /// Whether `instr`'s pc may serve as an anchor: the symbolic prover
@@ -291,6 +249,14 @@ impl<'h, H: FaultHook + ?Sized> CycleGuard<'h, H> {
     /// loop's arrivals are merely phase-shifted).
     fn anchorable(instr: &Instr) -> bool {
         !matches!(instr, Instr::BCond { .. })
+    }
+
+    /// Runs the prover at the anchor revisit `(pc, step)`.
+    fn prove(&mut self, pc: usize, step: u64, machine: &Machine) -> bool {
+        let _span = secbranch_obs::span_with("prover", || format!("pc {pc} step {step}"));
+        let mut scratch = self.scratch.borrow_mut();
+        let scratch = scratch.get_or_insert_with(|| self.source.fresh_simulator());
+        accel::prove_divergence(&self.program, machine, scratch, pc, step, self.max_steps)
     }
 }
 
@@ -309,77 +275,30 @@ impl<H: FaultHook + ?Sized> FaultHook for CycleGuard<'_, H> {
         if step < self.watch_from {
             return FaultAction::Continue;
         }
-        match &self.anchor {
-            Some((anchor_pc, anchor_step, state)) => {
-                if pc == *anchor_pc {
-                    if machine.state_repeats(state) {
-                        return self.proven(step);
+        match self.anchor {
+            Some((anchor_pc, anchor_step)) => {
+                if pc == anchor_pc
+                    && !self.tried_prove
+                    && self.failed_proves < MAX_PROVE_FAILURES
+                    && step >= self.watch_from.saturating_add(PROVE_OVERSHOOT)
+                {
+                    self.tried_prove = true;
+                    if self.prove(pc, step, machine) {
+                        self.proofs += 1;
+                        self.steps_saved += self.max_steps.saturating_sub(step.saturating_sub(1));
+                        return FaultAction::DivergenceProven;
                     }
-                    let known_dud = {
-                        let memo = self.memo.borrow();
-                        memo.get(&pc)
-                            .is_some_and(|m| m.fails >= MEMO_FAIL_CAP && m.proves == 0)
-                    };
-                    if !known_dud
-                        && !self.tried_prove
-                        && self.failed_proves < MAX_PROVE_FAILURES
-                        && step >= self.watch_from.saturating_add(PROVE_OVERSHOOT)
-                    {
-                        self.tried_prove = true;
-                        let _span =
-                            secbranch_obs::span_with("prover", || format!("pc {pc} step {step}"));
-                        let mut scratch = self.scratch.borrow_mut();
-                        let scratch = scratch.get_or_insert_with(|| self.source.fresh_simulator());
-                        let mut outcome = accel::prove_divergence(
-                            &self.program,
-                            machine,
-                            scratch,
-                            pc,
-                            step,
-                            self.max_steps,
-                            false,
-                        );
-                        if outcome == accel::ProveOutcome::Irregular && !self.deep_done {
-                            let deep_left = self
-                                .memo
-                                .borrow()
-                                .get(&pc)
-                                .is_none_or(|m| m.deeps < MEMO_DEEP_CAP);
-                            if deep_left {
-                                self.deep_done = true;
-                                self.memo.borrow_mut().entry(pc).or_default().deeps += 1;
-                                outcome = accel::prove_divergence(
-                                    &self.program,
-                                    machine,
-                                    scratch,
-                                    pc,
-                                    step,
-                                    self.max_steps,
-                                    true,
-                                );
-                            }
-                        }
-                        let mut memo = self.memo.borrow_mut();
-                        let entry = memo.entry(pc).or_default();
-                        if outcome == accel::ProveOutcome::Proved {
-                            entry.proves += 1;
-                            drop(memo);
-                            return self.proven(step);
-                        }
-                        entry.fails += 1;
-                        drop(memo);
-                        self.failed_proves += 1;
-                    }
+                    self.failed_proves += 1;
                 }
                 if step - anchor_step >= self.window && Self::anchorable(instr) {
                     self.window *= 2;
-                    self.anchor = Some((pc, step, machine.snapshot()));
+                    self.anchor = Some((pc, step));
                     self.tried_prove = false;
                 }
             }
             None => {
                 if Self::anchorable(instr) {
-                    self.anchor = Some((pc, step, machine.snapshot()));
+                    self.anchor = Some((pc, step));
                 }
             }
         }
@@ -400,9 +319,6 @@ impl<H: FaultHook + ?Sized> FaultHook for CycleGuard<'_, H> {
 struct CellExec<'a> {
     cell: &'a CellRequest<'a>,
     reference: &'a RecordedReference,
-    /// Prover scoreboard shared by every trial this shard runs, so loop
-    /// shapes the prover keeps failing on stop being re-analysed.
-    prove_memo: RefCell<HashMap<usize, ProveMemo>>,
     /// Scratch simulator the prover replays run futures on; allocated only
     /// when the shard's first proof attempt needs it (most shards never
     /// consult the prover).
@@ -495,7 +411,6 @@ impl CellExec<'_> {
             watch_from,
             Arc::clone(sim.shared_program()),
             self.cell.max_steps,
-            &self.prove_memo,
             &self.scratch,
             &*self.cell.source,
         );
@@ -774,7 +689,6 @@ impl CellPlan {
         let exec = CellExec {
             cell,
             reference: &self.reference,
-            prove_memo: RefCell::new(HashMap::new()),
             scratch: RefCell::new(None),
             ff_traced: Cell::new(false),
             restore_traced: Cell::new(false),
@@ -1447,7 +1361,6 @@ mod tests {
     fn cycle_guards_are_quiet_until_the_inner_hook_or_the_watch_point() {
         use crate::point::{assert_next_active_contract, contract_points};
         let sim = max_simulator();
-        let memo = RefCell::new(HashMap::new());
         let scratch = RefCell::new(None);
         for point in contract_points() {
             // Watch points before, between and after the fault steps.
@@ -1459,7 +1372,6 @@ mod tests {
                         watch_from,
                         Arc::clone(sim.shared_program()),
                         1_000,
-                        &memo,
                         &scratch,
                         &sim,
                     );

@@ -262,9 +262,9 @@ secbranch_obs::counters! {
         /// injection, the steps from the checkpoint it would have resumed
         /// at to the end of the reference.
         suffix_steps_saved: counter("secbranch_pool_suffix_steps_saved_total"),
-        /// Runaway runs ended early by a divergence proof (an exact-state
-        /// cycle match or a verified affine loop acceleration) instead of
-        /// burning the remaining step budget.
+        /// Runaway runs ended early by a divergence proof (a verified
+        /// affine loop acceleration) instead of burning the remaining step
+        /// budget.
         loop_proofs: counter("secbranch_pool_loop_proofs_total"),
         /// Steps those divergence proofs avoided executing.
         loop_steps_saved: counter("secbranch_pool_loop_steps_saved_total"),

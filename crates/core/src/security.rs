@@ -3,6 +3,7 @@
 
 use std::fmt::Write as _;
 
+use secbranch_armv7m::DecodeCounters;
 use secbranch_campaign::{CampaignReport, WorkCounters};
 use secbranch_obs::json;
 
@@ -53,16 +54,10 @@ pub struct MatrixStats {
     /// The executor's work counters summed over all cells (also reachable
     /// directly, through `Deref`).
     pub work: WorkCounters,
-    /// Artifacts whose program was decoded into micro-ops during (or
-    /// before) this run. Decode happens once per `Arc<Program>` no matter
-    /// how many workers share it; the decoded form is derived data and
-    /// never part of the report.
-    pub decoded_programs: u64,
-    /// Total micro-ops across those decoded programs (equals their total
-    /// instruction count — the decoder is 1:1).
-    pub decoded_uops: u64,
-    /// Total wall-clock microseconds spent decoding those programs.
-    pub decode_micros: u64,
+    /// The decode costs of the artifacts whose program was decoded into
+    /// micro-ops during (or before) this run. Decode happens once per
+    /// `Arc<Program>` no matter how many workers share it.
+    pub decode: DecodeCounters,
 }
 
 impl std::ops::Deref for MatrixStats {
@@ -79,37 +74,11 @@ impl MatrixStats {
     pub fn compute_histogram(&self) -> secbranch_obs::HistogramSnapshot {
         secbranch_obs::HistogramSnapshot::from_samples(&self.cell_compute_micros)
     }
-
-    /// Adds the decode cost of each program among `programs` that has
-    /// decoded and is not in `seen` (keyed by address), and marks it seen.
-    /// A program decodes into micro-ops at most once (cached in the
-    /// `Arc<Program>` every worker shares), so `seen` decides the scope: a
-    /// fresh set counts each program of one run once, a set kept for a
-    /// service's lifetime counts each program once ever. A program whose
-    /// cells were all served from a warm store has not decoded yet and
-    /// stays unmarked, so the run that decodes it counts it.
-    pub fn add_decode_costs<'p>(
-        &mut self,
-        seen: &mut std::collections::HashSet<usize>,
-        programs: impl IntoIterator<Item = &'p secbranch_armv7m::Program>,
-    ) {
-        let fresh = programs.into_iter().filter_map(|program| {
-            let cost = program.decode_cost()?;
-            seen.insert(std::ptr::from_ref(program) as usize)
-                .then_some(cost)
-        });
-        for (uops, micros) in fresh {
-            self.decoded_programs += 1;
-            self.decoded_uops += uops;
-            self.decode_micros += micros;
-        }
-    }
 }
 
 secbranch_obs::impl_to_json! { MatrixStats |s|
     threads, trace_hits, trace_misses, cell_hits, cell_misses, total_wall_micros,
-    cell_compute_micros, store_checkpoint_bytes, work, decoded_programs, decoded_uops,
-    decode_micros,
+    cell_compute_micros, store_checkpoint_bytes, work, decode,
 }
 
 /// The structured result of a variants × fault-models security evaluation:
@@ -229,9 +198,11 @@ mod tests {
                 loop_steps_saved: 10_662_326,
                 points_pruned: 17,
             },
-            decoded_programs: 12,
-            decoded_uops: 9_876,
-            decode_micros: 55,
+            decode: DecodeCounters {
+                programs: 12,
+                uops: 9_876,
+                micros: 55,
+            },
         };
         assert_eq!(
             stats.to_json(),
@@ -241,8 +212,7 @@ mod tests {
                 r#""cell_compute_micros":[7,0,90001],"store_checkpoint_bytes":65536,"#,
                 r#""work":{"snapshot_restores":4475,"suffix_steps_saved":2887535,"#,
                 r#""loop_proofs":56,"loop_steps_saved":10662326,"points_pruned":17},"#,
-                r#""decoded_programs":12,"#,
-                r#""decoded_uops":9876,"decode_micros":55}"#,
+                r#""decode":{"programs":12,"uops":9876,"micros":55}}"#,
             )
         );
         assert!(MatrixStats::default()

@@ -411,7 +411,7 @@ impl Session {
             }
         }
         stats.store_checkpoint_bytes = self.traces.stats().checkpoint_bytes;
-        stats.add_decode_costs(
+        stats.decode.add_decoded(
             &mut HashSet::new(),
             artifacts.iter().map(|a| &*a.compiled().program),
         );
@@ -477,7 +477,9 @@ impl Session {
                     });
                 }
                 // Counted once its cells have run, and once per program.
-                stats.add_decode_costs(&mut decoded, [&*artifact.compiled().program]);
+                stats
+                    .decode
+                    .add_decoded(&mut decoded, [&*artifact.compiled().program]);
             }
         }
         stats.total_wall_micros = started.elapsed().as_micros() as u64;

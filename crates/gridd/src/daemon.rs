@@ -41,18 +41,19 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use secbranch::armv7m::{AtomicDecodeCounters, DecodeCounters};
 use secbranch::campaign::{
     Admission, CellOutcome, CellRequest, ComputedCell, ExecutorPool, FaultModel, GridBackend,
     OwnedModule, SimulatorSource, TraceFetch, TraceKey, TraceStore,
 };
 use secbranch::obs::{Histogram, Registry};
 use secbranch::store::{codec::encode_report, GridStore};
-use secbranch::{MatrixStats, Pipeline, Session, Workload};
+use secbranch::{Pipeline, Session, Workload};
 
 use crate::catalog;
 use crate::protocol::{
     decode_grid_request, encode_cell_bytes, encode_done, encode_reject, read_frame, write_frame,
-    CellHead, DaemonCounters, DaemonStats, DoneFrame, GridRequest, RejectFrame, Served, WireError,
+    CellHead, DaemonCounters, DoneFrame, GridRequest, RejectFrame, Served, WireError,
     PROTOCOL_VERSION, REQ_GRID, REQ_SHUTDOWN, REQ_STATS, RESP_CELL, RESP_DONE, RESP_ERROR,
     RESP_REJECT, RESP_STATS,
 };
@@ -104,6 +105,8 @@ struct Shared {
     shutdown: AtomicBool,
     addr: String,
     counters: DaemonCounters,
+    /// Decode costs over the daemon's lifetime.
+    decode: AtomicDecodeCounters,
     /// Program identities (`Arc` data pointers of the daemon's build-cached
     /// programs) whose decode cost is already accounted, so re-runs of an
     /// artifact never double-count the one decode it paid.
@@ -166,6 +169,7 @@ impl GridDaemon {
                 shutdown: AtomicBool::new(false),
                 addr,
                 counters: DaemonCounters::default(),
+                decode: AtomicDecodeCounters::default(),
                 decode_seen: Mutex::new(HashSet::new()),
                 model_micros: Mutex::new(BTreeMap::new()),
             }),
@@ -484,16 +488,12 @@ fn handle_grid(shared: &Arc<Shared>, stream: &mut Stream, payload: &[u8]) -> io:
     // daemon's lifetime: each build-cached program counts once, in the
     // first request after it decoded.
     let programs = plan.artifacts.iter().map(|(s, _, _)| &*s.compiled.program);
-    let mut decoded = MatrixStats::default();
-    decoded.add_decode_costs(
+    let mut decoded = DecodeCounters::default();
+    decoded.add_decoded(
         &mut shared.decode_seen.lock().expect("decode_seen poisoned"),
         programs,
     );
-    counters.add(&DaemonStats {
-        decoded_programs: decoded.decoded_programs,
-        decode_micros: decoded.decode_micros,
-        ..DaemonStats::default()
-    });
+    shared.decode.add(&decoded);
 
     let wall_micros = started.elapsed().as_micros() as u64;
     let count = |served: Served| roles.iter().filter(|&&role| role == served).count() as u32;
@@ -615,6 +615,7 @@ fn registry(shared: &Shared) -> Registry {
         u64::from(PROTOCOL_VERSION),
     );
     shared.counters.snapshot().register_into(&mut registry);
+    shared.decode.snapshot().register_into(&mut registry);
     shared.pool.stats().register_into(&mut registry);
     shared.pool.work().register_into(&mut registry);
     shared.pool.store().stats().register_into(&mut registry);

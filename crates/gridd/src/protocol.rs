@@ -31,6 +31,7 @@
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
 
+use secbranch::armv7m::DecodeCounters;
 use secbranch::obs::metrics::series_value;
 use secbranch_campaign::{CampaignReport, PoolStats, TraceStoreStats, WorkCounters};
 use secbranch_store::format::{crc32, Reader, RecordError, Writer};
@@ -557,7 +558,7 @@ pub fn decode_reject(payload: &[u8]) -> Result<RejectFrame, RecordError> {
 // --- observability --------------------------------------------------------
 
 secbranch::obs::counters! {
-    /// The daemon's own request, cell and decode counters.
+    /// The daemon's own request and cell counters.
     pub struct DaemonStats(DaemonCounters) {
         /// Grid requests admitted.
         requests: counter("secbranch_gridd_requests_total"),
@@ -577,11 +578,6 @@ secbranch::obs::counters! {
         request_errors: counter("secbranch_gridd_request_errors_total"),
         /// Connections rejected for speaking a foreign protocol version.
         version_rejects: counter("secbranch_gridd_version_rejects_total"),
-        /// Distinct programs decoded into micro-ops by the daemon's
-        /// executors.
-        decoded_programs: counter("secbranch_gridd_decoded_programs_total"),
-        /// Wall-clock microseconds spent in those decodes.
-        decode_micros: counter("secbranch_gridd_decode_micros_total"),
     }
 }
 
@@ -596,8 +592,11 @@ secbranch::obs::counters! {
 pub struct StatsSnapshot {
     /// The daemon's protocol version.
     pub protocol_version: u32,
-    /// The daemon's own request, cell and decode counters.
+    /// The daemon's own request and cell counters.
     pub daemon: DaemonStats,
+    /// The decode costs of the programs the daemon's executors decoded,
+    /// each counted once over the daemon's lifetime.
+    pub decode: DecodeCounters,
     /// The worker pool's queue and job counters.
     pub pool: PoolStats,
     /// The work counters summed over every cell the pool computed.
@@ -634,6 +633,7 @@ impl StatsSnapshot {
             protocol_version: u32::try_from(version)
                 .map_err(|_| "the protocol version overflows u32".to_string())?,
             daemon: DaemonStats::from_series(&series)?,
+            decode: DecodeCounters::from_series(&series)?,
             pool: PoolStats::from_series(&series)?,
             work: WorkCounters::from_series(&series)?,
             traces: TraceStoreStats::from_series(&series)?,
@@ -799,8 +799,9 @@ mod tests {
 
         // A statistics payload is a rendered registry; the typed view reads
         // every counter set back from its own series.
-        let (daemon, pool, work, traces, store) = (
+        let (daemon, decode, pool, work, traces, store) = (
             distinct!(DaemonStats, 100),
+            distinct!(DecodeCounters, 600),
             distinct!(PoolStats, 200),
             distinct!(WorkCounters, 500),
             distinct!(TraceStoreStats, 300),
@@ -812,6 +813,7 @@ mod tests {
                 u64::from(PROTOCOL_VERSION),
             );
             daemon.register_into(registry);
+            decode.register_into(registry);
             pool.register_into(registry);
             work.register_into(registry);
             traces.register_into(registry);
@@ -820,6 +822,7 @@ mod tests {
         let stats = StatsSnapshot::from_series(series.clone()).expect("complete");
         assert_eq!(stats.protocol_version, PROTOCOL_VERSION);
         assert_eq!(stats.daemon, daemon);
+        assert_eq!(stats.decode, decode);
         assert_eq!(stats.pool, pool);
         assert_eq!(stats.work, work);
         assert_eq!(*stats, work, "the view derefs to the work counters");
@@ -841,6 +844,7 @@ mod tests {
     #[test]
     fn counter_sets_round_trip_through_the_exposition() {
         check_counter_set!(DaemonStats, 100);
+        check_counter_set!(DecodeCounters, 600);
         check_counter_set!(PoolStats, 200);
         check_counter_set!(WorkCounters, 500);
         check_counter_set!(TraceStoreStats, 300);
@@ -855,6 +859,7 @@ mod tests {
                 u64::from(PROTOCOL_VERSION),
             );
             DaemonStats::default().register_into(registry);
+            DecodeCounters::default().register_into(registry);
             PoolStats::default().register_into(registry);
             WorkCounters::default().register_into(registry);
             TraceStoreStats::default().register_into(registry);

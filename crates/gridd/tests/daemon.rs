@@ -484,12 +484,13 @@ fn metrics_expose_pool_store_and_executor_series() {
     // of the same statistics carries the executor counters end to end.
     let stats = client.stats().expect("stats serve");
     assert!(
-        stats.daemon.decoded_programs >= 1,
+        stats.decode.programs >= 1,
         "the computed cell decoded its program"
     );
     for name in [
-        "secbranch_gridd_decoded_programs_total",
-        "secbranch_gridd_decode_micros_total",
+        "secbranch_decode_programs_total",
+        "secbranch_decode_uops_total",
+        "secbranch_decode_micros_total",
         "secbranch_pool_snapshot_restores_total",
         "secbranch_pool_suffix_steps_saved_total",
     ] {
@@ -580,7 +581,7 @@ fn stats_exposition_names_kinds_and_counts_are_pinned() {
 
     let is_timing = |key: &str| {
         key == "secbranch_pool_compute_micros_total"
-            || key == "secbranch_gridd_decode_micros_total"
+            || key == "secbranch_decode_micros_total"
             || key.starts_with("secbranch_cell_compute_micros_bucket")
             || key.starts_with("secbranch_cell_compute_micros_sum")
     };
@@ -596,16 +597,18 @@ fn stats_exposition_names_kinds_and_counts_are_pinned() {
     assert_eq!(masked, PINNED_EXPOSITION);
 }
 
-const PINNED_EXPOSITION: &str = r#"# TYPE secbranch_gridd_cells_requested_total counter
+const PINNED_EXPOSITION: &str = r#"# TYPE secbranch_decode_micros_total counter
+secbranch_decode_micros_total <timing>
+# TYPE secbranch_decode_programs_total counter
+secbranch_decode_programs_total 2
+# TYPE secbranch_decode_uops_total counter
+secbranch_decode_uops_total 95
+# TYPE secbranch_gridd_cells_requested_total counter
 secbranch_gridd_cells_requested_total 4
 # TYPE secbranch_gridd_coalesced_cells_total counter
 secbranch_gridd_coalesced_cells_total 0
 # TYPE secbranch_gridd_computed_cells_total counter
 secbranch_gridd_computed_cells_total 4
-# TYPE secbranch_gridd_decode_micros_total counter
-secbranch_gridd_decode_micros_total <timing>
-# TYPE secbranch_gridd_decoded_programs_total counter
-secbranch_gridd_decoded_programs_total 2
 # TYPE secbranch_gridd_recordings_total counter
 secbranch_gridd_recordings_total 2
 # TYPE secbranch_gridd_request_errors_total counter

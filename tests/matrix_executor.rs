@@ -315,9 +315,9 @@ fn matrix_decodes_each_program_once_and_reports_the_cost() {
 
     // 2 workloads × 3 pipelines = 6 distinct programs, decoded once each
     // regardless of the 3 models (18 cells) that execute them.
-    assert_eq!(report.stats.decoded_programs, 6, "one decode per program");
+    assert_eq!(report.stats.decode.programs, 6, "one decode per program");
     assert!(
-        report.stats.decoded_uops > 0,
+        report.stats.decode.uops > 0,
         "decoded programs contain micro-ops"
     );
 
@@ -327,8 +327,8 @@ fn matrix_decodes_each_program_once_and_reports_the_cost() {
     let again = session
         .security_matrix_with(&executor, &workloads, &pipelines, &model_refs, None)
         .expect("matrix runs");
-    assert_eq!(again.stats.decoded_programs, 6);
-    assert_eq!(again.stats.decoded_uops, report.stats.decoded_uops);
+    assert_eq!(again.stats.decode.programs, 6);
+    assert_eq!(again.stats.decode.uops, report.stats.decode.uops);
     assert_eq!(again, report, "decode stats never leak into the report");
 }
 
